@@ -11,6 +11,7 @@ hypothesis fails, 1 on I/O and parse errors.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,6 +267,22 @@ def _closure_vector(resolved: _Resolved) -> dict | None:
     return {str(lb): _encode(v) for lb, v in zip(vec.labels, vec.values)}
 
 
+def _decided_det(report, matrix):
+    """The determinant, read off the decision where it already holds it.
+
+    On a closed set (T3.1/T3.2) it is the product of the masses; an exact
+    oracle run that reached the last minor holds it as that minor.  Any
+    other route pays for one elimination.
+    """
+    if report.method in ("T3.1", "T3.2"):
+        return math.prod(report.certificate["masses"], start=Fraction(1))
+    if report.method == "oracle" and matrix.is_exact:
+        minors = report.certificate["minors"]
+        if len(minors) == matrix.n:
+            return minors[-1]
+    return det_general(matrix)
+
+
 def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
     if config.command == "build":
         matrix = resolved.build_matrix()
@@ -310,7 +327,7 @@ def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
         vector = _closure_vector(resolved)
         if vector is not None:
             payload["psi" if resolved.kind == "meet" else "phi"] = vector
-        payload["det"] = _encode(det_general(resolved.build_matrix()))
+        payload["det"] = _encode(_decided_det(report, resolved.build_matrix()))
         return 0, payload
 
     if config.command == "bounds":

@@ -22,7 +22,7 @@ from .errors import (
     NotSupersetError,
     PreconditionError,
 )
-from .matrices import SymMatrix, join_matrix, meet_matrix
+from .matrices import SymMatrix, join_matrix, leading_minors, meet_matrix
 from .mobius import PosetFunction, phi, psi
 from .poset import (
     ClosureResult,
@@ -61,34 +61,27 @@ class PDReport:
 def pd_oracle(m: SymMatrix, tol=0) -> PDReport:
     """Decide definiteness from the leading principal minors.
 
-    The minors fall out of swap-free fraction-free elimination, so the test
-    is exact on rational matrices.  On float matrices the comparisons are
-    against ``tol``; rounding near singularity is the caller's risk.
-    A refutation certifies itself by the first minor at or below ``tol``.
+    The minors come from :func:`~meetjoin.matrices.leading_minors`, swap-free
+    fraction-free elimination over integers once denominators are cleared,
+    so the test is exact on rational matrices; the elimination stops at the
+    first minor at or below ``tol``, which certifies the refutation.  On
+    float matrices the same elimination runs with true division and the
+    comparisons are against ``tol``; rounding near singularity is the
+    caller's risk.
     """
-    n = m.n
-    work = [list(row) for row in m.entries]
-    prev = 1
     minors = []
-    for k in range(n):
-        pivot = work[k][k]
-        minors.append(pivot)
-        if not pivot > tol:
+    for value in leading_minors(m):
+        minors.append(value)
+        if not value > tol:
             return PDReport(
                 NOT_POSITIVE_DEFINITE,
                 "oracle",
                 {
                     "minors": tuple(minors),
-                    "minor_index": k + 1,
-                    "minor_value": pivot,
+                    "minor_index": len(minors),
+                    "minor_value": value,
                 },
             )
-        if k + 1 < n:
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]) / prev
-                work[i][k] = 0
-            prev = pivot
     return PDReport(POSITIVE_DEFINITE, "oracle", {"minors": tuple(minors)})
 
 

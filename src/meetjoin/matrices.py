@@ -10,6 +10,7 @@ sets the determinant collapses to the product of the masses.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,27 +257,50 @@ def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
     return out
 
 
-def _det_exact(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free elimination with row pivoting."""
-    n = len(rows)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if rows[k][k] == 0:
+def leading_minors(m: SymMatrix, swap: bool = False):
+    """Yield the leading principal minors of ``m`` by fraction-free elimination.
+
+    This is Bareiss elimination, and each minor is yielded before the step
+    that needs it, so a caller that stops early saves the rest.  Exact
+    matrices are cleared of denominators once, row by row, and eliminated
+    over Python ints with exact ``//``; each minor is divided back to a
+    :class:`Fraction`.  Other matrices run the same loop on their raw
+    entries with true division.  With ``swap`` a zero pivot is replaced by
+    the first lower row with a nonzero entry in its column, and the minors
+    carry the sign of the swaps, so the last one is the determinant; a
+    column without such a row yields 0 and ends the elimination.
+    """
+    n = m.n
+    exact = m.is_exact
+    if exact:
+        scales = [math.lcm(*(v.denominator for v in row)) for row in m.entries]
+        rows = [[v.numerator * (d // v.denominator) for v in row]
+                for row, d in zip(m.entries, scales)]
+    else:
+        scales = [1] * n
+        rows = [list(row) for row in m.entries]
+    div = operator.floordiv if exact else operator.truediv
+    sign = prev = scale = 1
+    for k in range(n):
+        if swap and rows[k][k] == 0:
             for r in range(k + 1, n):
                 if rows[r][k] != 0:
                     rows[k], rows[r] = rows[r], rows[k]
+                    scales[k], scales[r] = scales[r], scales[k]
                     sign = -sign
                     break
-            else:
-                return Fraction(0)
         pivot = rows[k][k]
+        scale *= scales[k]
+        yield sign * (Fraction(pivot, scale) if exact else pivot)
+        if swap and pivot == 0:
+            return
+        tail = rows[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) / prev
-            rows[i][k] = Fraction(0)
+            row = rows[i]
+            lead = row[k]
+            row[k + 1:] = [div(a * pivot - lead * b, prev)
+                           for a, b in zip(row[k + 1:], tail)]
         prev = pivot
-    return sign * rows[n - 1][n - 1]
 
 
 def _det_float(rows: list[list[float]]) -> float:
@@ -301,6 +325,9 @@ def _det_float(rows: list[list[float]]) -> float:
 
 def det_general(m: SymMatrix):
     """Determinant of any symmetric matrix; exact whenever the entries are."""
-    if m.is_exact:
-        return _det_exact([list(row) for row in m.entries])
-    return _det_float(m.to_float())
+    if not m.is_exact:
+        return _det_float(m.to_float())
+    det = Fraction(1)
+    for det in leading_minors(m, swap=True):
+        pass
+    return det

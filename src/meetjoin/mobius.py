@@ -3,10 +3,11 @@
 ``psi`` assigns every element of a listed set the mass its function value
 adds on top of everything strictly below it inside the set; summing masses
 over a principal down-set recovers the function.  ``phi`` is the top-down
-dual.  These vectors are computed twice, once by the triangular recursion
-and once through the Moebius function of the induced subposet, and the two
-routes must agree exactly.  Everything here runs in exact rational
-arithmetic; supplying floats raises :class:`ExactArithmeticError`.
+dual.  Both come from a triangular recursion and are checked by summing
+them back up, which holds only for the right masses because zeta is
+invertible; a failed check raises :class:`CharacterizationMismatch`, also
+under ``python -O``.  Everything here runs in exact rational arithmetic;
+supplying floats raises :class:`ExactArithmeticError`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DuplicateError, ExactArithmeticError, MissingValueError
+from .errors import (
+    CharacterizationMismatch,
+    DuplicateError,
+    ExactArithmeticError,
+    MissingValueError,
+)
 from .poset import FinitePoset, Subset, _bits
 
 
@@ -143,7 +149,8 @@ def mobius_table(p: FinitePoset) -> MobiusTable:
 
     ``mu(a, b)`` is built by summing over the second argument; the check that
     zeta * mu is the identity sums over the first argument, so the two
-    triangular routes are independent.
+    triangular routes are independent.  A failed check raises
+    :class:`CharacterizationMismatch`.
     """
     n = p.n
     mu = [[0] * n for _ in range(n)]
@@ -162,7 +169,8 @@ def mobius_table(p: FinitePoset) -> MobiusTable:
             total = 0
             for v in _bits(p.down_mask(c) & p.up_mask(a)):
                 total += mu[v][c]
-            assert total == (1 if a == c else 0), "mu does not invert zeta"
+            if total != (1 if a == c else 0):
+                raise CharacterizationMismatch("mu does not invert zeta")
     return MobiusTable(p, tuple(tuple(row) for row in mu))
 
 
@@ -248,7 +256,7 @@ def psi(d: Subset, f: PosetFunction) -> PsiVector:
 
     The recursion subtracts the masses of everything strictly below inside
     ``d``; the listing convention makes it triangular.  The result is
-    cross-checked against the Moebius-weighted sum on the induced subposet.
+    checked by re-summing it over every principal down-set of ``d``.
     """
     vals = _exact_values(d, f)
     p = d.parent
@@ -261,14 +269,10 @@ def psi(d: Subset, f: PosetFunction) -> PsiVector:
             if p.less(ms[v], ms[j]):
                 acc -= out[v]
         out.append(acc)
-    table = mobius_table(d.restrict()).mu
-    r = d.restrict()
-    for j in range(k):
-        alt = sum(
-            (vals[v] * table[v][j] for v in range(k) if r.leq(v, j)), Fraction(0)
-        )
-        assert alt == out[j], "mass recursion disagrees with Moebius sum"
-    return PsiVector(d, tuple(out))
+    vec = PsiVector(d, tuple(out))
+    if not vec.resums_to(f):
+        raise CharacterizationMismatch("psi masses do not re-sum to f")
+    return vec
 
 
 def phi(b: Subset, f: PosetFunction) -> PhiVector:
@@ -284,11 +288,7 @@ def phi(b: Subset, f: PosetFunction) -> PhiVector:
             if p.less(ms[j], ms[v]):
                 acc -= out[v]
         out[j] = acc
-    table = mobius_table(b.restrict()).mu
-    r = b.restrict()
-    for j in range(k):
-        alt = sum(
-            (vals[v] * table[j][v] for v in range(k) if r.leq(j, v)), Fraction(0)
-        )
-        assert alt == out[j], "mass recursion disagrees with Moebius sum"
-    return PhiVector(b, tuple(out))
+    vec = PhiVector(b, tuple(out))
+    if not vec.resums_to(f):
+        raise CharacterizationMismatch("phi masses do not re-sum to f")
+    return vec

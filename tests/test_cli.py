@@ -3,7 +3,8 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from meetjoin.cli import main
+from meetjoin import det_general
+from meetjoin.cli import RunConfig, _encode, _resolve, main, run
 
 WORKED_POSET = {"generated_by": [6, 10, 15], "set": [6, 10, 15]}
 WORKED_VALUES = {"1": 0, "2": -1, "3": 3, "5": -2, "6": 5, "10": 2, "15": 3}
@@ -45,6 +46,41 @@ def test_check_pd_poset_and_values(tmp_path):
     assert body["psi"]["2"] == "-1"
     assert body["psi"]["5"] == "-2"
     assert body["det"] == "1"
+
+
+def test_check_pd_det_is_the_same_on_every_route(tmp_path):
+    write_json(tmp_path / "p.json", WORKED_POSET)
+    cases = [
+        ({"set_text": "1,2,3,6", "family": "power-gcd"}, "T3.1", None),
+        ({"set_text": "1,2,3,6", "family": "reciprocal-power-lcm"}, "T3.2", None),
+        ({"set_text": "6,10,15", "family": "power-gcd"}, "C3.4", None),
+        # float values: the oracle decides, the determinant is pivoted
+        ({"set_text": "6,10,15", "family": "power-gcd", "alpha": "1.5"},
+         "oracle", None),
+        # oracle: positive definite, refuted at the last minor, refuted at k=1
+        ({}, "oracle", WORKED_VALUES),
+        ({}, "oracle", dict(WORKED_VALUES, **{"15": 2})),
+        ({}, "oracle", dict(WORKED_VALUES, **{"6": -5})),
+    ]
+    verdicts = []
+    for n, (kwargs, method, values) in enumerate(cases):
+        if values is not None:
+            write_json(tmp_path / f"f{n}.json", values)
+            kwargs = {"poset_path": str(tmp_path / "p.json"),
+                      "values_path": str(tmp_path / f"f{n}.json")}
+        config = RunConfig(command="check-pd", **kwargs)
+        code, text = run(config)
+        assert code == 0
+        body = json.loads(text)
+        assert body["method"] == method
+        matrix = _resolve(config).build_matrix()
+        assert body["det"] == _encode(det_general(matrix))
+        verdicts.append((body["verdict"], body["certificate"].get("minor_index")))
+    assert verdicts[4:] == [
+        ("positive-definite", None),
+        ("not-positive-definite", 3),
+        ("not-positive-definite", 1),
+    ]
 
 
 def test_build_json_roundtrip():

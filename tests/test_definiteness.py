@@ -13,6 +13,7 @@ from meetjoin import (
     PreconditionError,
     Subset,
     SymMatrix,
+    build_named_matrix,
     build_poset,
     classify_and_test,
     divisor_down_set,
@@ -61,8 +62,15 @@ def test_oracle_matches_minor_oracle():
 
 def test_oracle_certificate_is_checkable():
     rng = random.Random(702)
-    for _ in range(80):
-        m = random_sym(rng, rng.randint(1, 5))
+    extra = [
+        # rows with several distinct denominators each
+        build_named_matrix("reciprocal-power-lcm", [2, 3, 4, 5]).matrix,
+        build_named_matrix("reciprocal-power-lcm", [1, 2, 3, 6, 10], alpha=2).matrix,
+        # refuted at k=1 by a zero minor
+        SymMatrix(((0, 1), (1, 0))),
+        SymMatrix(((0, 0), (0, 1))),
+    ]
+    for m in [random_sym(rng, rng.randint(1, 5)) for _ in range(80)] + extra:
         report = pd_oracle(m)
         minors = report.certificate["minors"]
         # every reported minor value must equal the cofactor determinant
@@ -73,6 +81,10 @@ def test_oracle_certificate_is_checkable():
             k = report.certificate["minor_index"]
             assert report.certificate["minor_value"] == minors[k - 1]
             assert minors[k - 1] <= 0
+            # elimination stops at the first failing minor
+            assert len(minors) == k
+    for m in extra[2:]:
+        assert pd_oracle(m).certificate["minor_index"] == 1
 
 
 def test_oracle_float_tolerance():

@@ -12,6 +12,7 @@ from meetjoin import (
     PosetFunction,
     Subset,
     SymMatrix,
+    build_named_matrix,
     det_closed,
     det_general,
     divisibility_poset,
@@ -190,6 +191,22 @@ def test_det_general_matches_cofactor_oracle():
                 rows[j][i] = rows[i][j]
         m = SymMatrix(tuple(tuple(r) for r in rows))
         assert det_general(m) == cofactor_det(rows)
+    # rows with several distinct denominators each
+    for members, alpha in (([2, 3, 4, 5], 1), ([1, 2, 3, 6, 10], 2)):
+        m = build_named_matrix("reciprocal-power-lcm", members, alpha=alpha).matrix
+        rows = [list(row) for row in m.entries]
+        assert len({v.denominator for row in rows for v in row}) > 3
+        assert det_general(m) == cofactor_det(rows)
+    # zero leading pivots that need a row swap, and a singular matrix
+    for entries, det in (
+        (((0, 1), (1, 0)), -1),
+        (((0, 0, 1), (0, 1, 0), (1, 0, 0)), -1),
+        (((0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 3))), Fraction(-1, 4)),
+        (((0, 0), (0, 1)), 0),
+    ):
+        m = SymMatrix(entries)
+        assert det_general(m) == det == cofactor_det([list(r) for r in m.entries])
+        assert isinstance(det_general(m), Fraction)
 
 
 def test_float_det_close_to_exact():

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import meetjoin
 from meetjoin import (
     DuplicateError,
     ExactArithmeticError,
@@ -72,7 +77,7 @@ def test_mobius_on_divisor_lattice_matches_arithmetic():
 
 
 def test_mobius_randomized_never_fails_inversion():
-    # the zeta-inversion assert inside mobius_table is the check
+    # the zeta-inversion check inside mobius_table raises on failure
     rng = random.Random(501)
     for _ in range(60):
         mobius_table(random_poset(rng))
@@ -113,6 +118,7 @@ def test_psi_equals_mobius_convolution():
         f = random_function(rng, p)
         d = Subset.whole(p)
         vec = psi(d, f)
+        dual = phi(d, f)
         mu = mobius_table(p).mu
         for k in range(p.n):
             total = sum(
@@ -120,6 +126,42 @@ def test_psi_equals_mobius_convolution():
                 Fraction(0),
             )
             assert vec[k] == total
+            total = sum(
+                (f.values[v] * mu[k][v] for v in range(p.n) if p.leq(k, v)),
+                Fraction(0),
+            )
+            assert dual[k] == total
+
+
+def test_mass_check_raises_under_optimize():
+    # With asserts stripped by -O the re-sum check must still run: a poset
+    # whose strict order lies about 2 < 4 derails the recursion, and the
+    # masses then fail to re-sum to f.
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from meetjoin import (
+            CharacterizationMismatch, FinitePoset, PosetFunction, Subset,
+            divisibility_poset, divisors, phi, psi,
+        )
+        p = divisibility_poset(divisors(12))
+        f = PosetFunction.from_callable(p, Fraction)
+        lie = (p.index_of(2), p.index_of(4))
+        honest = FinitePoset.less
+        FinitePoset.less = lambda self, i, j: (i, j) != lie and honest(self, i, j)
+        for masses in (psi, phi):
+            try:
+                masses(Subset.whole(p), f)
+            except CharacterizationMismatch:
+                print(masses.__name__, "raised")
+    """)
+    src = os.path.dirname(os.path.dirname(meetjoin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["psi raised", "phi raised"]
 
 
 def test_psi_chain_is_difference_of_consecutive_values():

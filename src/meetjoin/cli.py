@@ -19,10 +19,11 @@ from fractions import Fraction
 import click
 
 from .definiteness import classify_and_test, structure_flags
-from .errors import DuplicateError, MeetJoinError
+from .errors import DeskScaleError, DuplicateError, MeetJoinError
 from .matrices import det_general, join_matrix, meet_matrix
 from .mobius import PosetFunction, phi, psi
 from .numtheory import (
+    DEFAULT_CAP,
     NamedFunction,
     build_named_matrix,
     divisibility_poset,
@@ -51,7 +52,6 @@ class RunConfig:
     output_path: str | None = None
     tol: float = 1e-10
     slack: float = 1e-9
-    seed: int = 0
 
     def echo(self) -> dict:
         return {
@@ -67,7 +67,6 @@ class RunConfig:
             "format": self.fmt,
             "tol": self.tol,
             "slack": self.slack,
-            "seed": self.seed,
         }
 
 
@@ -121,6 +120,10 @@ def parse_poset_file(path: str) -> tuple[FinitePoset, Subset]:
         default_set = tuple(sorted(set(gens)))
     else:
         n = data["n"]
+        if isinstance(n, int) and n > DEFAULT_CAP:
+            raise DeskScaleError(
+                f"{path}: poset of {n} elements is over the cap of {DEFAULT_CAP}"
+            )
         relation = data.get("relation", [])
         if not isinstance(relation, list):
             raise ValueError(f"{path}: relation must be a list of pairs")
@@ -251,20 +254,27 @@ def _flag_payload(subset: Subset) -> dict:
     return {name: flags[name] for name in sorted(flags)}
 
 
-def _closure_vector(resolved: _Resolved) -> dict | None:
+def _closure_vector(resolved: _Resolved, certificate: dict) -> dict | None:
+    """The masses of f over the closure of the set, read off the
+    certificate when it holds them over exactly that closure."""
     f = resolved.function
     if f is None or not f.is_exact:
         return None
     try:
         if resolved.kind == "meet":
             closure = meet_closure(resolved.subset)
-            vec = psi(closure.subset, f)
         else:
             closure = join_closure(resolved.subset)
-            vec = phi(closure.subset, f)
+        labels = closure.subset.labels
+        if certificate.get("support") == labels and "masses" in certificate:
+            values = certificate["masses"]
+        elif resolved.kind == "meet":
+            values = psi(closure.subset, f).values
+        else:
+            values = phi(closure.subset, f).values
     except MeetJoinError:
         return None
-    return {str(lb): _encode(v) for lb, v in zip(vec.labels, vec.values)}
+    return {str(lb): _encode(v) for lb, v in zip(labels, values)}
 
 
 def _decided_det(report, matrix):
@@ -324,7 +334,7 @@ def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
             "certificate": _encode(report.certificate),
             "flags": _flag_payload(resolved.subset),
         }
-        vector = _closure_vector(resolved)
+        vector = _closure_vector(resolved, report.certificate)
         if vector is not None:
             payload["psi" if resolved.kind == "meet" else "phi"] = vector
         payload["det"] = _encode(_decided_det(report, resolved.build_matrix()))
@@ -449,8 +459,6 @@ def _common(fn):
                      help="eigensolver tolerance"),
         click.option("--slack", type=float, default=1e-9,
                      help="bound satisfaction slack"),
-        click.option("--seed", type=int, default=0,
-                     help="echoed into the report for reproducibility"),
     ]
     for option in reversed(options):
         fn = option(fn)

@@ -92,9 +92,8 @@ def _sign_test(s: Subset, f: PosetFunction, kind: str) -> PDReport:
     except (NoMeetError, NoJoinError) as exc:
         return PDReport(NOT_APPLICABLE, method, {"reason": str(exc)})
     if not closed:
-        word = "meet" if kind == "meet" else "join"
         return PDReport(
-            NOT_APPLICABLE, method, {"reason": f"the set is not {word} closed"}
+            NOT_APPLICABLE, method, {"reason": f"the set is not {kind} closed"}
         )
     vec = psi(s, f) if kind == "meet" else phi(s, f)
     cert = {"kind": kind, "masses": vec.values, "support": s.labels}
@@ -102,16 +101,10 @@ def _sign_test(s: Subset, f: PosetFunction, kind: str) -> PDReport:
     if bad:
         # The witness minor must contain exactly one nonpositive mass: the
         # first one for leading minors, the last one for trailing minors.
-        if kind == "meet":
-            k = bad[0]
-            cert["failing_index"] = k
-            cert["minor_side"] = "leading"
-            cert["minor_index"] = k + 1
-        else:
-            k = bad[-1]
-            cert["failing_index"] = k
-            cert["minor_side"] = "trailing"
-            cert["minor_index"] = len(s) - k
+        k = bad[0] if kind == "meet" else bad[-1]
+        cert["failing_index"] = k
+        cert["minor_side"] = "leading" if kind == "meet" else "trailing"
+        cert["minor_index"] = k + 1 if kind == "meet" else len(s) - k
         return PDReport(NOT_POSITIVE_DEFINITE, method, cert)
     return PDReport(POSITIVE_DEFINITE, method, cert)
 
@@ -151,8 +144,7 @@ def pd_superset_sufficient(s: Subset, d, f: PosetFunction, kind: str = "meet") -
         )
     closed = is_meet_closed(d) if kind == "meet" else is_join_closed(d)
     if not closed:
-        word = "meet" if kind == "meet" else "join"
-        raise NotClosedError(f"the superset is not {word} closed")
+        raise NotClosedError(f"the superset is not {kind} closed")
     vec = psi(d, f) if kind == "meet" else phi(d, f)
     cert = {"kind": kind, "masses": vec.values, "support": d.labels}
     nonpositive = tuple(k for k, v in enumerate(vec.values) if not v > 0)
@@ -178,10 +170,8 @@ def pd_tree(s: Subset, f: PosetFunction, kind: str = "meet") -> PDReport:
         return PDReport(NOT_APPLICABLE, "T4.4", {"failed_hypothesis": str(exc)})
     tree = is_wedge_tree_set(s) if kind == "meet" else is_vee_tree_set(s)
     if not tree:
-        name = "meet-tree set" if kind == "meet" else "join-tree set"
-        return PDReport(
-            NOT_APPLICABLE, "T4.4", {"failed_hypothesis": f"the set is not a {name}"}
-        )
+        reason = f"the set is not a {kind}-tree set"
+        return PDReport(NOT_APPLICABLE, "T4.4", {"failed_hypothesis": reason})
     if kind == "meet":
         monotone = f.is_order_preserving(strict=True, within=c.subset)
         requirement = "strictly order-preserving on the meet closure"

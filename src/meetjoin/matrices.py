@@ -1,10 +1,12 @@
 """Meet and join matrices, incidence factorizations, exact determinants.
 
 The meet matrix of a listed set has ``f(x_i meet x_j)`` at entry ``(i, j)``,
-with the meet taken in the ambient poset; the join matrix is the dual.  Both
-factor through 0/1 incidence matrices against any superset containing the
-relevant meets or joins, with the mass vectors on the diagonal, and on closed
-sets the determinant collapses to the product of the masses.
+with the meet taken in the ambient poset; the join matrix is the dual, and
+is assembled by the meet code run on the order dual of the poset and of
+``f``, with the members kept in their listing.  Both factor through 0/1
+incidence matrices against any superset containing the relevant meets or
+joins, with the mass vectors on the diagonal, and on closed sets the
+determinant collapses to the product of the masses.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from fractions import Fraction
 
 from .errors import NotClosedError, NotSupersetError
 from .mobius import PosetFunction, phi, psi
-from .poset import Subset, is_join_closed, is_meet_closed, join, meet
+from .poset import (
+    FinitePoset,
+    Subset,
+    _as_join,
+    _mirror,
+    is_join_closed,
+    is_meet_closed,
+    meet,
+)
 
 
 def _coerce_entry(value):
@@ -112,30 +122,27 @@ def _check_same_parent(s: Subset, f: PosetFunction) -> None:
         raise ValueError("subset and function live on different posets")
 
 
-def meet_matrix(s: Subset, f: PosetFunction) -> SymMatrix:
-    """The matrix with ``f`` of the pairwise meets of ``s`` as entries."""
-    _check_same_parent(s, f)
-    ms = s.members
+def _meet_entries(p: FinitePoset, ms, values) -> SymMatrix:
     n = len(ms)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            value = f.values[meet(s.parent, ms[i], ms[j])]
+            value = values[meet(p, ms[i], ms[j])]
             rows[i][j] = rows[j][i] = value
     return SymMatrix(tuple(tuple(row) for row in rows))
+
+
+def meet_matrix(s: Subset, f: PosetFunction) -> SymMatrix:
+    """The matrix with ``f`` of the pairwise meets of ``s`` as entries."""
+    _check_same_parent(s, f)
+    return _meet_entries(s.parent, s.members, f.values)
 
 
 def join_matrix(s: Subset, f: PosetFunction) -> SymMatrix:
     """The matrix with ``f`` of the pairwise joins of ``s`` as entries."""
     _check_same_parent(s, f)
-    ms = s.members
-    n = len(ms)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            value = f.values[join(s.parent, ms[i], ms[j])]
-            rows[i][j] = rows[j][i] = value
-    return SymMatrix(tuple(tuple(row) for row in rows))
+    with _as_join():
+        return _meet_entries(s.parent.dual(), _mirror(s), f.dual().values)
 
 
 def incidence_matrix(s: Subset, d: Subset, kind: str = "meet") -> IncMatrix:
@@ -158,27 +165,34 @@ def incidence_matrix(s: Subset, d: Subset, kind: str = "meet") -> IncMatrix:
     return IncMatrix(len(s.members), len(d.members), tuple(bits))
 
 
-def _require_covering(s: Subset, d: Subset, kind: str) -> None:
-    bound = meet if kind == "meet" else join
-    dmask = d.member_mask()
-    missing = []
-    for m in s.members:
-        if not (dmask >> m) & 1:
-            missing.append(s.parent.labels[m])
-    ms = s.members
-    for a in range(len(ms)):
-        for b in range(a + 1, len(ms)):
-            v = bound(s.parent, ms[a], ms[b])
-            if not (dmask >> v) & 1:
-                lb = s.parent.labels[v]
-                if lb not in missing:
-                    missing.append(lb)
+def _require_covering(p: FinitePoset, xs, dmask: int, word: str) -> None:
+    missing = [p.labels[m] for m in xs if not (dmask >> m) & 1]
+    for a in range(len(xs)):
+        for b in range(a + 1, len(xs)):
+            v = meet(p, xs[a], xs[b])
+            if not (dmask >> v) & 1 and p.labels[v] not in missing:
+                missing.append(p.labels[v])
     if missing:
-        word = "meets" if kind == "meet" else "joins"
         raise NotSupersetError(
             f"reference set must contain the members and their {word}; "
             "missing: " + ", ".join(map(str, missing))
         )
+
+
+def _factored(masses, inc: IncMatrix) -> SymMatrix:
+    row_masks = [inc.row_mask(i) for i in range(inc.rows)]
+    n = inc.rows
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = Fraction(0)
+            shared = row_masks[i] & row_masks[j]
+            while shared:
+                low = shared & -shared
+                acc += masses[low.bit_length() - 1]
+                shared ^= low
+            rows[i][j] = rows[j][i] = acc
+    return SymMatrix(tuple(tuple(row) for row in rows))
 
 
 def factored_meet_matrix(s: Subset, d: Subset, f: PosetFunction) -> SymMatrix:
@@ -189,43 +203,17 @@ def factored_meet_matrix(s: Subset, d: Subset, f: PosetFunction) -> SymMatrix:
     :func:`meet_matrix` entrywise, in exact arithmetic.
     """
     _check_same_parent(s, f)
-    _require_covering(s, d, "meet")
-    masses = psi(d, f).values
-    inc = incidence_matrix(s, d, "meet")
-    row_masks = [inc.row_mask(i) for i in range(inc.rows)]
-    n = len(s.members)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = Fraction(0)
-            shared = row_masks[i] & row_masks[j]
-            while shared:
-                low = shared & -shared
-                acc += masses[low.bit_length() - 1]
-                shared ^= low
-            rows[i][j] = rows[j][i] = acc
-    return SymMatrix(tuple(tuple(row) for row in rows))
+    _require_covering(s.parent, s.members, d.member_mask(), "meets")
+    return _factored(psi(d, f).values, incidence_matrix(s, d, "meet"))
 
 
 def factored_join_matrix(s: Subset, b: Subset, f: PosetFunction) -> SymMatrix:
-    """Dual of :func:`factored_meet_matrix`, with phi masses over ``b``."""
+    """Dual of :func:`factored_meet_matrix`, with phi masses over ``b``; the
+    covering check is the meet one in the order dual."""
     _check_same_parent(s, f)
-    _require_covering(s, b, "join")
-    masses = phi(b, f).values
-    inc = incidence_matrix(s, b, "join")
-    row_masks = [inc.row_mask(i) for i in range(inc.rows)]
-    n = len(s.members)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = Fraction(0)
-            shared = row_masks[i] & row_masks[j]
-            while shared:
-                low = shared & -shared
-                acc += masses[low.bit_length() - 1]
-                shared ^= low
-            rows[i][j] = rows[j][i] = acc
-    return SymMatrix(tuple(tuple(row) for row in rows))
+    with _as_join():
+        _require_covering(s.parent.dual(), _mirror(s), b.dual().member_mask(), "joins")
+    return _factored(phi(b, f).values, incidence_matrix(s, b, "join"))
 
 
 def mass_diagonal(d: Subset, f: PosetFunction, kind: str = "meet") -> DiagMatrix:
@@ -241,20 +229,12 @@ def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
     determinant is the product of the bottom-up masses; dually with the
     top-down masses on a join closed set.
     """
-    if kind == "meet":
-        if not is_meet_closed(s):
-            raise NotClosedError("the set is not meet closed")
-        masses = psi(s, f).values
-    elif kind == "join":
-        if not is_join_closed(s):
-            raise NotClosedError("the set is not join closed")
-        masses = phi(s, f).values
-    else:
+    if kind not in ("meet", "join"):
         raise ValueError("kind must be 'meet' or 'join'")
-    out = Fraction(1)
-    for v in masses:
-        out *= v
-    return out
+    if not (is_meet_closed(s) if kind == "meet" else is_join_closed(s)):
+        raise NotClosedError(f"the set is not {kind} closed")
+    masses = psi(s, f) if kind == "meet" else phi(s, f)
+    return math.prod(masses.values, start=Fraction(1))
 
 
 def leading_minors(m: SymMatrix, swap: bool = False):

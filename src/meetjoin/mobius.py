@@ -3,11 +3,12 @@
 ``psi`` assigns every element of a listed set the mass its function value
 adds on top of everything strictly below it inside the set; summing masses
 over a principal down-set recovers the function.  ``phi`` is the top-down
-dual.  Both come from a triangular recursion and are checked by summing
-them back up, which holds only for the right masses because zeta is
-invertible; a failed check raises :class:`CharacterizationMismatch`, also
-under ``python -O``.  Everything here runs in exact rational arithmetic;
-supplying floats raises :class:`ExactArithmeticError`.
+dual, computed as ``psi`` over the order dual and listed back.  The masses
+come from a triangular recursion and are checked by summing them back up,
+which holds only for the right masses because zeta is invertible; a failed
+check raises :class:`CharacterizationMismatch`, also under ``python -O``.
+Everything here runs in exact rational arithmetic; supplying floats raises
+:class:`ExactArithmeticError`.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ class PosetFunction:
     def float_view(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.values)
 
+    def dual(self) -> "PosetFunction":
+        """The same function on the order dual of its poset."""
+        return PosetFunction(self.poset.dual(), self.values[::-1])
+
     def restrict(self, s: Subset) -> "PosetFunction":
         """The same function on the induced subposet of ``s``."""
         if s.parent is not self.poset and s.parent != self.poset:
@@ -118,16 +123,10 @@ class PosetFunction:
         return True
 
     def is_order_reversing(self, strict: bool = False, within: Subset | None = None) -> bool:
-        """x below y implies f(x) >= f(y); ``strict`` demands >."""
-        idx = self._domain(within)
-        p = self.poset
-        for a in range(len(idx)):
-            for b in range(len(idx)):
-                if a != b and p.less(idx[a], idx[b]):
-                    fa, fb = self.values[idx[a]], self.values[idx[b]]
-                    if fa < fb or (strict and fa == fb):
-                        return False
-        return True
+        """x below y implies f(x) >= f(y); ``strict`` demands >.  That is,
+        ``f`` preserves the order dual."""
+        dual_within = None if within is None else within.dual()
+        return self.dual().is_order_preserving(strict, dual_within)
 
     def is_positive(self, within: Subset | None = None) -> bool:
         return all(self.values[i] > 0 for i in self._domain(within))
@@ -184,8 +183,8 @@ def _exact_values(d: Subset, f: PosetFunction) -> list[Fraction]:
 
 
 @dataclass(frozen=True)
-class PsiVector:
-    """Bottom-up masses of a function over a listed set."""
+class _Masses:
+    """One mass per member of a listed set, in the listing."""
 
     subset: Subset
     values: tuple[Fraction, ...]
@@ -202,6 +201,10 @@ class PsiVector:
 
     def __len__(self):
         return len(self.values)
+
+
+class PsiVector(_Masses):
+    """Bottom-up masses of a function over a listed set."""
 
     def resums_to(self, f: PosetFunction) -> bool:
         """Check that summing masses over principal down-sets recovers f."""
@@ -217,47 +220,16 @@ class PsiVector:
         return True
 
 
-@dataclass(frozen=True)
-class PhiVector:
+class PhiVector(_Masses):
     """Top-down masses of a function over a listed set."""
-
-    subset: Subset
-    values: tuple[Fraction, ...]
-
-    @property
-    def labels(self) -> tuple:
-        return self.subset.labels
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
 
     def resums_to(self, f: PosetFunction) -> bool:
         """Check that summing masses over principal up-sets recovers f."""
-        p = self.subset.parent
-        ms = self.subset.members
-        for k in range(len(ms)):
-            total = sum(
-                (self.values[v] for v in range(len(ms)) if p.leq(ms[k], ms[v])),
-                Fraction(0),
-            )
-            if total != f.values[ms[k]]:
-                return False
-        return True
+        dual = PsiVector(self.subset.dual(), self.values[::-1])
+        return dual.resums_to(f.dual())
 
 
-def psi(d: Subset, f: PosetFunction) -> PsiVector:
-    """Bottom-up mass of ``f`` over the listed set ``d``.
-
-    The recursion subtracts the masses of everything strictly below inside
-    ``d``; the listing convention makes it triangular.  The result is
-    checked by re-summing it over every principal down-set of ``d``.
-    """
+def _bottom_up(d: Subset, f: PosetFunction) -> tuple[Fraction, ...]:
     vals = _exact_values(d, f)
     p = d.parent
     ms = d.members
@@ -269,26 +241,27 @@ def psi(d: Subset, f: PosetFunction) -> PsiVector:
             if p.less(ms[v], ms[j]):
                 acc -= out[v]
         out.append(acc)
-    vec = PsiVector(d, tuple(out))
+    return tuple(out)
+
+
+def psi(d: Subset, f: PosetFunction) -> PsiVector:
+    """Bottom-up mass of ``f`` over the listed set ``d``.
+
+    The recursion subtracts the masses of everything strictly below inside
+    ``d``; the listing convention makes it triangular.  The result is
+    checked by re-summing it over every principal down-set of ``d``.
+    """
+    vec = PsiVector(d, _bottom_up(d, f))
     if not vec.resums_to(f):
         raise CharacterizationMismatch("psi masses do not re-sum to f")
     return vec
 
 
 def phi(b: Subset, f: PosetFunction) -> PhiVector:
-    """Top-down mass of ``f`` over the listed set ``b``; dual of :func:`psi`."""
-    vals = _exact_values(b, f)
-    p = b.parent
-    ms = b.members
-    k = len(ms)
-    out: list[Fraction | None] = [None] * k
-    for j in range(k - 1, -1, -1):
-        acc = vals[j]
-        for v in range(j + 1, k):
-            if p.less(ms[j], ms[v]):
-                acc -= out[v]
-        out[j] = acc
-    vec = PhiVector(b, tuple(out))
+    """Top-down mass of ``f`` over the listed set ``b``: the bottom-up mass
+    over the order dual, listed back.  Checked by re-summing it over every
+    principal up-set of ``b``."""
+    vec = PhiVector(b, _bottom_up(b.dual(), f.dual())[::-1])
     if not vec.resums_to(f):
         raise CharacterizationMismatch("phi masses do not re-sum to f")
     return vec

@@ -6,7 +6,7 @@ disguise.  This module builds the ambient posets (down-sets of divisors,
 up-sets below an lcm, unitary-divisor orders), the classical functions
 (powers, reciprocal powers, Jordan totients), and the named matrix families
 on top of them.  Everything here is desk scale: factorization is trial
-division and universes are capped.
+division, capped at ``FACTOR_CAP``, and universes are capped.
 """
 
 from __future__ import annotations
@@ -21,12 +21,17 @@ from .mobius import PosetFunction
 from .poset import FinitePoset, Subset, total_order_poset
 
 DEFAULT_CAP = 10_000
+# Trial division of a prime near the cap takes ~0.2 s; near 10**14, over 1 s.
+FACTOR_CAP = 10**12
 
 
 def factorize(m: int) -> dict[int, int]:
-    """Prime factorization by trial division."""
+    """Prime factorization by trial division, for ``m`` up to ``FACTOR_CAP``;
+    larger integers raise :class:`DeskScaleError`."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"not a positive integer: {m!r}")
+    if m > FACTOR_CAP:
+        raise DeskScaleError(f"{m} is over the factorization cap of {FACTOR_CAP}")
     factors: dict[int, int] = {}
     rest = m
     d = 2

@@ -6,12 +6,14 @@ factorizations and the recursive mass computations in the sibling modules
 triangular, and it is validated on every constructed instance.
 
 The relation is kept as one down-set bitmask per element, which keeps meets,
-covers and chain tests cheap at desk scale.  All types are immutable and all
-functions are pure, so everything is safe to share between threads.
+covers and chain tests cheap at desk scale.  Each job is written for meets;
+the join side runs it on the cached order dual.  All types are immutable and
+all functions are pure, so everything is safe to share between threads.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -31,11 +33,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _reverse_mask(mask: int, n: int) -> int:
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << (n - 1 - i)
-    return out
+    """Move bit ``i`` to bit ``n - 1 - i``: a mask in the dual's indexing."""
+    size = (n + 7) // 8
+    flipped = mask.to_bytes(size, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(flipped, "big") >> (8 * size - n)
 
 
 class FinitePoset:
@@ -47,7 +52,7 @@ class FinitePoset:
     transitivity and the index convention itself.
     """
 
-    __slots__ = ("n", "labels", "source_order", "_down", "_up")
+    __slots__ = ("n", "labels", "source_order", "_down", "_up", "_dual")
 
     def __init__(self, down: Sequence[int], labels=None, source_order=None):
         down = tuple(down)
@@ -81,11 +86,11 @@ class FinitePoset:
         for j in range(n):
             for i in _bits(down[j]):
                 up[i] |= 1 << j
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "source_order", source_order)
-        object.__setattr__(self, "_down", down)
-        object.__setattr__(self, "_up", tuple(up))
+        self._fill(n, labels, source_order, down, tuple(up), None)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
@@ -134,10 +139,17 @@ class FinitePoset:
             raise ValueError(f"label {label!r} not in poset") from None
 
     def dual(self) -> "FinitePoset":
-        """The order-dual, re-indexed so the convention still holds."""
-        n = self.n
-        down = tuple(_reverse_mask(self._up[n - 1 - k], n) for k in range(n))
-        return FinitePoset(down, labels=tuple(reversed(self.labels)))
+        """The order-dual, re-indexed by ``k -> n - 1 - k`` so the convention
+        still holds.  Read off the stored masks without validating again,
+        built once and cached both ways: ``p.dual().dual() is p``."""
+        if self._dual is None:
+            n = self.n
+            down = tuple(_reverse_mask(mask, n) for mask in reversed(self._up))
+            up = tuple(_reverse_mask(mask, n) for mask in reversed(self._down))
+            dual = object.__new__(FinitePoset)
+            dual._fill(n, self.labels[::-1], None, down, up, self)
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
 
     def __eq__(self, other):
         return (
@@ -247,6 +259,13 @@ class Subset:
         for m in members:
             if not (0 <= m < self.parent.n):
                 raise IndexError(f"member index {m} out of range")
+        later = 0
+        for m in reversed(members):
+            if self.parent.down_mask(m) & later:
+                break
+            later |= 1 << m
+        else:
+            return
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 if self.parent.less(members[b], members[a]):
@@ -288,9 +307,16 @@ class Subset:
         return Subset(self.parent, tuple(sorted(self.members)))
 
     def dual(self) -> "Subset":
-        n = self.parent.n
-        members = tuple(n - 1 - m for m in reversed(self.members))
-        return Subset(self.parent.dual(), members)
+        """The members in the order dual, listed in reverse; cached both ways
+        (outside the dataclass fields, so equality and ``repr`` ignore it)."""
+        dual = getattr(self, "_dual", None)
+        if dual is None:
+            n = self.parent.n
+            members = tuple(n - 1 - m for m in reversed(self.members))
+            dual = Subset(self.parent.dual(), members)
+            object.__setattr__(dual, "_dual", self)
+            object.__setattr__(self, "_dual", dual)
+        return dual
 
     def __len__(self):
         return len(self.members)
@@ -354,38 +380,44 @@ def meet(p: FinitePoset, i: int, j: int) -> int:
     )
 
 
+@contextmanager
+def _as_join():
+    """Run meet code on the order dual as join code: a missing meet there is
+    raised as the missing join it stands for, in the words of :func:`join`."""
+    try:
+        yield
+    except NoMeetError as exc:
+        pair, _, missing = str(exc).rpartition(" have no ")
+        missing = missing.replace("greatest", "least").replace("lower", "upper")
+        raise NoJoinError(f"{pair} have no {missing}") from None
+
+
+def _mirror(s: Subset) -> tuple[int, ...]:
+    """The members as indices of the order dual, in the listing of ``s``."""
+    return s.dual().members[::-1]
+
+
 def join(p: FinitePoset, i: int, j: int) -> int:
-    """Index of the least common upper bound of ``x_i`` and ``x_j``."""
-    cub = p.up_mask(i) & p.up_mask(j)
-    if cub == 0:
-        raise NoJoinError(
-            f"{p.labels[i]!r} and {p.labels[j]!r} have no common upper bound"
-        )
-    bottom = (cub & -cub).bit_length() - 1
-    if p.up_mask(bottom) == cub:
-        return bottom
-    raise NoJoinError(
-        f"{p.labels[i]!r} and {p.labels[j]!r} have no least common upper bound"
-    )
+    """Index of the least common upper bound of ``x_i`` and ``x_j``: their
+    meet in the order dual."""
+    n = p.n
+    with _as_join():
+        return n - 1 - meet(p.dual(), n - 1 - i, n - 1 - j)
 
 
-def _closure(s: Subset, kind: str) -> ClosureResult:
-    p = s.parent
-    bound = meet if kind == "meet" else join
-    mask = s.member_mask()
-    changed = True
-    while changed:
-        changed = False
-        els = list(_bits(mask))
-        for a in range(len(els)):
-            for b in range(a + 1, len(els)):
-                m = bound(p, els[a], els[b])
-                if not (mask >> m) & 1:
-                    mask |= 1 << m
-                    changed = True
+def _meet_round(p: FinitePoset, els: Sequence[int], mask: int) -> int:
+    """Add the meet of every pair of ``els`` to ``mask``, scanning the pairs
+    in the order ``els`` lists them."""
+    for a in range(len(els)):
+        for b in range(a + 1, len(els)):
+            mask |= 1 << meet(p, els[a], els[b])
+    return mask
+
+
+def _closure_result(s: Subset, mask: int, kind: str) -> ClosureResult:
     members = tuple(_bits(mask))
     pos = {m: k for k, m in enumerate(members)}
-    closed_subset = Subset(p, members)
+    closed_subset = Subset(s.parent, members)
     embed = tuple(pos[m] for m in s.members)
     return ClosureResult(
         subset=closed_subset, closed=closed_subset.restrict(), embed=embed, kind=kind
@@ -394,50 +426,61 @@ def _closure(s: Subset, kind: str) -> ClosureResult:
 
 def meet_closure(s: Subset) -> ClosureResult:
     """Smallest superset of ``s`` closed under pairwise meets."""
-    return _closure(s, "meet")
+    mask = s.member_mask()
+    while (grown := _meet_round(s.parent, list(_bits(mask)), mask)) != mask:
+        mask = grown
+    return _closure_result(s, mask, "meet")
 
 
 def join_closure(s: Subset) -> ClosureResult:
-    """Smallest superset of ``s`` closed under pairwise joins."""
-    return _closure(s, "join")
+    """Smallest superset of ``s`` closed under pairwise joins: the meet
+    closure in the order dual.  Each round lists the elements by their
+    index here, so pairs are scanned in the order :func:`meet_closure` uses."""
+    q = s.parent.dual()
+    n = s.parent.n
+    mask = _reverse_mask(s.member_mask(), n)
+    with _as_join():
+        while (grown := _meet_round(q, list(_bits(mask))[::-1], mask)) != mask:
+            mask = grown
+    return _closure_result(s, _reverse_mask(mask, n), "join")
+
+
+def _meets_inside(p: FinitePoset, members: Sequence[int]) -> bool:
+    mask = sum(1 << m for m in members)
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            if not (mask >> meet(p, members[a], members[b])) & 1:
+                return False
+    return True
 
 
 def is_meet_closed(s: Subset) -> bool:
     """True when every pairwise meet of members is itself a member."""
-    mask = s.member_mask()
-    ms = s.members
-    for a in range(len(ms)):
-        for b in range(a + 1, len(ms)):
-            if not (mask >> meet(s.parent, ms[a], ms[b])) & 1:
-                return False
-    return True
+    return _meets_inside(s.parent, s.members)
 
 
 def is_join_closed(s: Subset) -> bool:
     """True when every pairwise join of members is itself a member."""
-    mask = s.member_mask()
-    ms = s.members
-    for a in range(len(ms)):
-        for b in range(a + 1, len(ms)):
-            if not (mask >> join(s.parent, ms[a], ms[b])) & 1:
-                return False
-    return True
+    with _as_join():
+        return _meets_inside(s.parent.dual(), _mirror(s))
 
 
-def down_set(s: Subset) -> Subset:
-    """All ambient elements lying below some member."""
+def _down_set(s: Subset) -> Subset:
     mask = 0
     for m in s.members:
         mask |= s.parent.down_mask(m)
     return Subset(s.parent, tuple(_bits(mask)))
 
 
+def down_set(s: Subset) -> Subset:
+    """All ambient elements lying below some member."""
+    return _down_set(s)
+
+
 def up_set(s: Subset) -> Subset:
-    """All ambient elements lying above some member."""
-    mask = 0
-    for m in s.members:
-        mask |= s.parent.up_mask(m)
-    return Subset(s.parent, tuple(_bits(mask)))
+    """All ambient elements lying above some member: the down-set in the
+    order dual."""
+    return _down_set(s.dual()).dual()
 
 
 def cover_graph(p: FinitePoset) -> CoverGraph:
@@ -485,6 +528,15 @@ def _tree_characterizations(q: FinitePoset) -> tuple[bool, bool, bool, bool]:
     return as_tree, covers_at_most_one, down_sets_chains, bounded_pairs_comparable
 
 
+def _is_tree(q: FinitePoset, kind: str) -> bool:
+    answers = _tree_characterizations(q)
+    if len(set(answers)) != 1:
+        raise CharacterizationMismatch(
+            f"{kind}-tree characterizations disagree: {answers}"
+        )
+    return answers[0]
+
+
 def is_wedge_tree_set(s: Subset) -> bool:
     """True when the Hasse diagram of the meet closure of ``s`` is a tree.
 
@@ -493,45 +545,13 @@ def is_wedge_tree_set(s: Subset) -> bool:
     principal down-set is a chain; elements with a common upper bound are
     comparable.  Disagreement raises :class:`CharacterizationMismatch`.
     """
-    q = meet_closure(s).closed
-    answers = _tree_characterizations(q)
-    if len(set(answers)) != 1:
-        raise CharacterizationMismatch(
-            f"meet-tree characterizations disagree: {answers}"
-        )
-    return answers[0]
-
-
-def _dual_tree_characterizations(q: FinitePoset) -> tuple[bool, bool, bool, bool]:
-    cg = cover_graph(q)
-    as_tree = cg.is_tree()
-
-    upper_counts = [0] * q.n
-    for lower, _ in cg.edges:
-        upper_counts[lower] += 1
-    covered_by_at_most_one = all(c <= 1 for c in upper_counts)
-
-    up_sets_chains = all(
-        _indices_form_chain(q, list(_bits(q.up_mask(x)))) for x in range(q.n)
-    )
-
-    bounded_pairs_comparable = True
-    for x in range(q.n):
-        for y in range(x + 1, q.n):
-            if q.down_mask(x) & q.down_mask(y) and not q.leq(x, y):
-                bounded_pairs_comparable = False
-    return as_tree, covered_by_at_most_one, up_sets_chains, bounded_pairs_comparable
+    return _is_tree(meet_closure(s).closed, "meet")
 
 
 def is_vee_tree_set(s: Subset) -> bool:
-    """Dual of :func:`is_wedge_tree_set`, over the join closure."""
-    q = join_closure(s).closed
-    answers = _dual_tree_characterizations(q)
-    if len(set(answers)) != 1:
-        raise CharacterizationMismatch(
-            f"join-tree characterizations disagree: {answers}"
-        )
-    return answers[0]
+    """Dual of :func:`is_wedge_tree_set`: the same four characterizations,
+    evaluated on the order dual of the join closure."""
+    return _is_tree(join_closure(s).closed.dual(), "join")
 
 
 def is_A_set(s: Subset) -> bool:

@@ -212,14 +212,12 @@ def _bounds(s: Subset, f: PosetFunction, kind: str, strict: bool) -> BoundsRepor
             if not ok:
                 raise HypothesisError(f"hypothesis failed: {name}")
 
+    # Ascending values: the meet listing as it stands, the join one reversed.
     vals = [float(f.values[m]) for m in relisted.members]
-    n = len(vals)
-    if kind == "meet":
-        upper = tuple((k + 1) * vals[k] for k in range(n))
-        lower_max = vals[-1]
-    else:
-        upper = tuple((k + 1) * vals[n - 1 - k] for k in range(n))
-        lower_max = vals[0]
+    if kind == "join":
+        vals.reverse()
+    upper = tuple((k + 1) * v for k, v in enumerate(vals))
+    lower_max = vals[-1]
     return BoundsReport(
         kind=kind,
         subset=relisted,

@@ -158,6 +158,17 @@ def spine_meet_tree():
     return p, Subset.of_labels(p, [3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14])
 
 
+def brute_join(p, i, j):
+    """Least upper bound of x_i and x_j by scanning the relation, with no
+    use of the order dual.  When there is none, the words for what is
+    missing: "common upper bound" or "least common upper bound"."""
+    upper = [k for k in range(p.n) if p.leq(i, k) and p.leq(j, k)]
+    if not upper:
+        return "common upper bound"
+    least = [u for u in upper if all(p.leq(u, v) for v in upper)]
+    return least[0] if least else "least common upper bound"
+
+
 def cofactor_det(rows):
     """Independent determinant by cofactor expansion; exact on Fractions."""
     n = len(rows)

@@ -260,12 +260,33 @@ def test_reports_are_deterministic():
 
 
 def test_seed_and_config_echoed():
-    result = invoke(["build", "--set", "1,2", "--family", "min",
-                     "--seed", "42"])
+    result = invoke(["build", "--set", "1,2", "--family", "min"])
     body = json.loads(result.output)
-    assert body["config"]["seed"] == 42
+    assert "seed" not in body["config"]
     assert body["config"]["command"] == "build"
     assert body["config"]["format"] == "json"
+
+
+def test_integer_over_factor_cap_exits_two():
+    # trial division of 10**14 + 31 took most of a second; it is refused
+    result = invoke(["check-pd", "--set", f"6,{10**14 + 31}",
+                     "--family", "power-gcd"])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "DeskScaleError"
+    assert error["message"] == (
+        "100000000000031 is over the factorization cap of 1000000000000"
+    )
+
+
+def test_poset_file_over_cap_exits_two(tmp_path):
+    # refused before build_poset allocates 10001 elements
+    write_json(tmp_path / "p.json", {"n": 10001, "relation": [], "set": [1]})
+    result = invoke(["classify", "--poset", str(tmp_path / "p.json")])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "DeskScaleError"
+    assert "poset of 10001 elements is over the cap of 10000" in error["message"]
 
 
 def test_output_file(tmp_path):

@@ -29,6 +29,7 @@ from meetjoin import (
     up_set,
 )
 from support import (
+    brute_join,
     cofactor_det,
     random_function,
     random_join_closed_subset,
@@ -59,6 +60,27 @@ def test_join_matrix_is_lcm_table():
     for i in range(3):
         for j in range(3):
             assert m.entry(i, j) == math.lcm(xs[i], xs[j])
+
+
+def test_join_matrix_is_f_of_brute_force_joins():
+    rng = random.Random(604)
+    done = 0
+    for _ in range(150):
+        p = random_poset(rng)
+        s = random_subset(rng, p)
+        f = random_function(rng, p)
+        ms = s.members
+        joins = [[brute_join(p, a, b) for b in ms] for a in ms]
+        if not all(isinstance(j, int) for row in joins for j in row):
+            with pytest.raises(NoJoinError):
+                join_matrix(s, f)
+            continue
+        m = join_matrix(s, f)
+        for i in range(len(ms)):
+            for j in range(len(ms)):
+                assert m.entry(i, j) == f.values[joins[i][j]]
+        done += 1
+    assert done > 50
 
 
 def test_sym_matrix_validation():

@@ -109,6 +109,14 @@ def test_phi_resums_to_f():
             b = Subset.whole(p)
         vec = phi(b, f)
         assert vec.resums_to(f)
+        # the same check written out over principal up-sets
+        ms = b.members
+        for k in range(len(ms)):
+            total = sum(
+                (vec[v] for v in range(len(ms)) if p.leq(ms[k], ms[v])),
+                Fraction(0),
+            )
+            assert total == f.values[ms[k]]
 
 
 def test_psi_equals_mobius_convolution():
@@ -239,6 +247,18 @@ def test_monotonicity_probes():
     # restricted to one element everything is monotone
     one = Subset.of_labels(p, [2])
     assert flat.is_order_preserving(strict=True, within=one)
+    # order-reversing against a scan of the relation
+    rng = random.Random(508)
+    for _ in range(60):
+        q = random_poset(rng)
+        g = random_function(rng, q)
+        s = random_subset(rng, q)
+        for strict in (False, True):
+            expected = all(
+                g.values[x] > g.values[y] if strict else g.values[x] >= g.values[y]
+                for x in s.members for y in s.members if q.less(x, y)
+            )
+            assert g.is_order_reversing(strict, within=s) == expected
 
 
 def test_restrict_matches_parent_values():

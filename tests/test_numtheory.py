@@ -173,6 +173,9 @@ def test_desk_scale_cap():
         divisor_down_set([720720], cap=16)
     with pytest.raises(DeskScaleError):
         lcm_up_set([2, 3, 5, 7, 11, 13], cap=16)
+    assert factorize(10**12) == {2: 12, 5: 12}
+    with pytest.raises(DeskScaleError):
+        factorize(10**12 + 1)
 
 
 def test_meet_join_match_arithmetic():

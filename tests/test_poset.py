@@ -30,6 +30,7 @@ from meetjoin import (
     up_set,
 )
 from support import (
+    brute_join,
     forked_meet_tree,
     random_poset,
     random_subset,
@@ -95,6 +96,42 @@ def test_no_meet_and_no_join():
         meet(p, 0, 1)
     with pytest.raises(NoJoinError):
         join(p, 0, 1)
+
+
+def test_join_matches_brute_force_least_upper_bound():
+    rng = random.Random(411)
+    for _ in range(60):
+        p = random_poset(rng)
+        for i in range(p.n):
+            for j in range(p.n):
+                expected = brute_join(p, i, j)
+                if isinstance(expected, int):
+                    assert join(p, i, j) == expected
+                    continue
+                message = f"{p.labels[i]!r} and {p.labels[j]!r} have no {expected}"
+                with pytest.raises(NoJoinError) as err:
+                    join(p, i, j)
+                assert str(err.value) == message
+
+
+def test_join_errors_name_the_pair():
+    # 'a' and 'b' have no upper bound; 'c' and 'd' have two minimal ones
+    p = build_poset(6, [(3, 5), (3, 6), (4, 5), (4, 6)],
+                    labels=("a", "b", "c", "d", "e", "f"))
+    cases = {
+        ("a", "b"): "'a' and 'b' have no common upper bound",
+        ("c", "d"): "'c' and 'd' have no least common upper bound",
+    }
+    for pair, message in cases.items():
+        i, j = (p.index_of(lb) for lb in pair)
+        with pytest.raises(NoJoinError) as err:
+            join(p, i, j)
+        assert str(err.value) == message
+        s = Subset.of_labels(p, pair)
+        for probe in (is_join_closed, join_closure, is_vee_tree_set):
+            with pytest.raises(NoJoinError) as err:
+                probe(s)
+            assert str(err.value) == message
 
 
 def test_meet_closure_is_meet_closed_and_contains_set():
@@ -228,8 +265,13 @@ def test_dual_roundtrip_and_tree_duality():
     rng = random.Random(409)
     for _ in range(50):
         p = random_poset(rng)
-        assert p.dual().dual() == p
+        assert p.dual().dual() is p
+        for i in range(p.n):
+            for j in range(p.n):
+                assert p.dual().leq(p.n - 1 - j, p.n - 1 - i) == p.leq(i, j)
         s = random_subset(rng, p)
+        assert s.dual().dual() is s
+        assert s.dual().labels == s.labels[::-1]
         try:
             left = is_wedge_tree_set(s)
         except NoMeetError:
@@ -248,14 +290,52 @@ def test_down_set_and_up_set():
     assert up_set(s).labels == (4, 6, 12)
 
 
+def test_dual_keeps_source_order():
+    p = build_poset(3, [(3, 1), (3, 2)])
+    assert p.source_order == (2, 0, 1)
+    assert p.dual().dual() is p
+    assert p.dual().dual().source_order == (2, 0, 1)
+
+
 def test_subset_rejects_bad_listing():
     p = total_order_poset((1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         Subset(p, (2, 0))  # 1 below 3, listed after it
+    assert str(err.value) == (
+        "listing is incompatible with the order: member 0 lies below member 2"
+    )
     with pytest.raises(ValueError):
         Subset(p, ())
     with pytest.raises(ValueError):
         Subset(p, (0, 0))
+
+
+def test_listing_error_names_the_first_offending_pair():
+    rng = random.Random(412)
+    checked = 0
+    for _ in range(200):
+        p = random_poset(rng)
+        members = list(range(p.n))
+        rng.shuffle(members)
+        members = members[:rng.randint(1, p.n)]
+        offending = [
+            (members[a], members[b])
+            for a in range(len(members))
+            for b in range(a + 1, len(members))
+            if p.less(members[b], members[a])
+        ]
+        if not offending:
+            assert Subset(p, tuple(members)).members == tuple(members)
+            continue
+        upper, lower = offending[0]
+        with pytest.raises(ValueError) as err:
+            Subset(p, tuple(members))
+        assert str(err.value) == (
+            "listing is incompatible with the order: "
+            f"member {lower} lies below member {upper}"
+        )
+        checked += 1
+    assert checked > 50
 
 
 def test_poset_is_immutable():

@@ -7,8 +7,9 @@ triangular, and it is validated on every constructed instance.
 
 The relation is kept as one down-set bitmask per element, which keeps meets,
 covers and chain tests cheap at desk scale.  Each job is written for meets;
-the join side runs it on the cached order dual.  All types are immutable and
-all functions are pure, so everything is safe to share between threads.
+the join side runs it on the cached order dual.  All types are immutable
+apart from that cache, which only ever holds an equal dual, and all
+functions are pure, so everything is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -259,6 +260,8 @@ class Subset:
         for m in members:
             if not (0 <= m < self.parent.n):
                 raise IndexError(f"member index {m} out of range")
+        # One mask pass; only a bad listing pays for the pair scan that
+        # names its first offending pair.
         later = 0
         for m in reversed(members):
             if self.parent.down_mask(m) & later:

@@ -327,7 +327,8 @@ def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
 
     if config.command == "check-pd":
         f = resolved.need_function()
-        report = classify_and_test(resolved.subset, f, resolved.kind)
+        matrix = resolved.build_matrix()
+        report = classify_and_test(resolved.subset, f, resolved.kind, matrix=matrix)
         payload = {
             "verdict": report.verdict,
             "method": report.method,
@@ -337,7 +338,7 @@ def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
         vector = _closure_vector(resolved, report.certificate)
         if vector is not None:
             payload["psi" if resolved.kind == "meet" else "phi"] = vector
-        payload["det"] = _encode(_decided_det(report, resolved.build_matrix()))
+        payload["det"] = _encode(_decided_det(report, matrix))
         return 0, payload
 
     if config.command == "bounds":
@@ -456,7 +457,7 @@ def _common(fn):
         click.option("--output", "output_path", default=None,
                      help="write the report here instead of stdout"),
         click.option("--tol", type=float, default=1e-10,
-                     help="eigensolver tolerance"),
+                     help="absolute off-diagonal deflation bound of the eigensolver"),
         click.option("--slack", type=float, default=1e-9,
                      help="bound satisfaction slack"),
     ]

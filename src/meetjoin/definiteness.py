@@ -237,7 +237,13 @@ def structure_flags(s: Subset) -> dict:
     return flags
 
 
-def classify_and_test(s: Subset, f: PosetFunction, kind: str = "meet") -> PDReport:
+def classify_and_test(
+    s: Subset,
+    f: PosetFunction,
+    kind: str = "meet",
+    *,
+    matrix: SymMatrix | None = None,
+) -> PDReport:
     """Decide definiteness by the cheapest applicable rule.
 
     The closed-set sign test is tried first (it decides both ways when it
@@ -245,6 +251,8 @@ def classify_and_test(s: Subset, f: PosetFunction, kind: str = "meet") -> PDRepo
     down-set (up-set), then the tree rule, and finally the minor oracle,
     which always decides.  ``method`` records the rule that settled it.
     Routes that need exact values are skipped for float-valued functions.
+    The oracle runs on ``matrix`` when given, which must be the meet (join)
+    matrix of ``s`` and ``f``; otherwise it assembles that matrix itself.
     """
     if kind not in ("meet", "join"):
         raise ValueError("kind must be 'meet' or 'join'")
@@ -291,5 +299,6 @@ def classify_and_test(s: Subset, f: PosetFunction, kind: str = "meet") -> PDRepo
     except skippable:
         pass
 
-    matrix = meet_matrix(s, f) if kind == "meet" else join_matrix(s, f)
+    if matrix is None:
+        matrix = meet_matrix(s, f) if kind == "meet" else join_matrix(s, f)
     return pd_oracle(matrix)

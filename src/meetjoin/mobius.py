@@ -79,19 +79,12 @@ class PosetFunction:
     def from_callable(cls, poset: FinitePoset, fn) -> "PosetFunction":
         return cls(poset, tuple(fn(lb) for lb in poset.labels))
 
-    @classmethod
-    def constant(cls, poset: FinitePoset, value) -> "PosetFunction":
-        return cls(poset, (value,) * poset.n)
-
     def __getitem__(self, index: int):
         return self.values[index]
 
     @property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.values)
-
-    def float_view(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
 
     def dual(self) -> "PosetFunction":
         """The same function on the order dual of its poset."""

@@ -96,6 +96,10 @@ class FinitePoset:
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
 
+    def __reduce__(self):
+        # Pickle and copy rebuild through _fill: no validation, no dual cache.
+        return _restore_poset, (self.labels, self.source_order, self._down, self._up)
+
     @classmethod
     def from_leq(cls, rows: Sequence[Sequence[bool]], labels=None) -> "FinitePoset":
         """Build from a full boolean relation matrix (already index-compatible)."""
@@ -129,9 +133,6 @@ class FinitePoset:
 
     def below(self, i: int) -> tuple[int, ...]:
         return tuple(_bits(self._down[i]))
-
-    def above(self, i: int) -> tuple[int, ...]:
-        return tuple(_bits(self._up[i]))
 
     def index_of(self, label) -> int:
         try:
@@ -167,6 +168,12 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, labels={self.labels!r})"
+
+
+def _restore_poset(labels, source_order, down, up) -> FinitePoset:
+    p = object.__new__(FinitePoset)
+    p._fill(len(down), labels, source_order, down, up, None)
+    return p
 
 
 def build_poset(n: int, relation: Iterable[tuple[int, int]], labels=None) -> FinitePoset:
@@ -320,6 +327,10 @@ class Subset:
             object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
         return dual
+
+    def __getstate__(self):
+        # Copies leave the dual cache behind; their parent builds its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_dual"}
 
     def __len__(self):
         return len(self.members)

@@ -1,18 +1,21 @@
 """Eigenvalues and order-theoretic eigenvalue bounds.
 
 This is the only module that leaves exact arithmetic.  It houses a
-self-contained cyclic Jacobi eigensolver used as the numerical oracle, the
-monotone reindexing that the bounds require, and the bounds themselves: for
-a meet matrix whose function is nonnegative and order-preserving on the meet
-closure, with members listed by ascending value, the k-th smallest
-eigenvalue is at most ``k * f(x_k)`` and the largest is at least ``f(x_n)``;
-the join side is the mirror image with order-reversing functions.
+self-contained eigensolver used as the numerical oracle (Householder
+reduction to tridiagonal form, then implicitly shifted QL, all in pure
+Python), the monotone reindexing that the bounds require, and the bounds
+themselves: for a meet matrix whose function is nonnegative and
+order-preserving on the meet closure, with members listed by ascending
+value, the k-th smallest eigenvalue is at most ``k * f(x_k)`` and the
+largest is at least ``f(x_n)``; the join side is the mirror image with
+order-reversing functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     ConvergenceError,
@@ -25,6 +28,8 @@ from .errors import (
 from .matrices import SymMatrix
 from .mobius import PosetFunction
 from .poset import Subset, join_closure, meet_closure
+
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,20 @@ class BoundsReport:
 
 
 def eigen_sym(m: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Spectrum:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric matrix by Householder reduction and QL.
 
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm of the input drops below ``tol``; the matrix is normalized by its
-    largest entry internally, so ``tol`` is effectively absolute for desk
-    magnitudes.  Exceeding ``max_sweeps`` raises :class:`ConvergenceError`.
+    The matrix is normalized by its largest entry, reduced to tridiagonal
+    form by Householder reflections and diagonalized by the implicitly
+    shifted QL iteration (tred2/tql2 of Wilkinson and Reinsch, 1971); the
+    eigenvectors are accumulated for the reported residual.  An off-diagonal
+    entry is deflated once it is below machine epsilon times the diagonal
+    scale seen so far.  ``max_sweeps`` is the QL iteration budget per
+    eigenvalue and ``tol`` the absolute off-diagonal deflation bound, in the
+    input's units: an entry still above machine precision when the budget
+    is spent is neglected if it is at most ``tol`` (by Weyl's inequality no
+    eigenvalue then moves by more than ``2 * tol``) and raises
+    :class:`ConvergenceError` otherwise, so ``max_sweeps=0`` raises on any
+    off-diagonal entry above ``tol``.
     """
     n = m.n
     source = m.to_float()
@@ -86,63 +99,136 @@ def eigen_sym(m: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Spectr
     if scale == 0.0:
         return Spectrum((0.0,) * n, 0.0)
     a = [[v / scale for v in row] for row in source]
-    vec = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    target = tol / scale
-
-    def off_norm() -> float:
-        total = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += a[i][j] * a[i][j]
-        return math.sqrt(2.0 * total)
-
-    sweeps = 0
-    while off_norm() > target:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"off-diagonal norm {off_norm() * scale:.3e} above {tol:.3e} "
-                f"after {max_sweeps} sweeps"
-            )
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = math.copysign(1.0, tau) / (
-                        abs(tau) + math.sqrt(1.0 + tau * tau)
-                    )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p][p], a[q][q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        akp, akq = a[k][p], a[k][q]
-                        a[k][p] = a[p][k] = c * akp - s * akq
-                        a[k][q] = a[q][k] = s * akp + c * akq
-                for k in range(n):
-                    vkp, vkq = vec[k][p], vec[k][q]
-                    vec[k][p] = c * vkp - s * vkq
-                    vec[k][q] = s * vkp + c * vkq
-
-    pairs = sorted(
-        (a[i][i] * scale, [vec[k][i] for k in range(n)]) for i in range(n)
-    )
+    d, e, vec = _tridiagonalize(a)
+    _tridiagonal_ql(d, e, vec, tol, scale, max_sweeps)
+    order = sorted(range(n), key=d.__getitem__)
+    eigenvalues = tuple(d[i] * scale for i in order)
     residual = 0.0
-    for lam, v in pairs:
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc += source[i][j] * v[j]
-            residual = max(residual, abs(acc - lam * v[i]))
-    return Spectrum(tuple(lam for lam, _ in pairs), residual)
+    for lam, i in zip(eigenvalues, order):
+        v = vec[i]
+        for row, vk in zip(source, v):
+            residual = max(residual, abs(sum(map(mul, row, v)) - lam * vk))
+    return Spectrum(eigenvalues, residual)
+
+
+def _tridiagonalize(a: list[list[float]]):
+    """Householder reduction of ``a`` (overwritten) to tridiagonal form.
+
+    Returns the diagonal ``d``, the off-diagonal ``e`` (``e[i]`` couples
+    ``i`` and ``i + 1``; ``e[-1]`` is 0) and the rows of ``Q^T``, where
+    ``a = Q T Q^T``.
+    """
+    n = len(a)
+    d = [0.0] * n
+    e = [0.0] * n
+    reflectors = []
+    for k in range(n - 2):
+        row, a[k] = a[k], None
+        d[k] = row[k]
+        x = row[k + 1:]
+        g = max(map(abs, x))
+        if g == 0.0:
+            reflectors.append(None)
+            continue
+        v = [xi / g for xi in x]
+        sigma = sum(map(mul, v, v))
+        alpha = -math.copysign(math.sqrt(sigma), v[0])
+        h = sigma - v[0] * alpha
+        v[0] -= alpha
+        e[k] = alpha * g
+        # Symmetric rank-2 update of the trailing block by H = I - v v^T / h.
+        lo = k + 1
+        p = [sum(map(mul, r[lo:], v)) / h for r in a[lo:]]
+        half = sum(map(mul, v, p)) / (2.0 * h)
+        q = [pi - half * vi for pi, vi in zip(p, v)]
+        for r, vi, qi in zip(a[lo:], v, q):
+            r[lo:] = [rj - vi * qj - qi * vj for rj, vj, qj in zip(r[lo:], v, q)]
+        reflectors.append((v, h))
+    d[n - 2] = a[n - 2][n - 2]
+    e[n - 2] = a[n - 2][n - 1]
+    d[n - 1] = a[n - 1][n - 1]
+    a[n - 2] = a[n - 1] = None
+    # Q^T = H_{n-3} ... H_0, built from the right.  When H_k is applied, rows
+    # 0..k are still unit rows with nothing past column k, so they keep.
+    vec = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        vec[i][i] = 1.0
+    for k in range(n - 3, -1, -1):
+        if reflectors[k] is None:
+            continue
+        v, h = reflectors[k]
+        lo = k + 1
+        for r in vec[lo:]:
+            seg = r[lo:]
+            c = sum(map(mul, seg, v)) / h
+            r[lo:] = [rj - c * vj for rj, vj in zip(seg, v)]
+        reflectors[k] = None
+    return d, e, vec
+
+
+def _tridiagonal_ql(d, e, vec, tol, scale, max_iter) -> None:
+    """Implicitly shifted QL on the tridiagonal ``(d, e)``, in place.
+
+    ``(d, e)`` is the input divided by ``scale``; ``tol`` is in the input's
+    units.  Each rotation is applied to two rows of ``vec``, which end up as
+    the eigenvectors of the diagonal entries left in ``d``.
+    """
+    n = len(d)
+    target = tol / scale
+    shift = 0.0
+    tst1 = 0.0
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        small = _EPS * tst1
+        iterations = 0
+        while True:
+            m = l
+            while abs(e[m]) > small:
+                m += 1
+            if m == l:
+                break
+            if iterations >= max_iter:
+                if abs(e[l]) <= target:
+                    break
+                raise ConvergenceError(
+                    f"off-diagonal {abs(e[l]) * scale:.3e} above "
+                    f"{tol:.3e} after {max_iter} QL iterations"
+                )
+            iterations += 1
+            # Wilkinson shift from the leading 2x2 block.
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * e[l])
+            r = math.copysign(math.hypot(p, 1.0), p)
+            d[l] = e[l] / (p + r)
+            d[l + 1] = e[l] * (p + r)
+            dl1 = d[l + 1]
+            h = g - d[l]
+            for i in range(l + 2, n):
+                d[i] -= h
+            shift += h
+            # One implicit QL sweep from m back up to l.
+            p = d[m]
+            c = c2 = c3 = 1.0
+            el1 = e[l + 1]
+            s = s2 = 0.0
+            for i in range(m - 1, l - 1, -1):
+                c3, c2, s2 = c2, c, s
+                g = c * e[i]
+                h = c * p
+                r = math.hypot(p, e[i])
+                e[i + 1] = s * r
+                s = e[i] / r
+                c = p / r
+                p = c * d[i] - s * g
+                d[i + 1] = h + s * (c * g + s * d[i])
+                lo, hi = vec[i], vec[i + 1]
+                vec[i + 1] = [s * x + c * y for x, y in zip(lo, hi)]
+                vec[i] = [c * x - s * y for x, y in zip(lo, hi)]
+            p = -s * s2 * c3 * el1 * e[l] / dl1
+            e[l] = s * p
+            d[l] = c * p
+        d[l] += shift
+        e[l] = 0.0
 
 
 def reindex_monotone(s: Subset, f: PosetFunction, direction: str = "increasing"):

@@ -1,9 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 from click.testing import CliRunner
 
-from meetjoin import det_general
+from meetjoin import det_general, matrices
 from meetjoin.cli import RunConfig, _encode, _resolve, main, run
 
 WORKED_POSET = {"generated_by": [6, 10, 15], "set": [6, 10, 15]}
@@ -81,6 +82,29 @@ def test_check_pd_det_is_the_same_on_every_route(tmp_path):
         ("not-positive-definite", 3),
         ("not-positive-definite", 1),
     ]
+
+
+def test_check_pd_assembles_its_matrix_once(monkeypatch):
+    # The oracle decides float values; it must reuse the matrix the request
+    # already built instead of assembling it a second time.
+    calls = []
+    for name in ("meet_matrix", "join_matrix"):
+        original = getattr(matrices, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.startswith("meetjoin")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+    code, text = run(RunConfig(
+        command="check-pd", set_text="6,10,15", family="power-gcd", alpha="1.5",
+    ))
+    assert code == 0
+    assert json.loads(text)["method"] == "oracle"
+    assert calls == ["meet_matrix"]
 
 
 def test_build_json_roundtrip():

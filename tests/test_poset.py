@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -10,8 +13,10 @@ from meetjoin import (
     FinitePoset,
     NoJoinError,
     NoMeetError,
+    PosetFunction,
     Subset,
     build_poset,
+    classify_and_test,
     cover_graph,
     divisibility_poset,
     divisors,
@@ -295,6 +300,30 @@ def test_dual_keeps_source_order():
     assert p.source_order == (2, 0, 1)
     assert p.dual().dual() is p
     assert p.dual().dual().source_order == (2, 0, 1)
+
+
+def test_posets_pickle_and_deepcopy():
+    # Both used to raise "FinitePoset is immutable" while restoring state.
+    p = total_order_poset((1, 2, 3))
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and q is not p
+    assert q.labels == (1, 2, 3)
+    assert q.dual().dual() is q
+    whole = Subset.whole(p)
+    whole.dual()
+    copied = copy.deepcopy(whole)
+    assert copied == whole and copied.parent is not p
+    assert copied.dual().parent is copied.parent.dual()
+    # source_order and labels survive both routes
+    r = build_poset(3, [(3, 1), (3, 2)], labels=("a", "b", "c"))
+    for clone in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert clone.source_order == (2, 0, 1)
+        assert clone.labels == r.labels
+        assert clone == r
+    closure = meet_closure(Subset.whole(r))
+    assert dataclasses.asdict(closure)["closed"] == closure.closed
+    report = classify_and_test(whole, PosetFunction(p, (1, 2, 3)))
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_subset_rejects_bad_listing():

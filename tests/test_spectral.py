@@ -100,6 +100,63 @@ def test_eigen_sweep_budget():
         eigen_sym(SymMatrix(((2, 1), (1, 2))), max_sweeps=0)
 
 
+def test_eigen_min_matrix_closed_form():
+    # The MIN matrix min(i, j) on 1..n has eigenvalues
+    # 1 / (4 sin^2((2k - 1) pi / (4n + 2))), k = 1..n.
+    n = 40
+    spec = eigen_sym(build_named_matrix("min", list(range(1, n + 1))).matrix)
+    exact = sorted(
+        1.0 / (4.0 * math.sin((2 * k - 1) * math.pi / (4 * n + 2)) ** 2)
+        for k in range(1, n + 1)
+    )
+    for lam, want in zip(spec.eigenvalues, exact):
+        assert abs(lam - want) <= 1e-12 * want
+    assert spec.residual <= 1e-12 * n
+
+
+def test_eigen_block_diagonal_splits():
+    # Zero coupling between the blocks: the reduction meets an all-zero
+    # column and the QL iteration splits the tridiagonal there.
+    rng = random.Random(805)
+    blocks = [random_sym_float(rng, k) for k in (4, 1, 5)]
+    n = sum(b.n for b in blocks)
+    rows = [[0.0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i in range(b.n):
+            for j in range(b.n):
+                rows[at + i][at + j] = b.entry(i, j)
+        at += b.n
+    m = SymMatrix(tuple(tuple(r) for r in rows))
+    spec = eigen_sym(m)
+    separate = sorted(lam for b in blocks for lam in eigen_sym(b).eigenvalues)
+    for lam, want in zip(spec.eigenvalues, separate):
+        assert abs(lam - want) <= 1e-12 * 4
+    assert spec.residual <= 1e-12 * 4
+
+
+def test_eigen_all_ones_matrix():
+    n = 20
+    spec = eigen_sym(SymMatrix(tuple((1,) * n for _ in range(n))))
+    assert all(abs(lam) <= 1e-12 * n for lam in spec.eigenvalues[:-1])
+    assert abs(spec.eigenvalues[-1] - n) <= 1e-12 * n
+    assert spec.residual <= 1e-12
+
+
+def test_eigen_random_larger_matrices():
+    rng = random.Random(806)
+    for n in (30, 41, 52, 60):
+        m = random_sym_float(rng, n)
+        big = max(abs(m.entry(i, j)) for i in range(n) for j in range(n))
+        spec = eigen_sym(m)
+        assert len(spec.eigenvalues) == n
+        assert spec.eigenvalues == tuple(sorted(spec.eigenvalues))
+        assert abs(sum(spec.eigenvalues) - m.trace()) <= 1e-12 * n * big
+        det = det_general(m)
+        assert abs(math.prod(spec.eigenvalues) - det) <= 1e-10 * abs(det)
+        assert spec.residual <= 1e-12 * big
+
+
 def test_reindex_sorts_by_value():
     p = total_order_poset((1, 2, 3, 4))
     f = PosetFunction(p, (1, 2, 3, 4))

@@ -25,6 +25,7 @@ from .mobius import PosetFunction, phi, psi
 from .numtheory import (
     DEFAULT_CAP,
     NamedFunction,
+    _normalize_alpha,
     build_named_matrix,
     divisibility_poset,
     divisor_down_set,
@@ -33,6 +34,12 @@ from .numtheory import (
 )
 from .poset import FinitePoset, Subset, build_poset, join_closure, meet_closure
 from .spectral import eigen_sym, join_bounds, meet_bounds
+
+# Digits allowed in the product of the diagonal entries ``x**|alpha|`` once an
+# exact exponent beyond 1 grows the values.  Measured: check-pd on 80 random
+# integers below 3000 takes ~1 s at alpha 4 (~980 digits), 7 s at alpha 12
+# and 15.7 s at alpha 20, where its det no longer renders.
+EXPONENT_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,15 @@ def _parse_int_set(text: str) -> list[int]:
 
 def _encode(value):
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # over sys.get_int_max_str_digits()
+            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+            raise DeskScaleError(
+                f"a rational of about {int(bits * math.log10(2)) + 1} digits is "
+                f"over the limit of {sys.get_int_max_str_digits()} digits for "
+                "integer string conversion"
+            ) from None
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
@@ -189,7 +204,6 @@ class _Resolved:
     subset: Subset
     kind: str
     function: PosetFunction | None = None
-    family: str | None = None
     matrix: object = None
 
     def need_function(self) -> PosetFunction:
@@ -206,6 +220,30 @@ class _Resolved:
                 self.matrix = join_matrix(self.subset, f)
         return self.matrix
 
+    def closure(self):
+        if self.kind == "meet":
+            return meet_closure(self.subset)
+        return join_closure(self.subset)
+
+
+def _check_exponent(alpha, labels) -> None:
+    """Refuse an exact exponent beyond 1 that makes the values outgrow desk
+    scale, before any value is built.  ``|alpha| * sum(log10 x)`` over the
+    positive integer labels is the number of digits of the product of their
+    values ``x**|alpha|``.  Over the members of a set, that product bounds
+    ``|det|`` of a positive definite power matrix (Hadamard's inequality)
+    and no single value has more digits.  Float exponents are not bounded."""
+    a = _normalize_alpha(alpha)
+    if not isinstance(a, int) or abs(a) <= 1:
+        return
+    logs = sum(math.log10(x) for x in labels if isinstance(x, int) and x > 0)
+    digits = abs(a) * logs
+    if digits > EXPONENT_DIGITS:
+        raise DeskScaleError(
+            f"exponent {a} gives values with about {digits:.0f} digits on the "
+            f"diagonal, over the cap of {EXPONENT_DIGITS}"
+        )
+
 
 def _resolve(config: RunConfig) -> _Resolved:
     if (config.poset_path is None) == (config.set_text is None):
@@ -217,6 +255,7 @@ def _resolve(config: RunConfig) -> _Resolved:
         family = normalize_family(config.family or "power_gcd")
         members = _parse_int_set(config.set_text)
         alpha = _parse_number(config.alpha)
+        _check_exponent(alpha, members)
         model = build_named_matrix(
             family, members, alpha=alpha, ambient=config.ambient
         )
@@ -227,7 +266,7 @@ def _resolve(config: RunConfig) -> _Resolved:
             )
         return _Resolved(
             model.poset, model.subset, model.kind,
-            function=model.function, family=family, matrix=model.matrix,
+            function=model.function, matrix=model.matrix,
         )
 
     if config.family is not None:
@@ -245,6 +284,7 @@ def _resolve(config: RunConfig) -> _Resolved:
             named = NamedFunction("identity")
         else:
             named = NamedFunction(tag, _parse_number(config.alpha))
+            _check_exponent(named.alpha, poset.labels)
         function = named.bind(poset)
     return _Resolved(poset, subset, kind, function=function)
 
@@ -261,10 +301,7 @@ def _closure_vector(resolved: _Resolved, certificate: dict) -> dict | None:
     if f is None or not f.is_exact:
         return None
     try:
-        if resolved.kind == "meet":
-            closure = meet_closure(resolved.subset)
-        else:
-            closure = join_closure(resolved.subset)
+        closure = resolved.closure()
         labels = closure.subset.labels
         if certificate.get("support") == labels and "masses" in certificate:
             values = certificate["masses"]
@@ -312,10 +349,7 @@ def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
         }
 
     if config.command == "closure":
-        if resolved.kind == "meet":
-            result = meet_closure(resolved.subset)
-        else:
-            result = join_closure(resolved.subset)
+        result = resolved.closure()
         original = set(resolved.subset.members)
         added = [m for m in result.subset.members if m not in original]
         return 0, {

@@ -11,11 +11,9 @@ that fail report ``not-applicable``; they never refute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     ExactArithmeticError,
-    MissingValueError,
     NoJoinError,
     NoMeetError,
     NotClosedError,
@@ -23,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .matrices import SymMatrix, join_matrix, leading_minors, meet_matrix
-from .mobius import PosetFunction, phi, psi
+from .mobius import PosetFunction, _exact_values, phi, psi
 from .poset import (
     ClosureResult,
     Subset,
@@ -95,6 +93,12 @@ def _sign_test(s: Subset, f: PosetFunction, kind: str) -> PDReport:
         return PDReport(
             NOT_APPLICABLE, method, {"reason": f"the set is not {kind} closed"}
         )
+    return _signs(s, f, kind)
+
+
+def _signs(s: Subset, f: PosetFunction, kind: str) -> PDReport:
+    """The sign test on a set that is its own closure."""
+    method = "T3.1" if kind == "meet" else "T3.2"
     vec = psi(s, f) if kind == "meet" else phi(s, f)
     cert = {"kind": kind, "masses": vec.values, "support": s.labels}
     bad = [k for k, value in enumerate(vec.values) if not value > 0]
@@ -133,7 +137,6 @@ def pd_superset_sufficient(s: Subset, d, f: PosetFunction, kind: str = "meet") -
         d = d.subset
     if kind not in ("meet", "join"):
         raise ValueError("kind must be 'meet' or 'join'")
-    method = "C3.4" if kind == "meet" else "C3.6"
     if s.parent != d.parent:
         raise ValueError("both subsets must share one ambient poset")
     dmask = d.member_mask()
@@ -145,6 +148,12 @@ def pd_superset_sufficient(s: Subset, d, f: PosetFunction, kind: str = "meet") -
     closed = is_meet_closed(d) if kind == "meet" else is_join_closed(d)
     if not closed:
         raise NotClosedError(f"the superset is not {kind} closed")
+    return _superset_masses(d, f, kind)
+
+
+def _superset_masses(d: Subset, f: PosetFunction, kind: str) -> PDReport:
+    """C3.4/C3.6 on a superset ``d`` known to be closed and to cover the set."""
+    method = "C3.4" if kind == "meet" else "C3.6"
     vec = psi(d, f) if kind == "meet" else phi(d, f)
     cert = {"kind": kind, "masses": vec.values, "support": d.labels}
     nonpositive = tuple(k for k, v in enumerate(vec.values) if not v > 0)
@@ -246,59 +255,40 @@ def classify_and_test(
 ) -> PDReport:
     """Decide definiteness by the cheapest applicable rule.
 
-    The closed-set sign test is tried first (it decides both ways when it
-    applies), then the superset-mass test over the closure and over the full
-    down-set (up-set), then the tree rule, and finally the minor oracle,
-    which always decides.  ``method`` records the rule that settled it.
-    Routes that need exact values are skipped for float-valued functions.
-    The oracle runs on ``matrix`` when given, which must be the meet (join)
-    matrix of ``s`` and ``f``; otherwise it assembles that matrix itself.
+    Every rule but the oracle reads the one closure of ``s``: the sign test
+    when it adds nothing, else positive masses over it and then over the
+    down-set (up-set); then the tree rule.  Without a closure only the minor
+    oracle, which always decides, is left.  A rule needing exact masses is
+    skipped when its own support holds floats.  ``method`` records the rule
+    that settled it.  The oracle runs on ``matrix`` when given, which must
+    be the meet (join) matrix of ``s`` and ``f``; else it assembles it.
     """
     if kind not in ("meet", "join"):
         raise ValueError("kind must be 'meet' or 'join'")
-    skippable = (
-        ExactArithmeticError,
-        MissingValueError,
-        NoMeetError,
-        NoJoinError,
-        NotClosedError,
-        NotSupersetError,
-    )
     try:
-        report = pd_meet_closed(s, f) if kind == "meet" else pd_join_closed(s, f)
-        if report.verdict != NOT_APPLICABLE:
-            return report
-    except skippable:
-        pass
-
-    candidates = []
-    try:
-        candidates.append(
-            meet_closure(s).subset if kind == "meet" else join_closure(s).subset
-        )
+        c = meet_closure(s) if kind == "meet" else join_closure(s)
     except (NoMeetError, NoJoinError):
-        pass
-    try:
-        wide = down_set(s) if kind == "meet" else up_set(s)
-        if all(wide.members != c.members for c in candidates):
-            candidates.append(wide)
-    except (NoMeetError, NoJoinError):
-        pass
-    for d in candidates:
+        c = None  # the missing meet (join) lies in the down-set (up-set) too
+    if c is not None:
         try:
-            report = pd_superset_sufficient(s, d, f, kind)
-        except skippable:
-            continue
-        if report.verdict == POSITIVE_DEFINITE:
-            return report
-
-    try:
+            if len(c.subset) == len(s):
+                return _signs(s, f, kind)
+            report = _superset_masses(c.subset, f, kind)
+            if report.verdict == POSITIVE_DEFINITE:
+                return report
+            wide = down_set(s) if kind == "meet" else up_set(s)
+            if len(wide) > len(c.subset):  # else it is the closure again
+                _exact_values(wide, f)  # cheaper than the closedness scan
+                is_closed = is_meet_closed if kind == "meet" else is_join_closed
+                if is_closed(wide):
+                    report = _superset_masses(wide, f, kind)
+                    if report.verdict == POSITIVE_DEFINITE:
+                        return report
+        except (ExactArithmeticError, NoMeetError, NoJoinError):
+            pass  # floats on a support, or no meet (join) in the down-set
         report = pd_tree(s, f, kind)
         if report.verdict == POSITIVE_DEFINITE:
             return report
-    except skippable:
-        pass
-
     if matrix is None:
         matrix = meet_matrix(s, f) if kind == "meet" else join_matrix(s, f)
     return pd_oracle(matrix)

@@ -8,8 +8,8 @@ triangular, and it is validated on every constructed instance.
 The relation is kept as one down-set bitmask per element, which keeps meets,
 covers and chain tests cheap at desk scale.  Each job is written for meets;
 the join side runs it on the cached order dual.  All types are immutable
-apart from that cache, which only ever holds an equal dual, and all
-functions are pure, so everything is safe to share between threads.
+apart from their caches of duals and closures, and all functions are pure,
+so everything is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -83,11 +83,7 @@ class FinitePoset:
                 raise ValueError("labels length must match element count")
             if len(set(labels)) != n:
                 raise DuplicateError("labels must be unique")
-        up = [0] * n
-        for j in range(n):
-            for i in _bits(down[j]):
-                up[i] |= 1 << j
-        self._fill(n, labels, source_order, down, tuple(up), None)
+        self._fill(n, labels, source_order, down, _up_masks(down), None)
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -168,6 +164,14 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, labels={self.labels!r})"
+
+
+def _up_masks(down: Sequence[int]) -> tuple[int, ...]:
+    up = [0] * len(down)
+    for j, mask in enumerate(down):
+        for i in _bits(mask):
+            up[i] |= 1 << j
+    return tuple(up)
 
 
 def _restore_poset(labels, source_order, down, up) -> FinitePoset:
@@ -304,17 +308,15 @@ class Subset:
         return mask
 
     def restrict(self) -> FinitePoset:
-        """The induced subposet, indexed by the listing order."""
-        k = len(self.members)
-        down = [0] * k
-        for b in range(k):
-            for a in range(k):
-                if self.parent.leq(self.members[a], self.members[b]):
-                    down[b] |= 1 << a
-        return FinitePoset(down, labels=self.labels)
-
-    def canonical(self) -> "Subset":
-        return Subset(self.parent, tuple(sorted(self.members)))
+        """The induced subposet, indexed by the listing order, read off the
+        parent's masks: the listing check already keeps the index convention."""
+        keep = self.member_mask()
+        where = {m: k for k, m in enumerate(self.members)}
+        down = tuple(
+            sum(1 << where[i] for i in _bits(self.parent.down_mask(m) & keep))
+            for m in self.members
+        )
+        return _restore_poset(self.labels, None, down, _up_masks(down))
 
     def dual(self) -> "Subset":
         """The members in the order dual, listed in reverse; cached both ways
@@ -329,8 +331,8 @@ class Subset:
         return dual
 
     def __getstate__(self):
-        # Copies leave the dual cache behind; their parent builds its own.
-        return {k: v for k, v in self.__dict__.items() if k != "_dual"}
+        # Copies leave the dual and closure caches behind; they rebuild them.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def __len__(self):
         return len(self.members)
@@ -429,34 +431,42 @@ def _meet_round(p: FinitePoset, els: Sequence[int], mask: int) -> int:
 
 
 def _closure_result(s: Subset, mask: int, kind: str) -> ClosureResult:
+    """The closure with member mask ``mask``, kept on ``s`` like its dual, so
+    every route of a request reads the same one."""
     members = tuple(_bits(mask))
     pos = {m: k for k, m in enumerate(members)}
     closed_subset = Subset(s.parent, members)
     embed = tuple(pos[m] for m in s.members)
-    return ClosureResult(
+    result = ClosureResult(
         subset=closed_subset, closed=closed_subset.restrict(), embed=embed, kind=kind
     )
+    object.__setattr__(s, f"_{kind}_closure", result)
+    return result
 
 
 def meet_closure(s: Subset) -> ClosureResult:
     """Smallest superset of ``s`` closed under pairwise meets."""
-    mask = s.member_mask()
-    while (grown := _meet_round(s.parent, list(_bits(mask)), mask)) != mask:
-        mask = grown
-    return _closure_result(s, mask, "meet")
+    if (kept := s.__dict__.get("_meet_closure")) is None:
+        mask = s.member_mask()
+        while (grown := _meet_round(s.parent, list(_bits(mask)), mask)) != mask:
+            mask = grown
+        kept = _closure_result(s, mask, "meet")
+    return kept
 
 
 def join_closure(s: Subset) -> ClosureResult:
     """Smallest superset of ``s`` closed under pairwise joins: the meet
     closure in the order dual.  Each round lists the elements by their
     index here, so pairs are scanned in the order :func:`meet_closure` uses."""
-    q = s.parent.dual()
-    n = s.parent.n
-    mask = _reverse_mask(s.member_mask(), n)
-    with _as_join():
-        while (grown := _meet_round(q, list(_bits(mask))[::-1], mask)) != mask:
-            mask = grown
-    return _closure_result(s, _reverse_mask(mask, n), "join")
+    if (kept := s.__dict__.get("_join_closure")) is None:
+        q = s.parent.dual()
+        n = s.parent.n
+        mask = _reverse_mask(s.member_mask(), n)
+        with _as_join():
+            while (grown := _meet_round(q, list(_bits(mask))[::-1], mask)) != mask:
+                mask = grown
+        kept = _closure_result(s, _reverse_mask(mask, n), "join")
+    return kept
 
 
 def _meets_inside(p: FinitePoset, members: Sequence[int]) -> bool:

@@ -1,10 +1,12 @@
 import json
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from click.testing import CliRunner
 
-from meetjoin import det_general, matrices
+from meetjoin import det_general, matrices, poset
 from meetjoin.cli import RunConfig, _encode, _resolve, main, run
 
 WORKED_POSET = {"generated_by": [6, 10, 15], "set": [6, 10, 15]}
@@ -105,6 +107,59 @@ def test_check_pd_assembles_its_matrix_once(monkeypatch):
     assert code == 0
     assert json.loads(text)["method"] == "oracle"
     assert calls == ["meet_matrix"]
+
+
+def test_check_pd_builds_each_closure_once(monkeypatch):
+    # Every route reads the closure kept on the subset; the float request
+    # below built the meet closure four times before.
+    original = poset._closure_result
+    kinds = Counter()
+
+    def counted(s, mask, kind):
+        kinds[kind] += 1
+        return original(s, mask, kind)
+
+    monkeypatch.setattr(poset, "_closure_result", counted)
+    requests = [
+        ("6,10,15", "power-gcd", "1.5"),
+        ("6,10,15", "power-gcd", "1"),
+        ("1,2,3,6", "reciprocal-power-lcm", "1"),
+        ("4,6,9", "reciprocal-power-lcm", "1"),
+    ]
+    for set_text, family, alpha in requests:
+        kinds.clear()
+        code, _ = run(RunConfig(
+            command="check-pd", set_text=set_text, family=family, alpha=alpha,
+        ))
+        assert code == 0
+        assert kinds and max(kinds.values()) == 1, (set_text, family, kinds)
+
+
+def test_mixed_values_gate_exactness_per_support(tmp_path):
+    # 7.5 lies outside the down-set of every set below, so the exact routes
+    # still decide although the function as a whole is not exact.
+    values = {str(d): d for d in (1, 2, 3, 5, 6, 10, 15)}
+    values["7"] = 7.5
+    write_json(tmp_path / "f.json", values)
+    for members, method in (([1, 2, 3, 6], "T3.1"), ([6, 10, 15], "C3.4")):
+        write_json(tmp_path / "p.json", {"generated_by": [6, 10, 15, 7],
+                                         "set": members})
+        code, text = run(RunConfig(
+            command="check-pd", poset_path=str(tmp_path / "p.json"),
+            values_path=str(tmp_path / "f.json"),
+        ))
+        assert code == 0
+        body = json.loads(text)
+        assert (body["verdict"], body["method"]) == ("positive-definite", method)
+    # a float inside the closure leaves only the tree rule and the oracle
+    values["2"] = 2.5
+    write_json(tmp_path / "f.json", values)
+    code, text = run(RunConfig(
+        command="check-pd", poset_path=str(tmp_path / "p.json"),
+        values_path=str(tmp_path / "f.json"),
+    ))
+    assert code == 0
+    assert json.loads(text)["method"] == "oracle"
 
 
 def test_build_json_roundtrip():
@@ -301,6 +356,65 @@ def test_integer_over_factor_cap_exits_two():
     assert error["message"] == (
         "100000000000031 is over the factorization cap of 1000000000000"
     )
+
+
+def test_exact_exponent_over_cap_exits_two():
+    # alpha 20 ran 15.7 s on these 80 integers, then failed to render det;
+    # alpha 2000 on 2..41 did not finish in 90 s.  Both are refused at once.
+    sample = ",".join(map(str, random.Random(0).sample(range(1, 3000), 80)))
+    cases = [
+        (sample, "power-gcd", "20", 4911),
+        (sample, "power-gcd", "20.0", 4911),
+        (sample, "min", "6", 1473),
+        (",".join(map(str, range(2, 42))), "power-gcd", "2000", 99049),
+    ]
+    for set_text, family, alpha, digits in cases:
+        code, text = run(RunConfig(
+            command="check-pd", set_text=set_text, family=family, alpha=alpha,
+        ))
+        assert code == 2
+        error = json.loads(text)["error"]
+        assert error["type"] == "DeskScaleError"
+        assert error["message"] == (
+            f"exponent {int(float(alpha))} gives values with about {digits} "
+            "digits on the diagonal, over the cap of 1000"
+        )
+    # under the cap: exact exponents up to 4 here, and every float exponent
+    for alpha in ("4", "-4", "1.5", "20.5"):
+        _resolve(RunConfig(command="check-pd", set_text=sample,
+                           family="power-gcd", alpha=alpha))
+    code, _ = run(RunConfig(command="check-pd", set_text="2,3",
+                            family="power-gcd", alpha="-1000"))
+    assert code == 0
+
+
+def test_exponent_cap_on_poset_labels(tmp_path):
+    # The function is bound to every label, not only to the set's: the 24
+    # divisors of 360 give ~30.7 digits per unit of the exponent.
+    write_json(tmp_path / "p.json", {"divisors_of": 360, "set": [1]})
+    for alpha, code in (("1", 0), ("32", 0), ("33", 2), ("1000000", 2)):
+        result = invoke(["build", "--poset", str(tmp_path / "p.json"),
+                         "--function", "power", "--alpha", alpha])
+        assert result.exit_code == code, alpha
+    assert json.loads(result.output)["error"]["type"] == "DeskScaleError"
+
+
+def test_number_over_the_digit_limit_exits_two(tmp_path):
+    # A det over the interpreter's integer string limit used to exit 1 with
+    # Python's own ValueError; the limit itself is left as it is.
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** (limit // 3 + 1)
+    write_json(tmp_path / "p.json", {"n": 4, "relation": [[1, 2], [2, 3], [3, 4]]})
+    write_json(tmp_path / "f.json", {str(k): k * big for k in range(1, 5)})
+    code, text = run(RunConfig(
+        command="check-pd", poset_path=str(tmp_path / "p.json"),
+        values_path=str(tmp_path / "f.json"),
+    ))
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error["type"] == "DeskScaleError"
+    assert f"over the limit of {limit} digits" in error["message"]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_poset_file_over_cap_exits_two(tmp_path):

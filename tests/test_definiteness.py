@@ -7,7 +7,9 @@ from meetjoin import (
     NOT_APPLICABLE,
     NOT_POSITIVE_DEFINITE,
     POSITIVE_DEFINITE,
+    ClosureResult,
     NoMeetError,
+    NotClosedError,
     NotSupersetError,
     PosetFunction,
     PreconditionError,
@@ -223,6 +225,22 @@ def test_superset_sufficient_accepts_closure_result():
     report = pd_superset_sufficient(s, meet_closure(s), f)
     assert report.verdict == POSITIVE_DEFINITE
     assert report.method == "C3.4"
+
+
+def test_superset_sufficient_checks_a_hand_built_closure():
+    # classify_and_test trusts the closures it builds; a caller's superset,
+    # even one wrapped as a ClosureResult, is still checked.
+    lat = divisor_down_set([6, 10, 15])
+    s = lat.subset_of([6, 10, 15])
+    f = PosetFunction.from_callable(lat.poset, Fraction)
+    fake = lat.subset_of([2, 6, 10, 15])  # gcd(6, 15) = 3 is missing
+    hand_built = ClosureResult(
+        subset=fake, closed=fake.restrict(), embed=(1, 2, 3), kind="meet"
+    )
+    with pytest.raises(NotClosedError):
+        pd_superset_sufficient(s, hand_built, f)
+    with pytest.raises(NotClosedError):
+        pd_superset_sufficient(s, fake, f, "meet")
 
 
 def test_superset_must_cover_the_set():

@@ -373,6 +373,45 @@ def test_poset_is_immutable():
         p.n = 5
 
 
+def test_restrict_matches_the_validating_constructor():
+    # restrict reads the parent's masks and skips validation; the result
+    # must be the poset the validating constructor builds from leq.
+    rng = random.Random(411)
+    for _ in range(200):
+        p = random_poset(rng)
+        s = random_subset(rng, p)
+        for sub in (s, s.dual(), meet_closure(s).subset):
+            q = sub.restrict()
+            k = len(sub)
+            ms, leq = sub.members, sub.parent.leq
+            down = [sum(1 << a for a in range(k) if leq(ms[a], ms[b]))
+                    for b in range(k)]
+            ref = FinitePoset(down, labels=sub.labels)
+            assert q == ref and q.source_order is None
+            assert [q.up_mask(i) for i in range(k)] == [
+                ref.up_mask(i) for i in range(k)
+            ]
+            assert q.dual() == ref.dual()
+
+
+def test_closures_are_kept_per_subset():
+    p = divisibility_poset(divisors(60))
+    s = Subset.of_labels(p, [4, 6, 10, 15])
+    shown = repr(s)
+    closure = meet_closure(s)
+    assert meet_closure(s) is closure
+    assert join_closure(s) is join_closure(s)
+    # the cache is no field: equality, hashing and repr ignore it
+    fresh = Subset.of_labels(p, [4, 6, 10, 15])
+    assert fresh == s and hash(fresh) == hash(s) and repr(s) == shown
+    # copies leave it behind and build an equal closure of their own
+    for clone in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert clone == s and repr(clone) == shown
+        assert not any(key.startswith("_") for key in vars(clone))
+        assert meet_closure(clone) == closure and meet_closure(clone) is not closure
+        assert join_closure(clone) == join_closure(s)
+
+
 def test_restrict_keeps_order():
     rng = random.Random(410)
     for _ in range(30):

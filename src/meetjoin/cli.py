@@ -20,7 +20,7 @@ import click
 
 from .definiteness import classify_and_test, structure_flags
 from .errors import DeskScaleError, DuplicateError, MeetJoinError
-from .matrices import det_general, join_matrix, meet_matrix
+from .matrices import _float_pivots, det_general, join_matrix, meet_matrix
 from .mobius import PosetFunction, phi, psi
 from .numtheory import (
     DEFAULT_CAP,
@@ -40,6 +40,10 @@ from .spectral import eigen_sym, join_bounds, meet_bounds
 # integers below 3000 takes ~1 s at alpha 4 (~980 digits), 7 s at alpha 12
 # and 15.7 s at alpha 20, where its det no longer renders.
 EXPONENT_DIGITS = 1000
+
+# Decimal exponent of the largest value ``x**|alpha|`` a float exponent may
+# give: past 10**308 a float overflows.
+FLOAT_EXPONENT = 308
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,8 @@ class RunConfig:
             "kind": self.kind,
             "ambient": self.ambient,
             "format": self.fmt,
-            "tol": self.tol,
-            "slack": self.slack,
+            "tol": self.tol if math.isfinite(self.tol) else str(self.tol),
+            "slack": self.slack if math.isfinite(self.slack) else str(self.slack),
         }
 
 
@@ -227,29 +231,37 @@ class _Resolved:
 
 
 def _check_exponent(alpha, labels) -> None:
-    """Refuse an exact exponent beyond 1 that makes the values outgrow desk
-    scale, before any value is built.  ``|alpha| * sum(log10 x)`` over the
-    positive integer labels is the number of digits of the product of their
-    values ``x**|alpha|``.  Over the members of a set, that product bounds
-    ``|det|`` of a positive definite power matrix (Hadamard's inequality)
-    and no single value has more digits.  Float exponents are not bounded."""
+    """Refuse an exponent that makes the values outgrow desk scale, before
+    any value is built.  For an exact exponent beyond 1,
+    ``|alpha| * sum(log10 x)`` over the positive integer labels is the
+    number of digits of the product of their values ``x**|alpha|``.  Over
+    the members of a set, that product bounds ``|det|`` of a positive
+    definite power matrix (Hadamard's inequality) and no single value has
+    more digits.  For a float exponent, ``|alpha| * max(log10 x)`` is the
+    decimal exponent of the largest value, which must stay in float range."""
     a = _normalize_alpha(alpha)
-    if not isinstance(a, int) or abs(a) <= 1:
-        return
-    logs = sum(math.log10(x) for x in labels if isinstance(x, int) and x > 0)
-    digits = abs(a) * logs
-    if digits > EXPONENT_DIGITS:
-        raise DeskScaleError(
-            f"exponent {a} gives values with about {digits:.0f} digits on the "
-            f"diagonal, over the cap of {EXPONENT_DIGITS}"
-        )
+    logs = [math.log10(x) for x in labels if isinstance(x, int) and x > 0]
+    if isinstance(a, float):
+        largest = abs(a) * max(logs, default=0.0)
+        if largest > FLOAT_EXPONENT:
+            raise DeskScaleError(
+                f"exponent {a} gives values near 1e{largest:.0f}, past the "
+                f"float range of 1e{FLOAT_EXPONENT}"
+            )
+    elif abs(a) > 1:
+        digits = abs(a) * sum(logs)
+        if digits > EXPONENT_DIGITS:
+            raise DeskScaleError(
+                f"exponent {a} gives values with about {digits:.0f} digits on "
+                f"the diagonal, over the cap of {EXPONENT_DIGITS}"
+            )
 
 
 def _resolve(config: RunConfig) -> _Resolved:
     if (config.poset_path is None) == (config.set_text is None):
         raise ValueError("exactly one input source: --poset or --set")
-    if config.tol <= 0 or config.slack <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0 < config.tol < math.inf and 0 < config.slack < math.inf):
+        raise ValueError("tolerances must be positive and finite")
 
     if config.set_text is not None:
         family = normalize_family(config.family or "power_gcd")
@@ -314,20 +326,34 @@ def _closure_vector(resolved: _Resolved, certificate: dict) -> dict | None:
     return {str(lb): _encode(v) for lb, v in zip(labels, values)}
 
 
-def _decided_det(report, matrix):
+def _det_fields(report, matrix) -> dict:
     """The determinant, read off the decision where it already holds it.
 
     On a closed set (T3.1/T3.2) it is the product of the masses; an exact
     oracle run that reached the last minor holds it as that minor.  Any
-    other route pays for one elimination.
+    other exact route pays for one elimination.  A float determinant is the
+    product of the pivots of the elimination :func:`det_general` runs; where
+    that product leaves the float range (a zero pivot aside), ``det`` is
+    null and ``det_log10``, the sum of log10 |pivot|, and ``det_sign``
+    carry it.
     """
     if report.method in ("T3.1", "T3.2"):
-        return math.prod(report.certificate["masses"], start=Fraction(1))
-    if report.method == "oracle" and matrix.is_exact:
+        return {"det": math.prod(report.certificate["masses"], start=Fraction(1))}
+    if not matrix.is_exact:
+        pivots = tuple(_float_pivots(matrix, swap=True))
+        det = math.prod(pivots)
+        if math.isfinite(det) and (det != 0 or 0 in pivots):
+            return {"det": det}
+        return {
+            "det": None,
+            "det_log10": math.fsum(math.log10(abs(p)) for p in pivots),
+            "det_sign": -1 if sum(p < 0 for p in pivots) % 2 else 1,
+        }
+    if report.method == "oracle":
         minors = report.certificate["minors"]
         if len(minors) == matrix.n:
-            return minors[-1]
-    return det_general(matrix)
+            return {"det": minors[-1]}
+    return {"det": det_general(matrix)}
 
 
 def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
@@ -372,7 +398,7 @@ def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
         vector = _closure_vector(resolved, report.certificate)
         if vector is not None:
             payload["psi" if resolved.kind == "meet" else "phi"] = vector
-        payload["det"] = _encode(_decided_det(report, matrix))
+        payload.update(_encode(_det_fields(report, matrix)))
         return 0, payload
 
     if config.command == "bounds":
@@ -436,7 +462,7 @@ def _render(config: RunConfig, payload: dict) -> str:
         return _render_csv(config, payload)
     body = {"config": config.echo()}
     body.update(payload)
-    return json.dumps(body, indent=2) + "\n"
+    return json.dumps(body, indent=2, allow_nan=False) + "\n"
 
 
 def _render_error(config: RunConfig, err: Exception) -> str:
@@ -444,7 +470,7 @@ def _render_error(config: RunConfig, err: Exception) -> str:
         "config": config.echo(),
         "error": {"type": type(err).__name__, "message": str(err)},
     }
-    return json.dumps(body, indent=2) + "\n"
+    return json.dumps(body, indent=2, allow_nan=False) + "\n"
 
 
 def run(config: RunConfig) -> tuple[int, str]:
@@ -455,6 +481,9 @@ def run(config: RunConfig) -> tuple[int, str]:
         return code, _render(config, payload)
     except MeetJoinError as err:
         return 2, _render_error(config, err)
+    except OverflowError as err:
+        scale = DeskScaleError(f"a value is out of float range: {err}")
+        return 2, _render_error(config, scale)
     except (OSError, ValueError, TypeError, IndexError, KeyError) as err:
         return 1, _render_error(config, err)
 

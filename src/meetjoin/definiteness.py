@@ -20,7 +20,7 @@ from .errors import (
     NotSupersetError,
     PreconditionError,
 )
-from .matrices import SymMatrix, join_matrix, leading_minors, meet_matrix
+from .matrices import SymMatrix, _float_pivots, join_matrix, leading_minors, meet_matrix
 from .mobius import PosetFunction, _exact_values, phi, psi
 from .poset import (
     ClosureResult,
@@ -57,30 +57,25 @@ class PDReport:
 
 
 def pd_oracle(m: SymMatrix, tol=0) -> PDReport:
-    """Decide definiteness from the leading principal minors.
+    """Decide definiteness by swap-free elimination, stopped at the first
+    value at or below ``tol``, whose 1-based index is ``minor_index``.
 
-    The minors come from :func:`~meetjoin.matrices.leading_minors`, swap-free
-    fraction-free elimination over integers once denominators are cleared,
-    so the test is exact on rational matrices; the elimination stops at the
-    first minor at or below ``tol``, which certifies the refutation.  On
-    float matrices the same elimination runs with true division and the
-    comparisons are against ``tol``; rounding near singularity is the
-    caller's risk.
+    Exact matrices yield their leading ``minors``, so the test is exact;
+    float ones the ``pivots`` of ``m = L D L^T``, ratios of consecutive
+    minors that stay in range where the minors overflow.  The certificate
+    lists what was yielded; rounding near singularity is the caller's risk.
     """
-    minors = []
-    for value in leading_minors(m):
-        minors.append(value)
+    if m.is_exact:
+        steps, key, value_key = leading_minors(m), "minors", "minor_value"
+    else:
+        steps, key, value_key = _float_pivots(m), "pivots", "pivot_value"
+    values = []
+    for value in steps:
+        values.append(value)
         if not value > tol:
-            return PDReport(
-                NOT_POSITIVE_DEFINITE,
-                "oracle",
-                {
-                    "minors": tuple(minors),
-                    "minor_index": len(minors),
-                    "minor_value": value,
-                },
-            )
-    return PDReport(POSITIVE_DEFINITE, "oracle", {"minors": tuple(minors)})
+            cert = {key: tuple(values), "minor_index": len(values), value_key: value}
+            return PDReport(NOT_POSITIVE_DEFINITE, "oracle", cert)
+    return PDReport(POSITIVE_DEFINITE, "oracle", {key: tuple(values)})
 
 
 def _sign_test(s: Subset, f: PosetFunction, kind: str) -> PDReport:

@@ -1,4 +1,4 @@
-"""Meet and join matrices, incidence factorizations, exact determinants.
+"""Meet and join matrices, incidence factorizations, determinants.
 
 The meet matrix of a listed set has ``f(x_i meet x_j)`` at entry ``(i, j)``,
 with the meet taken in the ambient poset; the join matrix is the dual, and
@@ -238,28 +238,19 @@ def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
 
 
 def leading_minors(m: SymMatrix, swap: bool = False):
-    """Yield the leading principal minors of ``m`` by fraction-free elimination.
-
-    This is Bareiss elimination, and each minor is yielded before the step
-    that needs it, so a caller that stops early saves the rest.  Exact
-    matrices are cleared of denominators once, row by row, and eliminated
-    over Python ints with exact ``//``; each minor is divided back to a
-    :class:`Fraction`.  Other matrices run the same loop on their raw
-    entries with true division.  With ``swap`` a zero pivot is replaced by
-    the first lower row with a nonzero entry in its column, and the minors
-    carry the sign of the swaps, so the last one is the determinant; a
-    column without such a row yields 0 and ends the elimination.
+    """Yield the leading principal minors of an exact ``m`` by Bareiss
+    elimination, each before the step that needs it, so a caller that stops
+    early saves the rest.  Rows are cleared of denominators once and
+    eliminated over Python ints with exact ``//``; each minor is divided
+    back to a :class:`Fraction`.  With ``swap`` a zero pivot takes the first
+    lower row with a nonzero entry in its column, and the minors carry the
+    sign of the swaps, so the last is the determinant; a column without such
+    a row yields 0 and ends the elimination.
     """
     n = m.n
-    exact = m.is_exact
-    if exact:
-        scales = [math.lcm(*(v.denominator for v in row)) for row in m.entries]
-        rows = [[v.numerator * (d // v.denominator) for v in row]
-                for row, d in zip(m.entries, scales)]
-    else:
-        scales = [1] * n
-        rows = [list(row) for row in m.entries]
-    div = operator.floordiv if exact else operator.truediv
+    scales = [math.lcm(*(v.denominator for v in row)) for row in m.entries]
+    rows = [[v.numerator * (d // v.denominator) for v in row]
+            for row, d in zip(m.entries, scales)]
     sign = prev = scale = 1
     for k in range(n):
         if swap and rows[k][k] == 0:
@@ -271,42 +262,54 @@ def leading_minors(m: SymMatrix, swap: bool = False):
                     break
         pivot = rows[k][k]
         scale *= scales[k]
-        yield sign * (Fraction(pivot, scale) if exact else pivot)
+        yield sign * Fraction(pivot, scale)
         if swap and pivot == 0:
             return
         tail = rows[k][k + 1:]
         for i in range(k + 1, n):
             row = rows[i]
             lead = row[k]
-            row[k + 1:] = [div(a * pivot - lead * b, prev)
+            row[k + 1:] = [(a * pivot - lead * b) // prev
                            for a, b in zip(row[k + 1:], tail)]
         prev = pivot
 
 
-def _det_float(rows: list[list[float]]) -> float:
+def _float_pivots(m: SymMatrix, swap: bool = False):
+    """Yield the pivots of Gaussian elimination on ``m.to_float()``, column
+    by column in Doolittle's order, each entry one dot product.
+
+    Without ``swap`` they are the D of ``m = L D L^T``, each leading minor
+    over the one before: all positive iff ``m`` is positive definite, they
+    do not grow like the minors, and the elimination is backward stable
+    when ``m`` is (Higham, *Accuracy and Stability*, 2nd ed., ch. 10).  With
+    ``swap`` each column pivots on its largest entry on or below the
+    diagonal, a pivot swapped in is negated so the product of the pivots is
+    the determinant, and a zero column yields 0 and ends the elimination.
+    """
+    rows = m.to_float()
     n = len(rows)
-    sign = 1.0
-    det = 1.0
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
-        if rows[pivot_row][k] == 0.0:
-            return 0.0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
-            for j in range(k, n):
-                rows[i][j] -= factor * rows[k][j]
-    return sign * det
+    lower = [[] for _ in range(n)]  # the rows of L, left of column j
+    for j in range(n):
+        col = []  # column j of U above the diagonal, then pivot candidates
+        for i in range(n):
+            col.append(rows[i][j] - sum(map(operator.mul, lower[i], col)))
+        r = max(range(j, n), key=lambda i: abs(col[i])) if swap else j
+        col[j], col[r] = col[r], col[j]
+        rows[j], rows[r] = rows[r], rows[j]
+        lower[j], lower[r] = lower[r], lower[j]
+        pivot = col[j]
+        yield pivot if r == j else -pivot
+        if swap and pivot == 0:
+            return
+        for i in range(j + 1, n):
+            lower[i].append(col[i] / pivot)
 
 
 def det_general(m: SymMatrix):
-    """Determinant of any symmetric matrix; exact whenever the entries are."""
+    """Determinant of any symmetric matrix by elimination with row swaps:
+    exact on exact entries, else a float (``inf`` or 0 past its range)."""
     if not m.is_exact:
-        return _det_float(m.to_float())
+        return math.prod(_float_pivots(m, swap=True))
     det = Fraction(1)
     for det in leading_minors(m, swap=True):
         pass

@@ -8,8 +8,8 @@ triangular, and it is validated on every constructed instance.
 The relation is kept as one down-set bitmask per element, which keeps meets,
 covers and chain tests cheap at desk scale.  Each job is written for meets;
 the join side runs it on the cached order dual.  All types are immutable
-apart from their caches of duals and closures, and all functions are pure,
-so everything is safe to share between threads.
+apart from their caches of duals, closures and tree-set answers, and all
+functions are pure, so everything is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -552,13 +552,19 @@ def _tree_characterizations(q: FinitePoset) -> tuple[bool, bool, bool, bool]:
     return as_tree, covers_at_most_one, down_sets_chains, bounded_pairs_comparable
 
 
-def _is_tree(q: FinitePoset, kind: str) -> bool:
-    answers = _tree_characterizations(q)
-    if len(set(answers)) != 1:
-        raise CharacterizationMismatch(
-            f"{kind}-tree characterizations disagree: {answers}"
-        )
-    return answers[0]
+def _is_tree(c: ClosureResult) -> bool:
+    """The characterizations on a meet closure, or on the dual of a join
+    closure; the answer is kept on ``c``, so they run once per closure."""
+    if (kept := c.__dict__.get("_tree")) is None:
+        q = c.closed if c.kind == "meet" else c.closed.dual()
+        answers = _tree_characterizations(q)
+        if len(set(answers)) != 1:
+            raise CharacterizationMismatch(
+                f"{c.kind}-tree characterizations disagree: {answers}"
+            )
+        kept = answers[0]
+        object.__setattr__(c, "_tree", kept)
+    return kept
 
 
 def is_wedge_tree_set(s: Subset) -> bool:
@@ -568,14 +574,15 @@ def is_wedge_tree_set(s: Subset) -> bool:
     the diagram is a tree; every element covers at most one element; every
     principal down-set is a chain; elements with a common upper bound are
     comparable.  Disagreement raises :class:`CharacterizationMismatch`.
+    They run once per closure, which keeps the answer.
     """
-    return _is_tree(meet_closure(s).closed, "meet")
+    return _is_tree(meet_closure(s))
 
 
 def is_vee_tree_set(s: Subset) -> bool:
     """Dual of :func:`is_wedge_tree_set`: the same four characterizations,
     evaluated on the order dual of the join closure."""
-    return _is_tree(join_closure(s).closed.dual(), "join")
+    return _is_tree(join_closure(s))
 
 
 def is_A_set(s: Subset) -> bool:

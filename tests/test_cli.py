@@ -1,12 +1,14 @@
 import json
+import math
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
-from meetjoin import det_general, matrices, poset
+from meetjoin import cli, det_general, eigen_sym, matrices, poset
 from meetjoin.cli import RunConfig, _encode, _resolve, main, run
 
 WORKED_POSET = {"generated_by": [6, 10, 15], "set": [6, 10, 15]}
@@ -133,6 +135,46 @@ def test_check_pd_builds_each_closure_once(monkeypatch):
         ))
         assert code == 0
         assert kinds and max(kinds.values()) == 1, (set_text, family, kinds)
+
+
+def test_check_pd_runs_the_tree_characterizations_once(monkeypatch):
+    # pd_tree and structure_flags both ask whether the set is a tree set;
+    # they read one answer kept on the closure (two full runs before).
+    original = poset._tree_characterizations
+    sizes = []
+
+    def counted(q):
+        sizes.append(q.n)
+        return original(q)
+
+    monkeypatch.setattr(poset, "_tree_characterizations", counted)
+    members = random.Random(0).sample(range(1, 3000), 100)
+    code, _ = run(RunConfig(
+        command="check-pd", set_text=",".join(map(str, members)),
+        family="power-gcd", alpha="1.5",
+    ))
+    assert code == 0
+    assert sizes == [160]
+
+
+def test_float_check_pd_past_float_range():
+    # The float minors overflowed to inf and nan around k = 40, and these
+    # positive definite matrices (lambda_min 11.1) were refuted.
+    for n in (80, 100):
+        members = random.Random(0).sample(range(1, 3000), n)
+        config = RunConfig(
+            command="check-pd", set_text=",".join(map(str, members)),
+            family="power-gcd", alpha="1.5",
+        )
+        code, text = run(config)
+        assert code == 0
+        body = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+        assert (body["verdict"], body["method"]) == ("positive-definite", "oracle")
+        assert len(body["certificate"]["pivots"]) == n
+        assert body["det"] is None and body["det_sign"] == 1
+        spectrum = eigen_sym(_resolve(config).build_matrix())
+        log_det = math.fsum(math.log10(v) for v in spectrum.eigenvalues)
+        assert math.isclose(body["det_log10"], log_det, rel_tol=1e-9)
 
 
 def test_mixed_values_gate_exactness_per_support(tmp_path):
@@ -379,13 +421,60 @@ def test_exact_exponent_over_cap_exits_two():
             f"exponent {int(float(alpha))} gives values with about {digits} "
             "digits on the diagonal, over the cap of 1000"
         )
-    # under the cap: exact exponents up to 4 here, and every float exponent
+    # under the cap: exact exponents up to 4 here, and float exponents whose
+    # largest value stays in float range
     for alpha in ("4", "-4", "1.5", "20.5"):
         _resolve(RunConfig(command="check-pd", set_text=sample,
                            family="power-gcd", alpha=alpha))
     code, _ = run(RunConfig(command="check-pd", set_text="2,3",
                             family="power-gcd", alpha="-1000"))
     assert code == 0
+
+
+def test_float_exponent_past_float_range_exits_two(tmp_path):
+    # 2999**100.5 overflowed in NamedFunction.evaluate and escaped run().
+    code, text = run(RunConfig(command="check-pd", set_text="2999", alpha="100.5"))
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error["type"] == "DeskScaleError"
+    assert error["message"] == (
+        "exponent 100.5 gives values near 1e349, past the float range of 1e308"
+    )
+    # the same rule for --function on the poset's labels, either sign
+    write_json(tmp_path / "p.json", {"divisors_of": 2999, "set": [1]})
+    for alpha, code in (("88.5", 0), ("-88.5", 0), ("90.5", 2), ("-90.5", 2)):
+        result = invoke(["build", "--poset", str(tmp_path / "p.json"),
+                         "--function", "power", "--alpha", alpha])
+        assert result.exit_code == code, alpha
+    assert json.loads(result.output)["error"]["type"] == "DeskScaleError"
+
+
+def test_float_overflow_exits_two():
+    # An exact exponent under the digit cap whose values still pass 1e308 as
+    # floats: bounds raised "integer division result too large for a float".
+    code, text = run(RunConfig(command="bounds", set_text="2999,2", alpha="100"))
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error["type"] == "DeskScaleError"
+    assert "too large for a float" in error["message"]
+
+
+def test_non_finite_numbers_give_an_error_reply(monkeypatch):
+    # A report is strict JSON or an error reply, never NaN or Infinity.
+    def strict(text):
+        return json.loads(text, parse_constant=lambda name: pytest.fail(name))
+
+    monkeypatch.setattr(cli, "_execute", lambda config, resolved: (0, {"x": math.nan}))
+    code, text = run(RunConfig(command="build", set_text="6", family="min"))
+    assert code == 1
+    assert strict(text)["error"]["type"] == "ValueError"
+    monkeypatch.undo()
+    for tol in (math.nan, math.inf):
+        code, text = run(RunConfig(command="bounds", set_text="6", tol=tol))
+        assert code == 1
+        body = strict(text)
+        assert body["config"]["tol"] == str(tol)
+        assert body["error"]["message"] == "tolerances must be positive and finite"
 
 
 def test_exponent_cap_on_poset_labels(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,29 @@ def test_oracle_float_tolerance():
     m = SymMatrix(((1.0, 0.0), (0.0, 1e-14)))
     assert pd_oracle(m).is_positive_definite
     assert not pd_oracle(m, tol=1e-9).is_positive_definite
+
+
+def test_float_oracle_verdict_matches_exact_minors():
+    # Random symmetric matrices, mostly indefinite, and meet matrices of
+    # strictly monotone positive functions on trees, positive definite by
+    # T4.4.  Away from a zero leading minor the float verdict is exact.
+    rng = random.Random(705)
+    verdicts = Counter()
+    for _ in range(200):
+        p = random_tree_poset(rng, rng.randint(2, 6))
+        for m in (
+            random_sym(rng, rng.randint(1, 6)),
+            meet_matrix(random_subset(rng, p), random_monotone_function(rng, p)),
+        ):
+            blocks = [[[m.entry(i, j) for j in range(k)] for i in range(k)]
+                      for k in range(1, m.n + 1)]
+            if any(abs(cofactor_det(b)) <= 1e-9 for b in blocks):
+                continue
+            floaty = SymMatrix(tuple(tuple(float(v) for v in r) for r in m.entries))
+            verdict = pd_oracle(floaty).is_positive_definite
+            assert verdict == leading_minors_positive(m)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 100
 
 
 def test_sign_test_iff_oracle_meet():

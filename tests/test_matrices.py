@@ -28,6 +28,7 @@ from meetjoin import (
     meet_matrix,
     up_set,
 )
+from meetjoin.matrices import _float_pivots, leading_minors
 from support import (
     brute_join,
     cofactor_det,
@@ -243,6 +244,71 @@ def test_float_det_close_to_exact():
         floaty = SymMatrix(tuple(tuple(float(v) for v in r) for r in rows))
         assert not floaty.is_exact
         assert abs(det_general(floaty) - float(det_general(exact))) < 1e-8
+
+
+def _as_float(m):
+    return SymMatrix(tuple(tuple(float(v) for v in row) for row in m.entries))
+
+
+def _random_exact_matrices(rng):
+    """Symmetric rational matrices, and meet and join matrices of random
+    functions on the generated posets."""
+    out = []
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        out.append(SymMatrix(tuple(
+            tuple(rows[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
+        )))
+        p = random_poset(rng)
+        s = random_subset(rng, p)
+        f = random_function(rng, p)
+        for build in (meet_matrix, join_matrix):
+            try:
+                out.append(build(s, f))
+            except (NoMeetError, NoJoinError):
+                pass
+    return out
+
+
+def test_float_pivots_are_ratios_of_exact_minors():
+    # Without row swaps the k-th float pivot is minor_k / minor_{k-1}, up to
+    # the first zero minor, past which neither elimination can go.
+    rng = random.Random(608)
+    compared = 0
+    for m in _random_exact_matrices(rng):
+        minors = []
+        for minor in leading_minors(m):
+            minors.append(minor)
+            if minor == 0:
+                break
+        pivots = _float_pivots(_as_float(m))
+        previous = Fraction(1)
+        for minor, pivot in zip(minors, pivots):
+            if minor == 0:
+                assert abs(pivot) < 1e-9
+            else:
+                assert math.isclose(pivot, float(minor / previous), rel_tol=1e-9)
+            previous = minor
+            compared += 1
+    assert compared > 1000
+
+
+def test_float_det_with_row_swaps_matches_exact():
+    # n = 30-60 with a zero in the corner, so partial pivoting must move rows.
+    rng = random.Random(609)
+    for _ in range(4):
+        n = rng.randint(30, 60)
+        rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = Fraction(0)
+        exact = SymMatrix(tuple(
+            tuple(rows[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
+        ))
+        floaty = _as_float(exact)
+        assert next(_float_pivots(floaty)) == 0
+        assert next(_float_pivots(floaty, swap=True)) != 0
+        expected = float(det_general(exact))
+        assert math.isclose(det_general(floaty), expected, rel_tol=1e-9)
 
 
 def test_permuted_preserves_determinant():

@@ -10,6 +10,7 @@ that fail report ``not-applicable``; they never refute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -64,7 +65,11 @@ def pd_oracle(m: SymMatrix, tol=0) -> PDReport:
     float ones the ``pivots`` of ``m = L D L^T``, ratios of consecutive
     minors that stay in range where the minors overflow.  The certificate
     lists what was yielded; rounding near singularity is the caller's risk.
+    A ``tol`` that is negative or not finite raises :class:`ValueError`:
+    below zero the elimination would run past a zero pivot.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, not {tol!r}")
     if m.is_exact:
         steps, key, value_key = leading_minors(m), "minors", "minor_value"
     else:

@@ -2,12 +2,13 @@
 
 This is the only module that leaves exact arithmetic.  It houses a
 self-contained eigensolver used as the numerical oracle (Householder
-reduction to tridiagonal form, then implicitly shifted QL, all in pure
-Python), the monotone reindexing that the bounds require, and the bounds
-themselves: for a meet matrix whose function is nonnegative and
-order-preserving on the meet closure, with members listed by ascending
-value, the k-th smallest eigenvalue is at most ``k * f(x_k)`` and the
-largest is at least ``f(x_n)``; the join side is the mirror image with
+reduction to tridiagonal form, implicitly shifted QL for the eigenvalues
+and tridiagonal inverse iteration for the vectors behind the reported
+residual, all in pure Python), the monotone reindexing that the bounds
+require, and the bounds themselves: for a meet matrix whose function is
+nonnegative and order-preserving on the meet closure, with members listed by
+ascending value, the k-th smallest eigenvalue is at most ``k * f(x_k)`` and
+the largest is at least ``f(x_n)``; the join side is the mirror image with
 order-reversing functions.
 """
 
@@ -79,17 +80,20 @@ def eigen_sym(m: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Spectr
     """Eigenvalues of a symmetric matrix by Householder reduction and QL.
 
     The matrix is normalized by its largest entry, reduced to tridiagonal
-    form by Householder reflections and diagonalized by the implicitly
-    shifted QL iteration (tred2/tql2 of Wilkinson and Reinsch, 1971); the
-    eigenvectors are accumulated for the reported residual.  An off-diagonal
-    entry is deflated once it is below machine epsilon times the diagonal
-    scale seen so far.  ``max_sweeps`` is the QL iteration budget per
-    eigenvalue and ``tol`` the absolute off-diagonal deflation bound, in the
-    input's units: an entry still above machine precision when the budget
-    is spent is neglected if it is at most ``tol`` (by Weyl's inequality no
-    eigenvalue then moves by more than ``2 * tol``) and raises
-    :class:`ConvergenceError` otherwise, so ``max_sweeps=0`` raises on any
-    off-diagonal entry above ``tol``.
+    form by Householder reflections and its eigenvalues found by the
+    implicitly shifted QL iteration on the tridiagonal alone (tred2/tql1 of
+    Wilkinson and Reinsch, 1971).  For the reported residual each eigenvalue
+    gets a unit eigenvector of the tridiagonal by inverse iteration (as in
+    LAPACK ``dstein``), mapped back through the Householder reflections; the
+    residual asks only that each pair be accurate, not that vectors of
+    close eigenvalues be orthogonal.  An off-diagonal entry is deflated once
+    it is below machine epsilon times the diagonal scale seen so far.
+    ``max_sweeps`` is the QL iteration budget per eigenvalue and ``tol`` the
+    absolute off-diagonal deflation bound, in the input's units: an entry
+    still above machine precision when the budget is spent is neglected if
+    it is at most ``tol`` (by Weyl's inequality no eigenvalue then moves by
+    more than ``2 * tol``) and raises :class:`ConvergenceError` otherwise, so
+    ``max_sweeps=0`` raises on any off-diagonal entry above ``tol``.
     """
     n = m.n
     source = m.to_float()
@@ -100,12 +104,16 @@ def eigen_sym(m: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Spectr
         return Spectrum((0.0,) * n, 0.0)
     a = [[v / scale for v in row] for row in source]
     d, e, vec = _tridiagonalize(a)
-    _tridiagonal_ql(d, e, vec, tol, scale, max_sweeps)
+    d0, e0 = d[:], e[:]
+    _tridiagonal_ql(d, e, tol, scale, max_sweeps)
     order = sorted(range(n), key=d.__getitem__)
     eigenvalues = tuple(d[i] * scale for i in order)
+    vectors = _inverse_iteration(d0, e0, [d[i] for i in order])
+    # v = Q z: entry j of v is column j of Q^T dotted with z.
+    columns = list(zip(*vec))
     residual = 0.0
-    for lam, i in zip(eigenvalues, order):
-        v = vec[i]
+    for lam, z in zip(eigenvalues, vectors):
+        v = [sum(map(mul, col, z)) for col in columns]
         for row, vk in zip(source, v):
             residual = max(residual, abs(sum(map(mul, row, v)) - lam * vk))
     return Spectrum(eigenvalues, residual)
@@ -166,12 +174,11 @@ def _tridiagonalize(a: list[list[float]]):
     return d, e, vec
 
 
-def _tridiagonal_ql(d, e, vec, tol, scale, max_iter) -> None:
+def _tridiagonal_ql(d, e, tol, scale, max_iter) -> None:
     """Implicitly shifted QL on the tridiagonal ``(d, e)``, in place.
 
     ``(d, e)`` is the input divided by ``scale``; ``tol`` is in the input's
-    units.  Each rotation is applied to two rows of ``vec``, which end up as
-    the eigenvectors of the diagonal entries left in ``d``.
+    units.  The eigenvalues are left in ``d`` and ``e`` ends up zero.
     """
     n = len(d)
     target = tol / scale
@@ -221,14 +228,67 @@ def _tridiagonal_ql(d, e, vec, tol, scale, max_iter) -> None:
                 c = p / r
                 p = c * d[i] - s * g
                 d[i + 1] = h + s * (c * g + s * d[i])
-                lo, hi = vec[i], vec[i + 1]
-                vec[i + 1] = [s * x + c * y for x, y in zip(lo, hi)]
-                vec[i] = [c * x - s * y for x, y in zip(lo, hi)]
             p = -s * s2 * c3 * el1 * e[l] / dl1
             e[l] = s * p
             d[l] = c * p
         d[l] += shift
         e[l] = 0.0
+
+
+def _inverse_iteration(d, e, eigenvalues):
+    """Unit eigenvectors of the tridiagonal ``(d, e)``, one per eigenvalue.
+
+    For each eigenvalue ``lam``, ``T - lam I`` is factored once by Gaussian
+    elimination with partial pivoting, O(n); a pivot below ``eps * |T|``
+    (``|T|`` the largest absolute row sum) is replaced by that value with its
+    sign, so the solves stay finite.  Solving from a fixed start vector,
+    then from the normalized result, stops after five solves or once the
+    residual of the result for the factored matrix, the reciprocal of the
+    growth of the unit vector in one solve, is at most ``n eps |T| / 10``.
+    """
+    n = len(d)
+    norm = max(abs(x) + abs(y) + abs(z) for x, y, z in zip([0.0, *e], d, e))
+    floor = _EPS * norm
+    enough = 10.0 / (n * floor)
+    start = [(k * 0.6180339887498949) % 1.0 - 0.5 for k in range(1, n + 1)]
+    size = math.hypot(*start)
+    # Two trailing zeros stand for the columns past the last row of U.
+    start = [x / size for x in start] + [0.0, 0.0]
+    # Row i of U holds u0[i], u1[i], u2[i] in columns i, i + 1, i + 2.  Step
+    # i swaps rows i and i + 1 when swap[i], then takes mult[i] times row i
+    # from row i + 1.
+    u0 = [0.0] * n
+    u1 = [0.0] * n
+    u2 = [0.0] * n
+    mult = [0.0] * n
+    swap = [False] * n
+    for lam in eigenvalues:
+        diag, sup = d[0] - lam, e[0]
+        for i in range(n - 1):
+            row, nxt = (diag, sup, 0.0), (e[i], d[i + 1] - lam, e[i + 1])
+            swap[i] = abs(row[0]) < abs(nxt[0])
+            if swap[i]:
+                row, nxt = nxt, row
+            pivot = row[0] if abs(row[0]) >= floor else math.copysign(floor, row[0])
+            u0[i], u1[i], u2[i] = pivot, row[1], row[2]
+            mult[i] = m = nxt[0] / pivot
+            diag, sup = nxt[1] - m * row[1], nxt[2] - m * row[2]
+        u0[n - 1] = diag if abs(diag) >= floor else math.copysign(floor, diag)
+
+        x = start[:]
+        for _ in range(5):
+            for i in range(n - 1):
+                if swap[i]:
+                    x[i], x[i + 1] = x[i + 1], x[i] - mult[i] * x[i + 1]
+                else:
+                    x[i + 1] -= mult[i] * x[i]
+            for i in range(n - 1, -1, -1):
+                x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+            growth = math.hypot(*x)
+            x = [xk / growth for xk in x]
+            if growth >= enough:
+                break
+        yield x[:n]
 
 
 def reindex_monotone(s: Subset, f: PosetFunction, direction: str = "increasing"):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -94,6 +95,17 @@ def test_oracle_float_tolerance():
     m = SymMatrix(((1.0, 0.0), (0.0, 1e-14)))
     assert pd_oracle(m).is_positive_definite
     assert not pd_oracle(m, tol=1e-9).is_positive_definite
+
+
+def test_oracle_refuses_negative_or_infinite_tol():
+    # Below zero the elimination ran on past a zero pivot and divided by
+    # zero: at once in the float kernel, two steps later in Bareiss.
+    swap = SymMatrix(((0.0, 1.0), (1.0, 0.0)))
+    perm = SymMatrix(((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+    for m, tol in ((swap, -1), (perm, -2), (swap, math.inf), (perm, math.nan)):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            pd_oracle(m, tol=tol)
+    assert pd_oracle(perm, tol=Fraction(1, 2)).certificate["minor_index"] == 2
 
 
 def test_float_oracle_verdict_matches_exact_minors():

@@ -114,12 +114,9 @@ def test_eigen_min_matrix_closed_form():
     assert spec.residual <= 1e-12 * n
 
 
-def test_eigen_block_diagonal_splits():
-    # Zero coupling between the blocks: the reduction meets an all-zero
-    # column and the QL iteration splits the tridiagonal there.
-    rng = random.Random(805)
-    blocks = [random_sym_float(rng, k) for k in (4, 1, 5)]
-    n = sum(b.n for b in blocks)
+def block_diagonal(rng, sizes):
+    blocks = [random_sym_float(rng, k) for k in sizes]
+    n = sum(sizes)
     rows = [[0.0] * n for _ in range(n)]
     at = 0
     for b in blocks:
@@ -127,12 +124,45 @@ def test_eigen_block_diagonal_splits():
             for j in range(b.n):
                 rows[at + i][at + j] = b.entry(i, j)
         at += b.n
-    m = SymMatrix(tuple(tuple(r) for r in rows))
+    return blocks, SymMatrix(tuple(tuple(r) for r in rows))
+
+
+def test_eigen_block_diagonal_splits():
+    # Zero coupling between the blocks: the reduction meets an all-zero
+    # column and the QL iteration splits the tridiagonal there.
+    blocks, m = block_diagonal(random.Random(805), (4, 1, 5))
     spec = eigen_sym(m)
     separate = sorted(lam for b in blocks for lam in eigen_sym(b).eigenvalues)
     for lam, want in zip(spec.eigenvalues, separate):
         assert abs(lam - want) <= 1e-12 * 4
     assert spec.residual <= 1e-12 * 4
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SymMatrix(((2, 1), (1, 2))),
+        # Every off-diagonal entry of the tridiagonal is 0, so each solve of
+        # the inverse iteration runs on split 1x1 blocks, some of them equal.
+        lambda: SymMatrix(tuple(
+            tuple(v if j == i else 0 for j in range(7))
+            for i, v in enumerate((3, 1, 3, 3, 1, 2, 3))
+        )),
+        lambda: SymMatrix(tuple((1,) * 20 for _ in range(20))),
+        lambda: block_diagonal(random.Random(805), (4, 1, 5))[1],
+        lambda: build_named_matrix(
+            "power-gcd", random.Random(0).sample(range(1, 3000), 100), alpha=1.5
+        ).matrix,
+    ],
+    ids=["2x2", "repeated-diagonal", "ones-20", "block-diagonal", "gcd-100"],
+)
+def test_eigen_residual_small_and_repeatable(make):
+    m = make()
+    big = max(abs(float(m.entry(i, j))) for i in range(m.n) for j in range(m.n))
+    spec = eigen_sym(m)
+    assert spec.residual <= 1e-12 * big
+    # The inverse iteration starts from a fixed vector: no run-to-run drift.
+    assert eigen_sym(m) == spec
 
 
 def test_eigen_all_ones_matrix():

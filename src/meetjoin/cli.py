@@ -277,8 +277,7 @@ def _resolve(config: RunConfig) -> _Resolved:
                 f"family {family} builds a {model.kind} matrix, not {kind}"
             )
         return _Resolved(
-            model.poset, model.subset, model.kind,
-            function=model.function, matrix=model.matrix,
+            model.poset, model.subset, model.kind, function=model.function
         )
 
     if config.family is not None:

@@ -6,19 +6,23 @@ disguise.  This module builds the ambient posets (down-sets of divisors,
 up-sets below an lcm, unitary-divisor orders), the classical functions
 (powers, reciprocal powers, Jordan totients), and the named matrix families
 on top of them.  Everything here is desk scale: factorization is trial
-division, capped at ``FACTOR_CAP``, and universes are capped.
+division, capped at ``FACTOR_CAP``, and universes are capped.  The gcd, lcm
+and gcud closures run the poset closure kernel, ``poset._close``, on the
+integers themselves and raise :class:`DeskScaleError` as soon as one grows
+past ``DEFAULT_CAP`` elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DeskScaleError, DuplicateError
 from .matrices import SymMatrix, join_matrix, meet_matrix
 from .mobius import PosetFunction
-from .poset import FinitePoset, Subset, total_order_poset
+from .poset import FinitePoset, Subset, _close, total_order_poset
 
 DEFAULT_CAP = 10_000
 # Trial division of a prime near the cap takes ~0.2 s; near 10**14, over 1 s.
@@ -120,34 +124,19 @@ def _clean_members(s) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _close(members: tuple[int, ...], op) -> tuple[int, ...]:
-    out = set(members)
-    frontier = list(out)
-    while frontier:
-        fresh = []
-        for a in list(out):
-            for b in frontier:
-                c = op(a, b)
-                if c not in out:
-                    out.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return tuple(sorted(out))
-
-
 def gcd_closure(s) -> tuple[int, ...]:
     """The smallest superset closed under pairwise gcd, ascending."""
-    return _close(_clean_members(s), math.gcd)
+    return _close(_clean_members(s), math.gcd, DEFAULT_CAP)
 
 
 def lcm_closure(s) -> tuple[int, ...]:
     """The smallest superset closed under pairwise lcm, ascending."""
-    return _close(_clean_members(s), math.lcm)
+    return _close(_clean_members(s), math.lcm, DEFAULT_CAP)
 
 
 def gcud_closure(s) -> tuple[int, ...]:
     """The smallest superset closed under pairwise gcud, ascending."""
-    return _close(_clean_members(s), gcud)
+    return _close(_clean_members(s), gcud, DEFAULT_CAP)
 
 
 def divisibility_poset(values) -> FinitePoset:
@@ -300,7 +289,8 @@ _FAMILY_ALIASES = {"reciprocal_power_lcm": "power_lcm_reciprocal"}
 
 @dataclass(frozen=True)
 class MatrixModel:
-    """A named matrix plus the poset, subset, and function behind it."""
+    """A named matrix plus the poset, subset, and function behind it.  The
+    matrix is built on first read and kept."""
 
     family: str
     kind: str
@@ -308,7 +298,11 @@ class MatrixModel:
     subset: Subset
     named: NamedFunction
     function: PosetFunction
-    matrix: SymMatrix
+
+    @cached_property
+    def matrix(self) -> SymMatrix:
+        build = meet_matrix if self.kind == "meet" else join_matrix
+        return build(self.subset, self.function)
 
 
 def normalize_family(family: str) -> str:
@@ -368,6 +362,4 @@ def build_named_matrix(
         poset = total_order_poset(members)
 
     subset = Subset.of_labels(poset, members)
-    f = named.bind(poset)
-    matrix = meet_matrix(subset, f) if kind == "meet" else join_matrix(subset, f)
-    return MatrixModel(name, kind, poset, subset, named, f, matrix)
+    return MatrixModel(name, kind, poset, subset, named, named.bind(poset))

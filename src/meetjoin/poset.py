@@ -7,20 +7,26 @@ triangular, and it is validated on every constructed instance.
 
 The relation is kept as one down-set bitmask per element, which keeps meets,
 covers and chain tests cheap at desk scale.  Each job is written for meets;
-the join side runs it on the cached order dual.  All types are immutable
+the join side runs it on the cached order dual.  One kernel, ``_close``,
+builds every closure, of poset indices here and of integers in
+``numtheory``: it combines each pair of the closure once and raises
+:class:`DeskScaleError` once the set passes a cap.  All types are immutable
 apart from their caches of duals, closures and tree-set answers, and all
 functions are pure, so everything is safe to share between threads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CharacterizationMismatch,
     CycleError,
+    DeskScaleError,
     DuplicateError,
     NoJoinError,
     NoMeetError,
@@ -421,19 +427,37 @@ def join(p: FinitePoset, i: int, j: int) -> int:
         return n - 1 - meet(p.dual(), n - 1 - i, n - 1 - j)
 
 
-def _meet_round(p: FinitePoset, els: Sequence[int], mask: int) -> int:
-    """Add the meet of every pair of ``els`` to ``mask``, scanning the pairs
-    in the order ``els`` lists them."""
-    for a in range(len(els)):
-        for b in range(a + 1, len(els)):
-            mask |= 1 << meet(p, els[a], els[b])
-    return mask
+def _close(elements: Iterable[int], op, cap: int) -> tuple[int, ...]:
+    """The smallest superset of ``elements`` closed under the symmetric
+    ``op``, ascending.  Round r combines, in ascending ``(x, y)`` order with
+    ``x < y``, only the pairs that hold an element added in round r - 1: each
+    pair of the closure is combined once, and a failing ``op`` fails at the
+    pair a full rescan of each round would reach first.  The size is checked
+    before each ``x``: a set past ``cap`` elements raises
+    :class:`DeskScaleError`."""
+    done: list[int] = []
+    fresh = sorted(set(elements))
+    seen = set(fresh)
+    while fresh:
+        current = sorted(done + fresh)
+        new = set(fresh)
+        added = []
+        for a, x in enumerate(current):
+            if len(seen) > cap:
+                raise DeskScaleError(f"closure grew past the cap of {cap} elements")
+            partners = current[a + 1:] if x in new else fresh[bisect_right(fresh, x):]
+            for y in partners:
+                z = op(x, y)
+                if z not in seen:
+                    seen.add(z)
+                    added.append(z)
+        done, fresh = current, sorted(added)
+    return tuple(done)
 
 
-def _closure_result(s: Subset, mask: int, kind: str) -> ClosureResult:
-    """The closure with member mask ``mask``, kept on ``s`` like its dual, so
-    every route of a request reads the same one."""
-    members = tuple(_bits(mask))
+def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureResult:
+    """The closure with ascending ``members``, kept on ``s`` like its dual,
+    so every route of a request reads the same one."""
     pos = {m: k for k, m in enumerate(members)}
     closed_subset = Subset(s.parent, members)
     embed = tuple(pos[m] for m in s.members)
@@ -447,25 +471,22 @@ def _closure_result(s: Subset, mask: int, kind: str) -> ClosureResult:
 def meet_closure(s: Subset) -> ClosureResult:
     """Smallest superset of ``s`` closed under pairwise meets."""
     if (kept := s.__dict__.get("_meet_closure")) is None:
-        mask = s.member_mask()
-        while (grown := _meet_round(s.parent, list(_bits(mask)), mask)) != mask:
-            mask = grown
-        kept = _closure_result(s, mask, "meet")
+        p = s.parent
+        kept = _closure_result(s, _close(s.members, partial(meet, p), p.n), "meet")
     return kept
 
 
 def join_closure(s: Subset) -> ClosureResult:
-    """Smallest superset of ``s`` closed under pairwise joins: the meet
-    closure in the order dual.  Each round lists the elements by their
-    index here, so pairs are scanned in the order :func:`meet_closure` uses."""
+    """Smallest superset of ``s`` closed under pairwise joins, each join
+    taken as a meet in the order dual."""
     if (kept := s.__dict__.get("_join_closure")) is None:
         q = s.parent.dual()
-        n = s.parent.n
-        mask = _reverse_mask(s.member_mask(), n)
+        last = q.n - 1
         with _as_join():
-            while (grown := _meet_round(q, list(_bits(mask))[::-1], mask)) != mask:
-                mask = grown
-        kept = _closure_result(s, _reverse_mask(mask, n), "join")
+            members = _close(
+                s.members, lambda i, j: last - meet(q, last - i, last - j), q.n
+            )
+        kept = _closure_result(s, members, "join")
     return kept
 
 
@@ -489,22 +510,18 @@ def is_join_closed(s: Subset) -> bool:
         return _meets_inside(s.parent.dual(), _mirror(s))
 
 
-def _down_set(s: Subset) -> Subset:
+def down_set(s: Subset) -> Subset:
+    """All ambient elements lying below some member."""
     mask = 0
     for m in s.members:
         mask |= s.parent.down_mask(m)
     return Subset(s.parent, tuple(_bits(mask)))
 
 
-def down_set(s: Subset) -> Subset:
-    """All ambient elements lying below some member."""
-    return _down_set(s)
-
-
 def up_set(s: Subset) -> Subset:
     """All ambient elements lying above some member: the down-set in the
     order dual."""
-    return _down_set(s.dual()).dual()
+    return down_set(s.dual()).dual()
 
 
 def cover_graph(p: FinitePoset) -> CoverGraph:

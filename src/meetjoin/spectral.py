@@ -103,17 +103,19 @@ def eigen_sym(m: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Spectr
     if scale == 0.0:
         return Spectrum((0.0,) * n, 0.0)
     a = [[v / scale for v in row] for row in source]
-    d, e, vec = _tridiagonalize(a)
+    d, e, reflectors = _tridiagonalize(a)
     d0, e0 = d[:], e[:]
     _tridiagonal_ql(d, e, tol, scale, max_sweeps)
     order = sorted(range(n), key=d.__getitem__)
     eigenvalues = tuple(d[i] * scale for i in order)
     vectors = _inverse_iteration(d0, e0, [d[i] for i in order])
-    # v = Q z: entry j of v is column j of Q^T dotted with z.
-    columns = list(zip(*vec))
     residual = 0.0
-    for lam, z in zip(eigenvalues, vectors):
-        v = [sum(map(mul, col, z)) for col in columns]
+    for lam, v in zip(eigenvalues, vectors):
+        # v = Q z = H_0 ... H_{n-3} z, the last reflector applied first.
+        for lo, w, h in reversed(reflectors):
+            seg = v[lo:]
+            c = sum(map(mul, seg, w)) / h
+            v[lo:] = [x - c * wj for x, wj in zip(seg, w)]
         for row, vk in zip(source, v):
             residual = max(residual, abs(sum(map(mul, row, v)) - lam * vk))
     return Spectrum(eigenvalues, residual)
@@ -123,8 +125,10 @@ def _tridiagonalize(a: list[list[float]]):
     """Householder reduction of ``a`` (overwritten) to tridiagonal form.
 
     Returns the diagonal ``d``, the off-diagonal ``e`` (``e[i]`` couples
-    ``i`` and ``i + 1``; ``e[-1]`` is 0) and the rows of ``Q^T``, where
-    ``a = Q T Q^T``.
+    ``i`` and ``i + 1``; ``e[-1]`` is 0) and the reflectors ``(k + 1, v, h)``
+    of every step ``k`` that had one, in order: ``H_k = I - v v^T / h`` acts
+    on entries ``k + 1`` onwards, and ``a = Q T Q^T`` with
+    ``Q = H_0 H_1 ... H_{n-3}``.
     """
     n = len(a)
     d = [0.0] * n
@@ -136,7 +140,6 @@ def _tridiagonalize(a: list[list[float]]):
         x = row[k + 1:]
         g = max(map(abs, x))
         if g == 0.0:
-            reflectors.append(None)
             continue
         v = [xi / g for xi in x]
         sigma = sum(map(mul, v, v))
@@ -151,27 +154,12 @@ def _tridiagonalize(a: list[list[float]]):
         q = [pi - half * vi for pi, vi in zip(p, v)]
         for r, vi, qi in zip(a[lo:], v, q):
             r[lo:] = [rj - vi * qj - qi * vj for rj, vj, qj in zip(r[lo:], v, q)]
-        reflectors.append((v, h))
+        reflectors.append((lo, v, h))
     d[n - 2] = a[n - 2][n - 2]
     e[n - 2] = a[n - 2][n - 1]
     d[n - 1] = a[n - 1][n - 1]
     a[n - 2] = a[n - 1] = None
-    # Q^T = H_{n-3} ... H_0, built from the right.  When H_k is applied, rows
-    # 0..k are still unit rows with nothing past column k, so they keep.
-    vec = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        vec[i][i] = 1.0
-    for k in range(n - 3, -1, -1):
-        if reflectors[k] is None:
-            continue
-        v, h = reflectors[k]
-        lo = k + 1
-        for r in vec[lo:]:
-            seg = r[lo:]
-            c = sum(map(mul, seg, v)) / h
-            r[lo:] = [rj - c * vj for rj, vj in zip(seg, v)]
-        reflectors[k] = None
-    return d, e, vec
+    return d, e, reflectors
 
 
 def _tridiagonal_ql(d, e, tol, scale, max_iter) -> None:

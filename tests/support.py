@@ -68,6 +68,14 @@ def random_tree_poset(rng: random.Random, n: int) -> FinitePoset:
     return build_poset(n, relation)
 
 
+def random_relation_poset(rng: random.Random, n: int) -> FinitePoset:
+    """The order generated by random pairs ``a < b``: mostly not a lattice,
+    so meets and joins can be missing in both ways."""
+    relation = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                if rng.random() < 0.3]
+    return build_poset(n, relation)
+
+
 def random_poset(rng: random.Random) -> FinitePoset:
     pick = rng.randrange(3)
     if pick == 0:
@@ -167,6 +175,23 @@ def brute_join(p, i, j):
         return "common upper bound"
     least = [u for u in upper if all(p.leq(u, v) for v in upper)]
     return least[0] if least else "least common upper bound"
+
+
+def rescan_closure(s, op):
+    """Reference closure: each round combines every pair of the current set,
+    in ascending index order, until a round adds nothing.  ``op`` is
+    ``meet`` or ``join``; its error for the first missing pair propagates.
+    Returns the members, ascending, and the position of each member of
+    ``s`` among them."""
+    members = sorted(s.members)
+    while True:
+        grown = set(members)
+        for a, x in enumerate(members):
+            for y in members[a + 1:]:
+                grown.add(op(s.parent, x, y))
+        if len(grown) == len(members):
+            return tuple(members), tuple(members.index(m) for m in s.members)
+        members = sorted(grown)
 
 
 def cofactor_det(rows):

@@ -88,9 +88,8 @@ def test_check_pd_det_is_the_same_on_every_route(tmp_path):
     ]
 
 
-def test_check_pd_assembles_its_matrix_once(monkeypatch):
-    # The oracle decides float values; it must reuse the matrix the request
-    # already built instead of assembling it a second time.
+def count_assembly(monkeypatch) -> list:
+    """Record the name of every meet or join matrix assembled from now on."""
     calls = []
     for name in ("meet_matrix", "join_matrix"):
         original = getattr(matrices, name)
@@ -103,12 +102,33 @@ def test_check_pd_assembles_its_matrix_once(monkeypatch):
             if (module_name.startswith("meetjoin")
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_check_pd_assembles_its_matrix_once(monkeypatch):
+    # The oracle decides float values; it must reuse the matrix the request
+    # already built instead of assembling it a second time.
+    calls = count_assembly(monkeypatch)
     code, text = run(RunConfig(
         command="check-pd", set_text="6,10,15", family="power-gcd", alpha="1.5",
     ))
     assert code == 0
     assert json.loads(text)["method"] == "oracle"
     assert calls == ["meet_matrix"]
+
+
+@pytest.mark.parametrize("command, assembled", [
+    ("build", ["join_matrix"]),
+    ("classify", []),
+    ("closure", []),
+])
+def test_family_matrix_is_built_only_when_read(monkeypatch, command, assembled):
+    calls = count_assembly(monkeypatch)
+    code, _ = run(RunConfig(
+        command=command, set_text="4,6,9", family="reciprocal-power-lcm",
+    ))
+    assert code == 0
+    assert calls == assembled
 
 
 def test_check_pd_builds_each_closure_once(monkeypatch):
@@ -398,6 +418,18 @@ def test_integer_over_factor_cap_exits_two():
     assert error["message"] == (
         "100000000000031 is over the factorization cap of 1000000000000"
     )
+
+
+def test_lcm_closure_over_cap_exits_two():
+    # The lcm closure of the first 16 primes has 2^16 - 1 elements; building
+    # it did not finish in 60 s before the integer closures were capped.
+    primes = "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53"
+    result = invoke(["closure", "--set", primes, "--family", "reciprocal-power-lcm",
+                     "--ambient", "closure"])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "DeskScaleError"
+    assert error["message"] == "closure grew past the cap of 10000 elements"
 
 
 def test_exact_exponent_over_cap_exits_two():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,23 @@ def test_closures_fixpoints():
         lcm_closure([0, 3])
 
 
+def test_gcd_closure_combines_each_pair_once(monkeypatch):
+    calls = 0
+    original = math.gcd
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return original(a, b)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    rng = random.Random(11)
+    for _ in range(3):
+        calls = 0
+        closed = gcd_closure(rng.sample(range(1, 3000), 40))
+        assert calls == math.comb(len(closed), 2)
+
+
 def test_divisor_down_set_examples():
     lat = divisor_down_set([6, 10, 15])
     assert lat.poset.labels == (1, 2, 3, 5, 6, 10, 15)
@@ -173,6 +191,14 @@ def test_desk_scale_cap():
         divisor_down_set([720720], cap=16)
     with pytest.raises(DeskScaleError):
         lcm_up_set([2, 3, 5, 7, 11, 13], cap=16)
+    # The lcm closure of n primes has 2^n - 1 elements: n=16 did not finish
+    # in 60 s before the integer closures were capped at DEFAULT_CAP.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    assert len(lcm_closure(primes[:8])) == 2**8 - 1
+    start = time.perf_counter()
+    with pytest.raises(DeskScaleError, match="past the cap of 10000 elements"):
+        lcm_closure(primes)
+    assert time.perf_counter() - start < 1.0
     assert factorize(10**12) == {2: 12, 5: 12}
     with pytest.raises(DeskScaleError):
         factorize(10**12 + 1)

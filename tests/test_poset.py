@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import meetjoin.poset as poset_module
 from meetjoin import (
     CharacterizationMismatch,
     CycleError,
@@ -37,9 +38,12 @@ from meetjoin import (
 from support import (
     brute_join,
     forked_meet_tree,
+    random_intersection_lattice,
     random_poset,
+    random_relation_poset,
     random_subset,
     random_tree_poset,
+    rescan_closure,
     spine_meet_tree,
 )
 
@@ -165,6 +169,58 @@ def test_join_closure_dual():
             continue
         assert set(s.members) <= set(c.subset.members)
         assert is_join_closed(c.subset)
+
+
+def test_closures_match_a_full_rescan_of_each_round():
+    # Only pairs with a member added in the last round are combined, yet the
+    # members, the embedding and the first missing meet or join are those of
+    # rescanning every pair in every round.
+    rng = random.Random(406)
+    errors = 0
+    for k in range(600):
+        if k % 3 == 0:
+            p = random_poset(rng)
+        elif k % 3 == 1:
+            p = random_intersection_lattice(rng, ground=rng.randint(3, 5))
+        else:
+            p = random_relation_poset(rng, rng.randint(2, 10))
+        s = random_subset(rng, p, max_size=rng.randint(1, 9))
+        for closure, op, error in ((meet_closure, meet, NoMeetError),
+                                   (join_closure, join, NoJoinError)):
+            try:
+                expected = rescan_closure(s, op)
+            except error as exc:
+                errors += 1
+                with pytest.raises(error) as got:
+                    closure(s)
+                assert str(got.value) == str(exc)
+                continue
+            c = closure(s)
+            assert (c.subset.members, c.embed) == expected
+    assert errors > 100
+
+
+@pytest.mark.parametrize("closure", [meet_closure, join_closure])
+def test_closure_combines_each_pair_once(monkeypatch, closure):
+    # Rescanning every pair in every round combines the first pairs again in
+    # each round; a closure D needs C(|D|, 2) meets, every pair of it once.
+    calls = 0
+    original = meet
+
+    def counted(p, i, j):
+        nonlocal calls
+        calls += 1
+        return original(p, i, j)
+
+    monkeypatch.setattr(poset_module, "meet", counted)
+    lat = divisibility_poset(divisors(720720))
+    rng = random.Random(407)
+    for _ in range(3):
+        s = Subset(lat, tuple(sorted(rng.sample(range(lat.n), 40))))
+        calls = 0
+        size = len(closure(s).subset)
+        assert size > 60
+        assert calls == math.comb(size, 2)
 
 
 def test_closure_members_are_pairwise_meets():

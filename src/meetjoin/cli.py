@@ -20,10 +20,11 @@ import click
 
 from .definiteness import classify_and_test, structure_flags
 from .errors import DeskScaleError, DuplicateError, MeetJoinError
-from .matrices import _float_pivots, det_general, join_matrix, meet_matrix
+from .matrices import _float_pivots, det_general
 from .mobius import PosetFunction, phi, psi
 from .numtheory import (
     DEFAULT_CAP,
+    MatrixModel,
     NamedFunction,
     _normalize_alpha,
     build_named_matrix,
@@ -202,34 +203,6 @@ def _encode(value):
     return value
 
 
-@dataclass
-class _Resolved:
-    poset: FinitePoset
-    subset: Subset
-    kind: str
-    function: PosetFunction | None = None
-    matrix: object = None
-
-    def need_function(self) -> PosetFunction:
-        if self.function is None:
-            raise ValueError("no function source: give --values or --function")
-        return self.function
-
-    def build_matrix(self):
-        if self.matrix is None:
-            f = self.need_function()
-            if self.kind == "meet":
-                self.matrix = meet_matrix(self.subset, f)
-            else:
-                self.matrix = join_matrix(self.subset, f)
-        return self.matrix
-
-    def closure(self):
-        if self.kind == "meet":
-            return meet_closure(self.subset)
-        return join_closure(self.subset)
-
-
 def _check_exponent(alpha, labels) -> None:
     """Refuse an exponent that makes the values outgrow desk scale, before
     any value is built.  For an exact exponent beyond 1,
@@ -257,7 +230,7 @@ def _check_exponent(alpha, labels) -> None:
             )
 
 
-def _resolve(config: RunConfig) -> _Resolved:
+def _resolve(config: RunConfig) -> MatrixModel:
     if (config.poset_path is None) == (config.set_text is None):
         raise ValueError("exactly one input source: --poset or --set")
     if not (0 < config.tol < math.inf and 0 < config.slack < math.inf):
@@ -276,9 +249,7 @@ def _resolve(config: RunConfig) -> _Resolved:
             raise ValueError(
                 f"family {family} builds a {model.kind} matrix, not {kind}"
             )
-        return _Resolved(
-            model.poset, model.subset, model.kind, function=model.function
-        )
+        return model
 
     if config.family is not None:
         raise ValueError("--family needs --set, not --poset")
@@ -297,7 +268,11 @@ def _resolve(config: RunConfig) -> _Resolved:
             named = NamedFunction(tag, _parse_number(config.alpha))
             _check_exponent(named.alpha, poset.labels)
         function = named.bind(poset)
-    return _Resolved(poset, subset, kind, function=function)
+    return MatrixModel(kind, poset, subset, function)
+
+
+def _closure(model: MatrixModel):
+    return (meet_closure if model.kind == "meet" else join_closure)(model.subset)
 
 
 def _flag_payload(subset: Subset) -> dict:
@@ -305,21 +280,21 @@ def _flag_payload(subset: Subset) -> dict:
     return {name: flags[name] for name in sorted(flags)}
 
 
-def _closure_vector(resolved: _Resolved, certificate: dict) -> dict | None:
+def _closure_vector(model: MatrixModel, certificate: dict) -> dict | None:
     """The masses of f over the closure of the set, read off the
     certificate when it holds them over exactly that closure."""
-    f = resolved.function
-    if f is None or not f.is_exact:
+    f = model.function
+    if not f.is_exact:
         return None
     try:
-        closure = resolved.closure()
-        labels = closure.subset.labels
+        closed = _closure(model).subset
+        labels = closed.labels
         if certificate.get("support") == labels and "masses" in certificate:
             values = certificate["masses"]
-        elif resolved.kind == "meet":
-            values = psi(closure.subset, f).values
+        elif model.kind == "meet":
+            values = psi(closed, f).values
         else:
-            values = phi(closure.subset, f).values
+            values = phi(closed, f).values
     except MeetJoinError:
         return None
     return {str(lb): _encode(v) for lb, v in zip(labels, values)}
@@ -355,61 +330,64 @@ def _det_fields(report, matrix) -> dict:
     return {"det": det_general(matrix)}
 
 
-def _execute(config: RunConfig, resolved: _Resolved) -> tuple[int, dict]:
+def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
+    if model.function is None and config.command in ("build", "check-pd", "bounds"):
+        raise ValueError("no function source: give --values or --function")
+
     if config.command == "build":
-        matrix = resolved.build_matrix()
+        matrix = model.matrix
         rows = [[_encode(matrix.entry(i, j)) for j in range(matrix.n)]
                 for i in range(matrix.n)]
         return 0, {
-            "labels": _encode(list(resolved.subset.labels)),
-            "kind": resolved.kind,
+            "labels": _encode(list(model.subset.labels)),
+            "kind": model.kind,
             "exact": matrix.is_exact,
             "matrix": rows,
         }
 
     if config.command == "classify":
         return 0, {
-            "labels": _encode(list(resolved.subset.labels)),
-            "flags": _flag_payload(resolved.subset),
+            "labels": _encode(list(model.subset.labels)),
+            "flags": _flag_payload(model.subset),
         }
 
     if config.command == "closure":
-        result = resolved.closure()
-        original = set(resolved.subset.members)
+        result = _closure(model)
+        original = set(model.subset.members)
         added = [m for m in result.subset.members if m not in original]
         return 0, {
-            "kind": resolved.kind,
+            "kind": model.kind,
             "closed": not added,
             "members": _encode(list(result.subset.labels)),
-            "added": _encode([resolved.poset.labels[m] for m in added]),
+            "added": _encode([model.poset.labels[m] for m in added]),
         }
 
     if config.command == "check-pd":
-        f = resolved.need_function()
-        matrix = resolved.build_matrix()
-        report = classify_and_test(resolved.subset, f, resolved.kind, matrix=matrix)
+        matrix = model.matrix
+        report = classify_and_test(
+            model.subset, model.function, model.kind, matrix=matrix
+        )
         payload = {
             "verdict": report.verdict,
             "method": report.method,
             "certificate": _encode(report.certificate),
-            "flags": _flag_payload(resolved.subset),
+            "flags": _flag_payload(model.subset),
         }
-        vector = _closure_vector(resolved, report.certificate)
+        vector = _closure_vector(model, report.certificate)
         if vector is not None:
-            payload["psi" if resolved.kind == "meet" else "phi"] = vector
+            payload["psi" if model.kind == "meet" else "phi"] = vector
         payload.update(_encode(_det_fields(report, matrix)))
         return 0, payload
 
     if config.command == "bounds":
-        f = resolved.need_function()
-        if resolved.kind == "meet":
-            bounds = meet_bounds(resolved.subset, f)
+        if model.kind == "meet":
+            bounds = meet_bounds(model.subset, model.function)
         else:
-            bounds = join_bounds(resolved.subset, f)
-        spectrum = eigen_sym(resolved.build_matrix(), tol=config.tol)
+            bounds = join_bounds(model.subset, model.function)
+        spectrum = eigen_sym(model.matrix, tol=config.tol)
         rows = bounds.table(spectrum, slack=config.slack)
         payload = {
-            "kind": resolved.kind,
+            "kind": model.kind,
             "hypotheses": bounds.hypotheses_ok,
             "verified": bounds.verified,
             "eigenvalues": list(spectrum.eigenvalues),
@@ -475,8 +453,8 @@ def _render_error(config: RunConfig, err: Exception) -> str:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one pipeline; returns (exit code, rendered report)."""
     try:
-        resolved = _resolve(config)
-        code, payload = _execute(config, resolved)
+        model = _resolve(config)
+        code, payload = _execute(config, model)
         return code, _render(config, payload)
     except MeetJoinError as err:
         return 2, _render_error(config, err)

@@ -9,7 +9,8 @@ on top of them.  Everything here is desk scale: factorization is trial
 division, capped at ``FACTOR_CAP``, and universes are capped.  The gcd, lcm
 and gcud closures run the poset closure kernel, ``poset._close``, on the
 integers themselves and raise :class:`DeskScaleError` as soon as one grows
-past ``DEFAULT_CAP`` elements.
+past its cap: ``DEFAULT_CAP`` elements, or the ``cap`` given to
+:func:`build_named_matrix`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .errors import DeskScaleError, DuplicateError
 from .matrices import SymMatrix, join_matrix, meet_matrix
 from .mobius import PosetFunction
-from .poset import FinitePoset, Subset, _close, total_order_poset
+from .poset import FinitePoset, Subset, _close, _closure_result, total_order_poset
 
 DEFAULT_CAP = 10_000
 # Trial division of a prime near the cap takes ~0.2 s; near 10**14, over 1 s.
@@ -139,33 +140,31 @@ def gcud_closure(s) -> tuple[int, ...]:
     return _close(_clean_members(s), gcud, DEFAULT_CAP)
 
 
+def _divisibility_order(values, unitary: bool) -> FinitePoset:
+    members = _clean_members(values)
+    masks = []
+    for j, y in enumerate(members):
+        mask = 1 << j
+        for i in range(j):
+            if y % members[i] == 0 and (
+                not unitary or math.gcd(members[i], y // members[i]) == 1
+            ):
+                mask |= 1 << i
+        masks.append(mask)
+    return FinitePoset(tuple(masks), labels=members)
+
+
 def divisibility_poset(values) -> FinitePoset:
     """Distinct positive integers ordered by divisibility.
 
     Ascending integer labels are automatically a linear extension.
     """
-    members = _clean_members(values)
-    masks = []
-    for j, y in enumerate(members):
-        mask = 1 << j
-        for i in range(j):
-            if y % members[i] == 0:
-                mask |= 1 << i
-        masks.append(mask)
-    return FinitePoset(tuple(masks), labels=members)
+    return _divisibility_order(values, unitary=False)
 
 
 def unitary_divisibility_poset(values) -> FinitePoset:
     """Distinct positive integers ordered by unitary divisibility."""
-    members = _clean_members(values)
-    masks = []
-    for j, y in enumerate(members):
-        mask = 1 << j
-        for i in range(j):
-            if divides_unitarily(members[i], y):
-                mask |= 1 << i
-        masks.append(mask)
-    return FinitePoset(tuple(masks), labels=members)
+    return _divisibility_order(values, unitary=True)
 
 
 @dataclass(frozen=True)
@@ -190,15 +189,19 @@ def _check_cap(count: int, cap: int) -> None:
         raise DeskScaleError(f"universe of {count} elements is over the cap of {cap}")
 
 
-def divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
-    """Every divisor of every member, as a lattice under divisibility."""
+def _divisor_lattice(s, cap: int, unitary: bool) -> DivisorLattice:
     members = _clean_members(s)
     seen: set[int] = set()
     for x in members:
-        seen.update(divisors(x))
+        seen.update(unitary_divisors(x) if unitary else divisors(x))
     _check_cap(len(seen), cap)
     universe = tuple(sorted(seen))
-    return DivisorLattice(universe, divisibility_poset(universe))
+    return DivisorLattice(universe, _divisibility_order(universe, unitary))
+
+
+def divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
+    """Every divisor of every member, as a lattice under divisibility."""
+    return _divisor_lattice(s, cap, unitary=False)
 
 
 def lcm_up_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
@@ -224,13 +227,7 @@ def lcm_up_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
 
 def unitary_divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
     """Everything dividing a member unitarily, under unitary divisibility."""
-    members = _clean_members(s)
-    seen: set[int] = set()
-    for x in members:
-        seen.update(unitary_divisors(x))
-    _check_cap(len(seen), cap)
-    universe = tuple(sorted(seen))
-    return DivisorLattice(universe, unitary_divisibility_poset(universe))
+    return _divisor_lattice(s, cap, unitary=True)
 
 
 _TAGS = ("power", "reciprocal_power", "identity", "table")
@@ -289,15 +286,14 @@ _FAMILY_ALIASES = {"reciprocal_power_lcm": "power_lcm_reciprocal"}
 
 @dataclass(frozen=True)
 class MatrixModel:
-    """A named matrix plus the poset, subset, and function behind it.  The
-    matrix is built on first read and kept."""
+    """The poset, subset, kind and function of one request.  The meet or
+    join matrix is built on first read and kept.  ``function`` is None for
+    a poset given without one, which then has no matrix."""
 
-    family: str
     kind: str
     poset: FinitePoset
     subset: Subset
-    named: NamedFunction
-    function: PosetFunction
+    function: PosetFunction | None
 
     @cached_property
     def matrix(self) -> SymMatrix:
@@ -313,6 +309,19 @@ def normalize_family(family: str) -> str:
     return name
 
 
+# kind, function tag, closure op, order and canonical universe of each
+# integer family.
+_INTEGER_FAMILIES = {
+    "power_gcd": ("meet", "power", math.gcd, divisibility_poset, divisor_down_set),
+    "power_lcm_reciprocal": (
+        "join", "reciprocal_power", math.lcm, divisibility_poset, lcm_up_set
+    ),
+    "gcud_power": (
+        "meet", "power", gcud, unitary_divisibility_poset, unitary_divisor_down_set
+    ),
+}
+
+
 def build_named_matrix(
     family: str,
     s,
@@ -325,34 +334,23 @@ def build_named_matrix(
     ``ambient`` picks the universe the poset is built on: ``"closure"`` is
     the smallest set closed under the relevant meet or join, ``"canonical"``
     is the full divisor down-set (meet families) or the up-set below the
-    lcm (join families).  MIN and MAX read ``s`` as a chain under <=.
+    lcm (join families).  Either universe past ``cap`` elements raises
+    :class:`DeskScaleError`.  MIN and MAX read ``s`` as a chain under <=.
+    Under ``"closure"`` the poset is the closure of ``s``, and the model's
+    subset keeps it as its meet or join closure, so it is never built again.
     """
     name = normalize_family(family)
     if ambient not in ("closure", "canonical"):
         raise ValueError("ambient must be 'closure' or 'canonical'")
     members = _clean_members(s)
 
-    if name == "power_gcd":
-        kind = "meet"
-        named = NamedFunction("power", alpha)
+    if name in _INTEGER_FAMILIES:
+        kind, tag, op, order, universe = _INTEGER_FAMILIES[name]
+        named = NamedFunction(tag, alpha)
         if ambient == "closure":
-            poset = divisibility_poset(gcd_closure(members))
+            poset = order(_close(members, op, cap))
         else:
-            poset = divisor_down_set(members, cap).poset
-    elif name == "power_lcm_reciprocal":
-        kind = "join"
-        named = NamedFunction("reciprocal_power", alpha)
-        if ambient == "closure":
-            poset = divisibility_poset(lcm_closure(members))
-        else:
-            poset = lcm_up_set(members, cap).poset
-    elif name == "gcud_power":
-        kind = "meet"
-        named = NamedFunction("power", alpha)
-        if ambient == "closure":
-            poset = unitary_divisibility_poset(gcud_closure(members))
-        else:
-            poset = unitary_divisor_down_set(members, cap).poset
+            poset = universe(members, cap).poset
     else:
         kind = "meet" if name == "min" else "join"
         if _normalize_alpha(alpha) == 1:
@@ -362,4 +360,6 @@ def build_named_matrix(
         poset = total_order_poset(members)
 
     subset = Subset.of_labels(poset, members)
-    return MatrixModel(name, kind, poset, subset, named, named.bind(poset))
+    if ambient == "closure":
+        _closure_result(subset, tuple(range(poset.n)), kind)
+    return MatrixModel(kind, poset, subset, named.bind(poset))

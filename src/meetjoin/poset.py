@@ -133,9 +133,6 @@ class FinitePoset:
     def up_mask(self, i: int) -> int:
         return self._up[i]
 
-    def below(self, i: int) -> tuple[int, ...]:
-        return tuple(_bits(self._down[i]))
-
     def index_of(self, label) -> int:
         try:
             return self.labels.index(label)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from meetjoin import cli, det_general, eigen_sym, matrices, poset
+from meetjoin import cli, det_general, eigen_sym, matrices, numtheory, poset
 from meetjoin.cli import RunConfig, _encode, _resolve, main, run
 
 WORKED_POSET = {"generated_by": [6, 10, 15], "set": [6, 10, 15]}
@@ -78,7 +78,7 @@ def test_check_pd_det_is_the_same_on_every_route(tmp_path):
         assert code == 0
         body = json.loads(text)
         assert body["method"] == method
-        matrix = _resolve(config).build_matrix()
+        matrix = _resolve(config).matrix
         assert body["det"] == _encode(det_general(matrix))
         verdicts.append((body["verdict"], body["certificate"].get("minor_index")))
     assert verdicts[4:] == [
@@ -192,7 +192,7 @@ def test_float_check_pd_past_float_range():
         assert (body["verdict"], body["method"]) == ("positive-definite", "oracle")
         assert len(body["certificate"]["pivots"]) == n
         assert body["det"] is None and body["det_sign"] == 1
-        spectrum = eigen_sym(_resolve(config).build_matrix())
+        spectrum = eigen_sym(_resolve(config).matrix)
         log_det = math.fsum(math.log10(v) for v in spectrum.eigenvalues)
         assert math.isclose(body["det_log10"], log_det, rel_tol=1e-9)
 
@@ -430,6 +430,27 @@ def test_lcm_closure_over_cap_exits_two():
     error = json.loads(result.output)["error"]
     assert error["type"] == "DeskScaleError"
     assert error["message"] == "closure grew past the cap of 10000 elements"
+
+
+def test_closure_ambient_closes_the_set_once(monkeypatch):
+    # The lcm closure of the first 12 primes was built over the integers and
+    # then again over the poset built from it: two kernel runs, 7 s.
+    calls = 0
+    original = poset._close
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(poset, "_close", counted)
+    monkeypatch.setattr(numtheory, "_close", counted)
+    primes = "2,3,5,7,11,13,17,19,23,29,31,37"
+    code, text = run(RunConfig(command="closure", set_text=primes,
+                               family="reciprocal-power-lcm", ambient="closure"))
+    assert code == 0
+    assert len(json.loads(text)["members"]) == 2**12 - 1
+    assert calls == 1
 
 
 def test_exact_exponent_over_cap_exits_two():

@@ -20,16 +20,19 @@ from meetjoin import (
     gcud_closure,
     join,
     join_matrix,
+    join_closure,
     jordan_totient,
     lcm_closure,
     lcm_up_set,
     meet,
+    meet_closure,
     meet_matrix,
     normalize_family,
     unitary_divisibility_poset,
     unitary_divisor_down_set,
     unitary_divisors,
 )
+from meetjoin.poset import Subset
 
 
 def moebius_nt(m):
@@ -283,6 +286,37 @@ def test_build_canonical_ambient():
     assert set(closure.poset.labels) == {2, 4, 6}
     assert set(canonical.poset.labels) == {1, 2, 3, 4, 6}
     assert closure.matrix.entries == canonical.matrix.entries
+
+
+def test_closure_ambient_honours_cap():
+    # The closure ambient used DEFAULT_CAP whatever the caller gave and built
+    # a 1023-element poset here; the canonical ambient refused it.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    with pytest.raises(DeskScaleError, match="^closure grew past the cap of 16 elements$"):
+        build_named_matrix("reciprocal-power-lcm", primes, ambient="closure", cap=16)
+    with pytest.raises(
+        DeskScaleError, match="^universe of 1024 elements is over the cap of 16$"
+    ):
+        build_named_matrix("reciprocal-power-lcm", primes, ambient="canonical", cap=16)
+    assert build_named_matrix("reciprocal-power-lcm", primes, ambient="closure").poset.n == 1023
+
+
+def test_closure_ambient_keeps_the_kernel_closure():
+    # Under the closure ambient the poset is the closure of the set, and the
+    # subset keeps it: it equals a fresh closure run on a copy of the subset.
+    for family in ("power-gcd", "reciprocal-power-lcm", "gcud-power", "min", "max"):
+        for seed in range(12):
+            r = random.Random(seed)
+            members = r.sample(range(1, 300), r.randint(2, 8))
+            model = build_named_matrix(family, members, ambient="closure")
+            closure = meet_closure if model.kind == "meet" else join_closure
+            kept = model.subset.__dict__[f"_{model.kind}_closure"]
+            assert closure(model.subset) is kept
+            fresh = closure(Subset(model.poset, model.subset.members))
+            assert fresh is not kept
+            assert kept.subset.members == fresh.subset.members == tuple(range(model.poset.n))
+            assert kept.embed == fresh.embed
+            assert kept.closed == fresh.closed
 
 
 def test_family_normalization():

@@ -21,7 +21,7 @@ import click
 from .definiteness import classify_and_test, structure_flags
 from .errors import DeskScaleError, DuplicateError, MeetJoinError
 from .matrices import _float_pivots, det_general
-from .mobius import PosetFunction, phi, psi
+from .mobius import PosetFunction, _coerce, phi, psi
 from .numtheory import (
     DEFAULT_CAP,
     MatrixModel,
@@ -132,7 +132,9 @@ def parse_poset_file(path: str) -> tuple[FinitePoset, Subset]:
         default_set = tuple(sorted(set(gens)))
     else:
         n = data["n"]
-        if isinstance(n, int) and n > DEFAULT_CAP:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"{path}: n must be a positive integer")
+        if n > DEFAULT_CAP:
             raise DeskScaleError(
                 f"{path}: poset of {n} elements is over the cap of {DEFAULT_CAP}"
             )
@@ -156,8 +158,8 @@ def parse_poset_file(path: str) -> tuple[FinitePoset, Subset]:
 def parse_function_table(poset: FinitePoset, path: str) -> PosetFunction:
     """Read a label -> value table and bind it to the poset.
 
-    Values may be integers, "p/q" strings, or floats; every element of the
-    poset must be covered or MissingValueError names the gaps.
+    Values may be integers, "p/q" strings, or finite floats; every element
+    of the poset must be covered or MissingValueError names the gaps.
     """
     data = _load_json(path)
     if isinstance(data, dict) and isinstance(data.get("values"), dict):
@@ -174,7 +176,7 @@ def _parse_number(text: str):
     except ValueError:
         pass
     if "/" in s:
-        return Fraction(s)
+        return _coerce(s)
     return float(s)
 
 

@@ -22,12 +22,11 @@ from .errors import (
     PreconditionError,
 )
 from .matrices import SymMatrix, _float_pivots, join_matrix, leading_minors, meet_matrix
-from .mobius import PosetFunction, _exact_values, phi, psi
+from .mobius import PosetFunction, phi, psi
 from .poset import (
     ClosureResult,
     Subset,
     cover_graph,
-    down_set,
     is_A_set,
     is_chain,
     is_join_closed,
@@ -36,7 +35,6 @@ from .poset import (
     is_wedge_tree_set,
     join_closure,
     meet_closure,
-    up_set,
 )
 
 POSITIVE_DEFINITE = "positive-definite"
@@ -130,7 +128,9 @@ def pd_superset_sufficient(s: Subset, d, f: PosetFunction, kind: str = "meet") -
 
     If every mass of ``f`` over a meet closed superset ``d`` is positive, the
     meet matrix of ``s`` is positive definite (dually for join).  Nonpositive
-    masses prove nothing; the verdict is then ``not-applicable``.
+    masses prove nothing; the verdict is then ``not-applicable``.  The
+    closure of ``s`` is the strongest ``d``: positive masses over a larger
+    closed superset make its masses positive too.
     """
     if isinstance(d, ClosureResult):
         kind = d.kind
@@ -256,19 +256,20 @@ def classify_and_test(
     """Decide definiteness by the cheapest applicable rule.
 
     Every rule but the oracle reads the one closure of ``s``: the sign test
-    when it adds nothing, else positive masses over it and then over the
-    down-set (up-set); then the tree rule.  Without a closure only the minor
-    oracle, which always decides, is left.  A rule needing exact masses is
-    skipped when its own support holds floats.  ``method`` records the rule
-    that settled it.  The oracle runs on ``matrix`` when given, which must
-    be the meet (join) matrix of ``s`` and ``f``; else it assembles it.
+    when it adds nothing, else positive masses over it, which positive
+    masses over any larger closed superset would imply.  The tree rule runs
+    only on a closure holding floats, as on exact values its hypotheses make
+    the masses positive.  Without a closure only the minor oracle, which
+    always decides, is left.  ``method`` records the rule that settled it.
+    The oracle runs on ``matrix`` when given, which must be the meet (join)
+    matrix of ``s`` and ``f``; else it assembles it.
     """
     if kind not in ("meet", "join"):
         raise ValueError("kind must be 'meet' or 'join'")
     try:
         c = meet_closure(s) if kind == "meet" else join_closure(s)
     except (NoMeetError, NoJoinError):
-        c = None  # the missing meet (join) lies in the down-set (up-set) too
+        c = None  # then no closed superset exists and no tree rule applies
     if c is not None:
         try:
             if len(c.subset) == len(s):
@@ -276,19 +277,10 @@ def classify_and_test(
             report = _superset_masses(c.subset, f, kind)
             if report.verdict == POSITIVE_DEFINITE:
                 return report
-            wide = down_set(s) if kind == "meet" else up_set(s)
-            if len(wide) > len(c.subset):  # else it is the closure again
-                _exact_values(wide, f)  # cheaper than the closedness scan
-                is_closed = is_meet_closed if kind == "meet" else is_join_closed
-                if is_closed(wide):
-                    report = _superset_masses(wide, f, kind)
-                    if report.verdict == POSITIVE_DEFINITE:
-                        return report
-        except (ExactArithmeticError, NoMeetError, NoJoinError):
-            pass  # floats on a support, or no meet (join) in the down-set
-        report = pd_tree(s, f, kind)
-        if report.verdict == POSITIVE_DEFINITE:
-            return report
+        except ExactArithmeticError:  # floats on the closure
+            report = pd_tree(s, f, kind)
+            if report.verdict == POSITIVE_DEFINITE:
+                return report
     if matrix is None:
         matrix = meet_matrix(s, f) if kind == "meet" else join_matrix(s, f)
     return pd_oracle(matrix)

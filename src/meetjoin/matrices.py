@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotClosedError, NotSupersetError
-from .mobius import PosetFunction, phi, psi
+from .mobius import PosetFunction, _number, phi, psi
 from .poset import (
     FinitePoset,
     Subset,
@@ -29,20 +29,6 @@ from .poset import (
 )
 
 
-def _coerce_entry(value):
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a matrix entry")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("matrix entries must be finite")
-        return value
-    raise TypeError(f"unsupported matrix entry {value!r}")
-
-
 @dataclass(frozen=True)
 class SymMatrix:
     """An immutable symmetric matrix with rational or float entries."""
@@ -50,7 +36,7 @@ class SymMatrix:
     entries: tuple[tuple, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(_coerce_entry(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(_number(v) for v in row) for row in self.entries)
         n = len(rows)
         for row in rows:
             if len(row) != n:

@@ -13,6 +13,7 @@ Everything here runs in exact rational arithmetic; supplying floats raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,18 +26,31 @@ from .errors import (
 from .poset import FinitePoset, Subset, _bits
 
 
-def _coerce(value):
+def _number(value):
+    """An exact rational or a finite float, from an int, Fraction or float;
+    the one check for matrix entries and function values."""
     if isinstance(value, bool):
-        raise TypeError("boolean is not a function value")
+        raise TypeError("boolean is not a number")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"values must be finite, not {value!r}")
         return value
-    raise TypeError(f"unsupported function value {value!r}")
+    raise TypeError(f"unsupported value {value!r}")
+
+
+def _coerce(value):
+    """A function value or exponent: a number, or the rational a text such
+    as "p/q" spells."""
+    if not isinstance(value, str):
+        return _number(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} divides by zero") from None
 
 
 @dataclass(frozen=True)

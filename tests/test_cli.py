@@ -198,7 +198,7 @@ def test_float_check_pd_past_float_range():
 
 
 def test_mixed_values_gate_exactness_per_support(tmp_path):
-    # 7.5 lies outside the down-set of every set below, so the exact routes
+    # 7.5 lies outside the closure of every set below, so the exact routes
     # still decide although the function as a whole is not exact.
     values = {str(d): d for d in (1, 2, 3, 5, 6, 10, 15)}
     values["7"] = 7.5
@@ -528,6 +528,43 @@ def test_non_finite_numbers_give_an_error_reply(monkeypatch):
         body = strict(text)
         assert body["config"]["tol"] == str(tol)
         assert body["error"]["message"] == "tolerances must be positive and finite"
+
+
+def test_malformed_inputs_give_an_error_reply(tmp_path):
+    # "1/0", "0/0" and a values table holding "1/0" raised ZeroDivisionError
+    # out of run; "n": true passed as an int and gave a 1-element poset.
+    # inf and nan values used to reach a verdict; binding now refuses them.
+    write_json(tmp_path / "p.json", {"n": 3, "relation": [[1, 2], [2, 3]]})
+    write_json(tmp_path / "true.json", {"n": True})
+    alphas = {"1/0": "divides by zero", "0/0": "divides by zero",
+              "nan": "values must be finite, not nan",
+              "abc": None, "": None, "1e400": None}
+    cases = [
+        (RunConfig(command=command, set_text="6,10,15", alpha=alpha), fragment)
+        for alpha, fragment in alphas.items()
+        for command in ("check-pd", "bounds")
+    ]
+    cases.append((RunConfig(command="classify",
+                            poset_path=str(tmp_path / "true.json")),
+                  "n must be a positive integer"))
+    values = {'"1/0"': "divides by zero",
+              "Infinity": "values must be finite, not inf",
+              "-Infinity": "values must be finite, not -inf",
+              "NaN": "values must be finite, not nan"}
+    for k, (value, fragment) in enumerate(values.items()):
+        table = tmp_path / f"f{k}.json"
+        table.write_text('{"1": 1.0, "2": 2.0, "3": %s}' % value, encoding="utf-8")
+        cases.append((RunConfig(command="check-pd",
+                                poset_path=str(tmp_path / "p.json"),
+                                values_path=str(table)), fragment))
+    for config, fragment in cases:
+        code, text = run(config)
+        assert code in (1, 2), config
+        body = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+        assert set(body["error"]) == {"type", "message"}, config
+        if fragment is not None:
+            assert code == 1, config
+            assert fragment in body["error"]["message"], config
 
 
 def test_exponent_cap_on_poset_labels(tmp_path):

@@ -10,6 +10,7 @@ from meetjoin import (
     NOT_POSITIVE_DEFINITE,
     POSITIVE_DEFINITE,
     ClosureResult,
+    NoJoinError,
     NoMeetError,
     NotClosedError,
     NotSupersetError,
@@ -22,6 +23,7 @@ from meetjoin import (
     classify_and_test,
     divisor_down_set,
     down_set,
+    join_closure,
     join_matrix,
     meet_closure,
     meet_matrix,
@@ -33,11 +35,14 @@ from meetjoin import (
     pd_tree,
     structure_flags,
     total_order_poset,
+    up_set,
 )
 from support import (
     cofactor_det,
     leading_minors_positive,
+    random_divisor_lattice,
     random_function,
+    random_intersection_lattice,
     random_join_closed_subset,
     random_meet_closed_subset,
     random_monotone_function,
@@ -394,6 +399,106 @@ def test_classify_agrees_with_oracle_randomized():
             continue
         assert report.is_positive_definite == oracle.is_positive_definite
         done += 1
+    # both kinds, on monotone, float and mixed-value functions too; a dual
+    # poset turns trees into join-tree sets
+    rng = random.Random(7100)
+    done = Counter()
+    methods = Counter()
+    while len(done) < 8 or min(done.values()) < 60:
+        p = random_poset(rng)
+        if rng.random() < 0.5:
+            p = p.dual()
+        s = random_subset(rng, p)
+        kind = rng.choice(("meet", "join"))
+        style = rng.choice(("exact", "monotone", "float", "mixed"))
+        f = styled_function(rng, p, style, kind)
+        try:
+            report = classify_and_test(s, f, kind)
+            build = meet_matrix if kind == "meet" else join_matrix
+            oracle = pd_oracle(build(s, f))
+        except (NoMeetError, NoJoinError):
+            continue
+        assert report.is_positive_definite == oracle.is_positive_definite
+        done[kind, style] += 1
+        methods[report.method] += 1
+    assert set(methods) == {"T3.1", "T3.2", "C3.4", "C3.6", "T4.4", "oracle"}
+
+
+def styled_function(rng, p, style, kind):
+    """Exact random values, exact strictly monotone values (order-reversing
+    for join), or either one with all or about a third of its values made
+    floats."""
+    if style == "exact":
+        return random_function(rng, p)
+    f = random_monotone_function(rng, p, reverse=kind == "join")
+    if style == "monotone":
+        return f
+    if rng.random() < 0.5:
+        f = random_function(rng, p)
+    share = 1 if style == "float" else 0.3
+    return PosetFunction(
+        p, tuple(float(v) if rng.random() < share else v for v in f.values)
+    )
+
+
+def mass_function(rng, p, kind):
+    """Values summed from masses, mostly positive, over the principal
+    down-sets (meet) or up-sets (join) of the whole poset, so the masses
+    over every down-set (up-set) are the same ones and often positive."""
+    masses = [Fraction(rng.randint(-1, 6), rng.randint(1, 3)) for _ in range(p.n)]
+    below = p.leq if kind == "meet" else (lambda y, x: p.leq(x, y))
+    return PosetFunction(p, tuple(
+        sum((masses[y] for y in range(p.n) if below(y, x)), Fraction(0))
+        for x in range(p.n)
+    ))
+
+
+def test_closure_settles_the_down_set_and_tree_rules():
+    # Why classify_and_test tries neither rule after the closure's masses.
+    # (a) Let D be the closure and D' a larger closed superset.  Sending
+    # each y of D' below D to the meet of the members of D above it
+    # regroups the masses: psi_D(z) is the sum of the psi_D'(y) sent to z,
+    # so positive masses over D' give positive masses over D.
+    # (b) On a tree closure each principal down-set is a chain, so
+    # psi(x) = f(x) - f(x-), and T4.4's hypotheses make every mass positive.
+    rng = random.Random(713)
+    makers = (
+        random_poset,
+        random_intersection_lattice,
+        random_divisor_lattice,
+        lambda r: random_tree_poset(r, r.randint(2, 9)),
+    )
+    hits = Counter()
+    for _ in range(600):
+        p = rng.choice(makers)(rng)
+        kind = rng.choice(("meet", "join"))
+        if kind == "join" and rng.random() < 0.5:
+            p = p.dual()
+        s = random_subset(rng, p)
+        pick = rng.randrange(3)
+        if pick == 0:
+            f = random_function(rng, p)
+        elif pick == 1:
+            f = random_monotone_function(rng, p, reverse=kind == "join")
+        else:
+            f = mass_function(rng, p, kind)
+        try:
+            closure = meet_closure(s) if kind == "meet" else join_closure(s)
+        except (NoMeetError, NoJoinError):
+            continue
+        by_closure = pd_superset_sufficient(s, closure, f)
+        wide = down_set(s) if kind == "meet" else up_set(s)
+        try:
+            by_wide = pd_superset_sufficient(s, wide, f, kind)
+        except (NotClosedError, NoMeetError, NoJoinError):
+            by_wide = None
+        if by_wide is not None and by_wide.is_positive_definite:
+            hits["wide", len(wide) > len(closure.subset)] += 1
+            assert by_closure.is_positive_definite
+        if pd_tree(s, f, kind).is_positive_definite:
+            hits["tree"] += 1
+            assert by_closure.is_positive_definite
+    assert hits["wide", True] >= 50 and hits["tree"] >= 50, hits
 
 
 def test_structure_flags_none_when_undefined():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -234,6 +235,21 @@ def test_value_coercion():
     assert not g.is_exact
     with pytest.raises(TypeError):
         PosetFunction(p, (True, 1, 2))
+
+
+def test_non_finite_values_are_refused():
+    # With inf as a value, classify_and_test said positive-definite by T4.4
+    # and meet_bounds reported verified bounds ending in inf; nan passed the
+    # strict monotonicity probe.
+    p = total_order_poset((1, 2, 3))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            PosetFunction(p, (1.0, 2.0, bad))
+        with pytest.raises(ValueError, match="must be finite"):
+            PosetFunction.from_table(p, {"1": bad, "2": 2, "3": 3})
+    for text in ("1/0", "0/0"):
+        with pytest.raises(ValueError, match="divides by zero"):
+            PosetFunction(p, (1, 2, text))
 
 
 def test_monotonicity_probes():

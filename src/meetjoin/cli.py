@@ -28,9 +28,7 @@ from .numtheory import (
     NamedFunction,
     _normalize_alpha,
     build_named_matrix,
-    divisibility_poset,
     divisor_down_set,
-    divisors,
     normalize_family,
 )
 from .poset import FinitePoset, Subset, build_poset, join_closure, meet_closure
@@ -120,9 +118,9 @@ def parse_poset_file(path: str) -> tuple[FinitePoset, Subset]:
         m = data["divisors_of"]
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"{path}: divisors_of must be a positive integer")
-        universe = divisors(m)
-        poset = divisibility_poset(universe)
-        default_set = universe
+        lattice = divisor_down_set([m])
+        poset = lattice.poset
+        default_set = lattice.universe
     elif "generated_by" in data:
         gens = data["generated_by"]
         if not isinstance(gens, list) or not gens:
@@ -177,7 +175,10 @@ def _parse_number(text: str):
         pass
     if "/" in s:
         return _coerce(s)
-    return float(s)
+    value = float(s)
+    if math.isinf(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_int_set(text: str) -> list[int]:

@@ -11,11 +11,23 @@ and gcud closures run the poset closure kernel, ``poset._close``, on the
 integers themselves and raise :class:`DeskScaleError` as soon as one grows
 past its cap: ``DEFAULT_CAP`` elements, or the ``cap`` given to
 :func:`build_named_matrix`.
+
+Every integer order comes from one kernel, ``_divisibility_order``, which
+reads the relation off exponent vectors instead of testing the pairs.  The
+labels factor over a pairwise coprime base: the primes of the members for
+the canonical universes, whose factorizations they compute anyway, and
+otherwise a base refined from the inputs by gcds alone, so integers past
+``FACTOR_CAP`` still work.  Masks of the labels at each exponent of each
+base element give a label's down-set and up-set in a few big-integer
+operations per base element dividing it.  Divisibility is transitive by
+construction, so the poset skips the validation of the public
+``FinitePoset`` constructor, like ``dual()`` and ``restrict()`` do.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -23,7 +35,15 @@ from fractions import Fraction
 from .errors import DeskScaleError, DuplicateError
 from .matrices import SymMatrix, join_matrix, meet_matrix
 from .mobius import PosetFunction
-from .poset import FinitePoset, Subset, _close, _closure_result, total_order_poset
+from .poset import (
+    FinitePoset,
+    Subset,
+    _bits,
+    _close,
+    _closure_result,
+    _restore_poset,
+    total_order_poset,
+)
 
 DEFAULT_CAP = 10_000
 # Trial division of a prime near the cap takes ~0.2 s; near 10**14, over 1 s.
@@ -62,9 +82,15 @@ def divisors(m: int) -> tuple[int, ...]:
     return _expand_divisors(factorize(m))
 
 
+def _unitary_parts(factors: dict[int, int]) -> dict[int, int]:
+    """The whole prime powers, as coprime factors of exponent 1: their
+    divisors are the unitary divisors."""
+    return {p**e: 1 for p, e in factors.items()}
+
+
 def unitary_divisors(m: int) -> tuple[int, ...]:
     """Divisors ``d`` of ``m`` with ``gcd(d, m // d) == 1``, ascending."""
-    return tuple(d for d in divisors(m) if math.gcd(d, m // d) == 1)
+    return _expand_divisors(_unitary_parts(factorize(m)))
 
 
 def divides_unitarily(d: int, m: int) -> bool:
@@ -140,18 +166,122 @@ def gcud_closure(s) -> tuple[int, ...]:
     return _close(_clean_members(s), gcud, DEFAULT_CAP)
 
 
-def _divisibility_order(values, unitary: bool) -> FinitePoset:
-    members = _clean_members(values)
-    masks = []
-    for j, y in enumerate(members):
-        mask = 1 << j
-        for i in range(j):
-            if y % members[i] == 0 and (
-                not unitary or math.gcd(members[i], y // members[i]) == 1
-            ):
-                mask |= 1 << i
-        masks.append(mask)
-    return FinitePoset(tuple(masks), labels=members)
+def _coprime_base(values) -> tuple[int, ...]:
+    """Pairwise coprime integers above 1, ascending, over which every value
+    factors.  While a value shares a factor with the product of the base,
+    the first base element ``b`` it shares one with is divided out of it if
+    ``b`` divides it, and otherwise split with it into their gcd and the
+    two cofactors, which go back on the work list.  Only gcds, no trial
+    division, so integers of any size work."""
+    base: list[int] = []
+    product = 1
+    for x in values:
+        work = [x]
+        while work:
+            a = work.pop()
+            while a > 1 and math.gcd(a, product) > 1:
+                i, b = next((i, b) for i, b in enumerate(base) if math.gcd(a, b) > 1)
+                if a % b == 0:
+                    while a % b == 0:
+                        a //= b
+                else:
+                    del base[i]
+                    product //= b
+                    g = math.gcd(a, b)
+                    work += (g, b // g, a // g)
+                    a = 1
+            if a > 1:
+                insort(base, a)
+                product *= a
+    return tuple(base)
+
+
+def _exponents(y: int, base: tuple[int, ...], where: dict[int, int]):
+    """The exponent vector of ``y`` over the ascending coprime ``base``, as
+    ascending ``(index, exponent)`` pairs.  Once ``b * b`` passes what is
+    left, the rest is 1 or a single base element."""
+    vector = []
+    for k, b in enumerate(base):
+        if b * b > y:
+            break
+        if y % b == 0:
+            e = 0
+            while y % b == 0:
+                y //= b
+                e += 1
+            vector.append((k, e))
+    if y > 1:
+        vector.append((where[y], 1))
+    return vector
+
+
+def _divisibility_order(labels: tuple[int, ...], base: tuple[int, ...],
+                        unitary: bool) -> FinitePoset:
+    """Ascending distinct ``labels`` that factor over the coprime ``base``,
+    ordered by (unitary) divisibility, built from masks over their exponent
+    vectors instead of a scan of the pairs.
+
+    For base element ``k`` and exponent ``e``, ``level[k][e]`` holds the
+    labels with ``v_k = e``.  Then ``x | y`` when ``v_k(x) <= v_k(y)`` at
+    every ``k``, and ``x`` divides ``y`` unitarily when each ``v_k(x)`` is 0
+    or ``v_k(y)``.  The up-set of ``x`` is an AND over the support of ``x``;
+    the down-set of ``y`` is an AND over the support of ``y``, less the
+    labels divisible by a base element off that support, read from a
+    range-OR table over the base.  Each label costs O(support) mask
+    operations.  Divisibility is transitive and ascending labels are a
+    linear extension, so the poset is built without validation."""
+    n = len(labels)
+    full = (1 << n) - 1
+    where = {b: k for k, b in enumerate(base)}
+    vectors = [_exponents(y, base, where) for y in labels]
+    level: list[dict[int, int]] = [{} for _ in base]
+    for j, vector in enumerate(vectors):
+        for k, e in vector:
+            level[k][e] = level[k].get(e, 0) | 1 << j
+    below, above, divisible = [], [], []
+    for exact in level:
+        at_least, acc = {}, 0
+        for e in sorted(exact, reverse=True):
+            acc |= exact[e]
+            at_least[e] = acc
+        divisible.append(acc)
+        low = full ^ acc  # the labels this base element does not divide
+        if unitary:
+            below.append({e: mask | low for e, mask in exact.items()})
+            above.append(exact)
+        else:
+            at_most = {}
+            for e in sorted(exact):
+                low |= exact[e]
+                at_most[e] = low
+            below.append(at_most)
+            above.append(at_least)
+    # spans[t][i]: the labels divisible by one of base[i : i + 2**t].
+    spans = [divisible]
+    step = 1
+    while 2 * step <= len(base):
+        prev = spans[-1]
+        spans.append([prev[i] | prev[i + step] for i in range(len(prev) - step)])
+        step *= 2
+
+    def divisible_in(lo: int, hi: int) -> int:
+        if lo >= hi:
+            return 0
+        t = (hi - lo).bit_length() - 1
+        return spans[t][lo] | spans[t][hi - (1 << t)]
+
+    down, up = [], []
+    for vector in vectors:
+        d = u = full
+        off = lo = 0
+        for k, e in vector:
+            d &= below[k][e]
+            u &= above[k][e]
+            off |= divisible_in(lo, k)
+            lo = k + 1
+        down.append(d & ~(off | divisible_in(lo, len(base))))
+        up.append(u)
+    return _restore_poset(labels, None, tuple(down), tuple(up))
 
 
 def divisibility_poset(values) -> FinitePoset:
@@ -159,12 +289,14 @@ def divisibility_poset(values) -> FinitePoset:
 
     Ascending integer labels are automatically a linear extension.
     """
-    return _divisibility_order(values, unitary=False)
+    members = _clean_members(values)
+    return _divisibility_order(members, _coprime_base(members), unitary=False)
 
 
 def unitary_divisibility_poset(values) -> FinitePoset:
     """Distinct positive integers ordered by unitary divisibility."""
-    return _divisibility_order(values, unitary=True)
+    members = _clean_members(values)
+    return _divisibility_order(members, _coprime_base(members), unitary=True)
 
 
 @dataclass(frozen=True)
@@ -191,12 +323,14 @@ def _check_cap(count: int, cap: int) -> None:
 
 def _divisor_lattice(s, cap: int, unitary: bool) -> DivisorLattice:
     members = _clean_members(s)
+    factors = [factorize(x) for x in members]
     seen: set[int] = set()
-    for x in members:
-        seen.update(unitary_divisors(x) if unitary else divisors(x))
+    for f in factors:
+        seen.update(_expand_divisors(_unitary_parts(f) if unitary else f))
     _check_cap(len(seen), cap)
     universe = tuple(sorted(seen))
-    return DivisorLattice(universe, _divisibility_order(universe, unitary))
+    primes = tuple(sorted(set().union(*factors)))
+    return DivisorLattice(universe, _divisibility_order(universe, primes, unitary))
 
 
 def divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
@@ -208,7 +342,8 @@ def lcm_up_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
     """Multiples of some member that divide the lcm of all members.
 
     The lcm itself may be too large to factor comfortably, so its
-    factorization is merged from the members' instead.
+    factorization is merged from the members' instead.  The multiples are
+    the up-set of the members in the order on every divisor of the lcm.
     """
     members = _clean_members(s)
     merged: dict[int, int] = {}
@@ -219,10 +354,14 @@ def lcm_up_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
     for e in merged.values():
         count *= e + 1
     _check_cap(count, cap)
-    universe = tuple(
-        d for d in _expand_divisors(merged) if any(d % x == 0 for x in members)
-    )
-    return DivisorLattice(universe, divisibility_poset(universe))
+    primes = tuple(sorted(merged))
+    every = _divisibility_order(_expand_divisors(merged), primes, unitary=False)
+    above = 0
+    for x in members:
+        above |= every.up_mask(every.index_of(x))
+    universe = tuple(every.labels[j] for j in _bits(above))
+    poset = _divisibility_order(universe, primes, unitary=False)
+    return DivisorLattice(universe, poset)
 
 
 def unitary_divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
@@ -309,16 +448,12 @@ def normalize_family(family: str) -> str:
     return name
 
 
-# kind, function tag, closure op, order and canonical universe of each
-# integer family.
+# kind, function tag, closure op, whether the order is unitary divisibility,
+# and canonical universe of each integer family.
 _INTEGER_FAMILIES = {
-    "power_gcd": ("meet", "power", math.gcd, divisibility_poset, divisor_down_set),
-    "power_lcm_reciprocal": (
-        "join", "reciprocal_power", math.lcm, divisibility_poset, lcm_up_set
-    ),
-    "gcud_power": (
-        "meet", "power", gcud, unitary_divisibility_poset, unitary_divisor_down_set
-    ),
+    "power_gcd": ("meet", "power", math.gcd, False, divisor_down_set),
+    "power_lcm_reciprocal": ("join", "reciprocal_power", math.lcm, False, lcm_up_set),
+    "gcud_power": ("meet", "power", gcud, True, unitary_divisor_down_set),
 }
 
 
@@ -345,10 +480,11 @@ def build_named_matrix(
     members = _clean_members(s)
 
     if name in _INTEGER_FAMILIES:
-        kind, tag, op, order, universe = _INTEGER_FAMILIES[name]
+        kind, tag, op, unitary, universe = _INTEGER_FAMILIES[name]
         named = NamedFunction(tag, alpha)
         if ambient == "closure":
-            poset = order(_close(members, op, cap))
+            labels = _close(members, op, cap)
+            poset = _divisibility_order(labels, _coprime_base(members), unitary)
         else:
             poset = universe(members, cap).poset
     else:

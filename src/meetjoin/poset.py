@@ -3,7 +3,13 @@
 Every poset here is stored under a linear extension, so ``x_i`` below ``x_j``
 implies ``i <= j``.  That indexing convention is what makes the incidence
 factorizations and the recursive mass computations in the sibling modules
-triangular, and it is validated on every constructed instance.
+triangular.  The public constructor ``FinitePoset(down, ...)``, and so
+``from_leq``, ``build_poset`` and ``total_order_poset``, validates it along
+with reflexivity and transitivity.  Posets whose order holds by construction
+skip that check and go through ``_restore_poset``: ``dual()`` and
+``Subset.restrict()`` read their masks off a valid poset, unpickling and
+copying restore a valid one, and ``numtheory`` builds divisibility orders
+on ascending integers from exponent vectors.
 
 The relation is kept as one down-set bitmask per element, which keeps meets,
 covers and chain tests cheap at desk scale.  Each job is written for meets;
@@ -147,8 +153,8 @@ class FinitePoset:
             n = self.n
             down = tuple(_reverse_mask(mask, n) for mask in reversed(self._up))
             up = tuple(_reverse_mask(mask, n) for mask in reversed(self._down))
-            dual = object.__new__(FinitePoset)
-            dual._fill(n, self.labels[::-1], None, down, up, self)
+            dual = _restore_poset(self.labels[::-1], None, down, up)
+            object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
         return self._dual
 
@@ -178,6 +184,7 @@ def _up_masks(down: Sequence[int]) -> tuple[int, ...]:
 
 
 def _restore_poset(labels, source_order, down, up) -> FinitePoset:
+    """A poset from masks that are valid by construction, with no checks."""
     p = object.__new__(FinitePoset)
     p._fill(len(down), labels, source_order, down, up, None)
     return p

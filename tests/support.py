@@ -7,6 +7,7 @@ finite lattice), divisor lattices of random integers, and random rooted
 trees read as orders with the root at the bottom.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -175,6 +176,21 @@ def brute_join(p, i, j):
         return "common upper bound"
     least = [u for u in upper if all(p.leq(u, v) for v in upper)]
     return least[0] if least else "least common upper bound"
+
+
+def scan_divisibility_poset(values, unitary=False):
+    """Reference divisibility order: every pair tested with ``y % x``, and
+    ``gcd(x, y // x) == 1`` for unitary divisibility, then built through
+    the validating ``FinitePoset`` constructor."""
+    labels = tuple(sorted(values))
+    masks = []
+    for j, y in enumerate(labels):
+        mask = 1 << j
+        for i, x in enumerate(labels[:j]):
+            if y % x == 0 and (not unitary or math.gcd(x, y // x) == 1):
+                mask |= 1 << i
+        masks.append(mask)
+    return FinitePoset(masks, labels=labels)
 
 
 def rescan_closure(s, op):

@@ -534,11 +534,15 @@ def test_malformed_inputs_give_an_error_reply(tmp_path):
     # "1/0", "0/0" and a values table holding "1/0" raised ZeroDivisionError
     # out of run; "n": true passed as an int and gave a 1-element poset.
     # inf and nan values used to reach a verdict; binding now refuses them.
+    # --alpha 1e400 read as inf was refused as a DeskScaleError (exit 2).
     write_json(tmp_path / "p.json", {"n": 3, "relation": [[1, 2], [2, 3]]})
     write_json(tmp_path / "true.json", {"n": True})
     alphas = {"1/0": "divides by zero", "0/0": "divides by zero",
               "nan": "values must be finite, not nan",
-              "abc": None, "": None, "1e400": None}
+              "abc": None, "": None,
+              "1e400": "'1e400' is not a finite number",
+              "-1e400": "'-1e400' is not a finite number",
+              "inf": "'inf' is not a finite number"}
     cases = [
         (RunConfig(command=command, set_text="6,10,15", alpha=alpha), fragment)
         for alpha, fragment in alphas.items()

@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -32,7 +35,11 @@ from meetjoin import (
     unitary_divisor_down_set,
     unitary_divisors,
 )
+from meetjoin.cli import parse_poset_file
+from meetjoin.numtheory import FACTOR_CAP
 from meetjoin.poset import Subset
+
+from support import scan_divisibility_poset
 
 
 def moebius_nt(m):
@@ -333,3 +340,49 @@ def test_divisibility_poset_labels_ascend():
     assert p.labels == (1, 3, 5, 15)
     q = unitary_divisibility_poset((12, 1, 18))
     assert q.labels == (1, 12, 18)
+
+
+def test_divisibility_orders_match_the_pair_scan(tmp_path):
+    # Every integer order is read off exponent vectors and built without
+    # validation; each must equal the pair scan built through the public,
+    # validating constructor, and survive dual, pickle and copy.
+    rng = random.Random(1101)
+    cases = []
+    for _ in range(25):
+        s = rng.sample(range(1, 3000), rng.randint(1, 10))
+        cases += [(divisor_down_set(s).poset, False),
+                  (unitary_divisor_down_set(s).poset, True),
+                  (lcm_up_set(s[:4]).poset, False)]
+        u = divisors(720720)
+        cases += [(divisor_down_set(rng.sample(u, 12)).poset, False),
+                  (lcm_up_set(rng.sample(u, 12)).poset, False)]
+        for family, unitary in (("power_gcd", False), ("power_lcm_reciprocal", False),
+                                ("gcud_power", True)):
+            s = rng.sample(range(1, 400), rng.randint(2, 7))
+            model = build_named_matrix(family, s, ambient="closure")
+            cases.append((model.poset, unitary))
+        # Arbitrary values, past the factorization cap too, with 1 or without.
+        values = set(rng.sample(range(1, 10**15), rng.randint(1, 6)))
+        values |= {rng.randint(1, 40) * v for v in values}
+        values |= set(rng.sample(range(2, 500), rng.randint(1, 8)))
+        if rng.random() < 0.5:
+            values.add(1)
+        for unitary in (False, True):
+            make = unitary_divisibility_poset if unitary else divisibility_poset
+            cases.append((make(values), unitary))
+    assert any(max(p.labels) > FACTOR_CAP for p, _ in cases)
+    for k, data in enumerate(({"divisors_of": 720720}, {"divisors_of": 1},
+                              {"generated_by": [12, 18, 35, 1]},
+                              {"generated_by": [2**10, 3**6, 999983]})):
+        path = tmp_path / f"p{k}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        cases.append((parse_poset_file(str(path))[0], False))
+    for p, unitary in cases:
+        want = scan_divisibility_poset(p.labels, unitary)
+        assert p.labels == want.labels
+        assert p._down == want._down and p._up == want._up, p
+        assert p == want and hash(p) == hash(want)
+        assert p.dual() == want.dual() and p.dual()._up == want.dual()._up
+        assert p.dual().dual() is p
+        for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert clone == p and clone._up == p._up

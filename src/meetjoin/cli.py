@@ -285,10 +285,10 @@ def _flag_payload(subset: Subset) -> dict:
 
 def _closure_vector(model: MatrixModel, certificate: dict) -> dict | None:
     """The masses of f over the closure of the set, read off the
-    certificate when it holds them over exactly that closure."""
+    certificate when it holds them over exactly that closure.  None when
+    there is no closure or a value on it is a float; floats elsewhere on
+    the poset do not matter."""
     f = model.function
-    if not f.is_exact:
-        return None
     try:
         closed = _closure(model).subset
         labels = closed.labels

@@ -22,6 +22,10 @@ base element give a label's down-set and up-set in a few big-integer
 operations per base element dividing it.  Divisibility is transitive by
 construction, so the poset skips the validation of the public
 ``FinitePoset`` constructor, like ``dual()`` and ``restrict()`` do.
+
+One builder, ``_divisor_lattice``, lists the three canonical universes as
+unions of the members' intervals: their (unitary) divisors, or dually their
+multiples dividing the lcm.  The cap counts that union, not the lcm's divisors.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .mobius import PosetFunction
 from .poset import (
     FinitePoset,
     Subset,
-    _bits,
     _close,
     _closure_result,
     _restore_poset,
@@ -70,16 +73,17 @@ def factorize(m: int) -> dict[int, int]:
     return factors
 
 
-def _expand_divisors(factors: dict[int, int]) -> tuple[int, ...]:
-    out = [1]
+def _expand_divisors(factors: dict[int, int], start: int = 1) -> list[int]:
+    """``start`` times each divisor of the product of ``p**e``, unsorted."""
+    out = [start]
     for p, e in factors.items():
         out = [d * p**k for d in out for k in range(e + 1)]
-    return tuple(sorted(out))
+    return out
 
 
 def divisors(m: int) -> tuple[int, ...]:
     """All positive divisors of ``m``, ascending."""
-    return _expand_divisors(factorize(m))
+    return tuple(sorted(_expand_divisors(factorize(m))))
 
 
 def _unitary_parts(factors: dict[int, int]) -> dict[int, int]:
@@ -90,7 +94,7 @@ def _unitary_parts(factors: dict[int, int]) -> dict[int, int]:
 
 def unitary_divisors(m: int) -> tuple[int, ...]:
     """Divisors ``d`` of ``m`` with ``gcd(d, m // d) == 1``, ascending."""
-    return _expand_divisors(_unitary_parts(factorize(m)))
+    return tuple(sorted(_expand_divisors(_unitary_parts(factorize(m)))))
 
 
 def divides_unitarily(d: int, m: int) -> bool:
@@ -316,52 +320,53 @@ class DivisorLattice:
         return x in self.universe
 
 
-def _check_cap(count: int, cap: int) -> None:
+def _check_cap(count: int, cap: int, bound: str = "") -> None:
     if count > cap:
-        raise DeskScaleError(f"universe of {count} elements is over the cap of {cap}")
+        raise DeskScaleError(
+            f"universe of {bound}{count} elements is over the cap of {cap}"
+        )
 
 
-def _divisor_lattice(s, cap: int, unitary: bool) -> DivisorLattice:
+def _divisor_lattice(s, cap: int, unitary=False, above=False) -> DivisorLattice:
+    """The union of the members' intervals under (unitary) divisibility: the
+    (unitary) divisors of each member, or for ``above`` its multiples that
+    divide the lcm, ``x`` times the divisors of ``lcm / x``, with the lcm's
+    exponents read off the members' factorizations.  Members go from the top
+    down, or the bottom up for ``above``; one already in the union is
+    skipped, as by transitivity its interval is too.  An interval past
+    ``cap`` is refused before it is listed."""
     members = _clean_members(s)
-    factors = [factorize(x) for x in members]
+    factors = {x: factorize(x) for x in members}
+    top: dict[int, int] = {}
+    for f in factors.values():
+        for p, e in f.items():
+            if e > top.get(p, 0):
+                top[p] = e
     seen: set[int] = set()
-    for f in factors:
-        seen.update(_expand_divisors(_unitary_parts(f) if unitary else f))
+    for x, f in sorted(factors.items(), reverse=not above):
+        if x in seen:
+            continue
+        if above:
+            start, parts = x, {p: e - f.get(p, 0) for p, e in top.items()}
+        else:
+            start, parts = 1, _unitary_parts(f) if unitary else f
+        _check_cap(math.prod([e + 1 for e in parts.values()]), cap, "at least ")
+        seen.update(_expand_divisors(parts, start))
     _check_cap(len(seen), cap)
     universe = tuple(sorted(seen))
-    primes = tuple(sorted(set().union(*factors)))
+    primes = tuple(sorted(top))
     return DivisorLattice(universe, _divisibility_order(universe, primes, unitary))
 
 
 def divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
     """Every divisor of every member, as a lattice under divisibility."""
-    return _divisor_lattice(s, cap, unitary=False)
+    return _divisor_lattice(s, cap)
 
 
 def lcm_up_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
-    """Multiples of some member that divide the lcm of all members.
-
-    The lcm itself may be too large to factor comfortably, so its
-    factorization is merged from the members' instead.  The multiples are
-    the up-set of the members in the order on every divisor of the lcm.
-    """
-    members = _clean_members(s)
-    merged: dict[int, int] = {}
-    for x in members:
-        for p, e in factorize(x).items():
-            merged[p] = max(merged.get(p, 0), e)
-    count = 1
-    for e in merged.values():
-        count *= e + 1
-    _check_cap(count, cap)
-    primes = tuple(sorted(merged))
-    every = _divisibility_order(_expand_divisors(merged), primes, unitary=False)
-    above = 0
-    for x in members:
-        above |= every.up_mask(every.index_of(x))
-    universe = tuple(every.labels[j] for j in _bits(above))
-    poset = _divisibility_order(universe, primes, unitary=False)
-    return DivisorLattice(universe, poset)
+    """Multiples of some member that divide the lcm of all members, under
+    divisibility.  The lcm is never factorized, so it may be large."""
+    return _divisor_lattice(s, cap, above=True)
 
 
 def unitary_divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
@@ -369,21 +374,19 @@ def unitary_divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
     return _divisor_lattice(s, cap, unitary=True)
 
 
-_TAGS = ("power", "reciprocal_power", "identity", "table")
+_TAGS = ("power", "reciprocal_power", "identity")
 
 
 @dataclass(frozen=True)
 class NamedFunction:
     """A function of positive integers with a machine-readable tag.
 
-    ``power`` is ``n**alpha``, ``reciprocal_power`` is ``n**-alpha``,
-    ``identity`` is ``n`` itself, and ``table`` looks values up in an
-    explicit mapping.  Integral exponents are evaluated exactly.
+    ``power`` is ``n**alpha``, ``reciprocal_power`` is ``n**-alpha`` and
+    ``identity`` is ``n`` itself.  Integral exponents are evaluated exactly.
     """
 
     tag: str
     alpha: object = None
-    table: object = None
 
     def __post_init__(self):
         if self.tag not in _TAGS:
@@ -392,22 +395,16 @@ class NamedFunction:
             if self.alpha is None:
                 raise ValueError(f"{self.tag} needs an exponent")
             object.__setattr__(self, "alpha", _normalize_alpha(self.alpha))
-        if self.tag == "table" and self.table is None:
-            raise ValueError("table functions need a table")
 
     @property
     def is_exact(self) -> bool:
         if self.tag == "identity":
             return True
-        if self.tag == "table":
-            return all(not isinstance(v, float) for v in self.table.values())
         return isinstance(self.alpha, int)
 
     def evaluate(self, m: int):
         if self.tag == "identity":
             return Fraction(m)
-        if self.tag == "table":
-            return self.table[m]
         if isinstance(self.alpha, int):
             exponent = self.alpha if self.tag == "power" else -self.alpha
             return Fraction(m) ** exponent

@@ -213,6 +213,10 @@ def test_mixed_values_gate_exactness_per_support(tmp_path):
         assert code == 0
         body = json.loads(text)
         assert (body["verdict"], body["method"]) == ("positive-definite", method)
+        # psi was left out whenever any value was a float, even off the closure
+        certificate = body["certificate"]
+        assert body["psi"] == dict(zip(map(str, certificate["support"]),
+                                       certificate["masses"]))
     # a float inside the closure leaves only the tree rule and the oracle
     values["2"] = 2.5
     write_json(tmp_path / "f.json", values)
@@ -432,6 +436,15 @@ def test_lcm_closure_over_cap_exits_two():
     assert error["message"] == "closure grew past the cap of 10000 elements"
 
 
+def test_lcm_canonical_universe_is_capped_by_its_size():
+    # The up-set below the lcm has 575 elements; it was refused because the
+    # lcm has 32768 divisors.
+    result = invoke(["build", "--set", "223092870,2756205443",
+                     "--family", "reciprocal-power-lcm"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["labels"] == [223092870, 2756205443]
+
+
 def test_closure_ambient_closes_the_set_once(monkeypatch):
     # The lcm closure of the first 12 primes was built over the integers and
     # then again over the poset built from it: two kernel runs, 7 s.
@@ -551,6 +564,9 @@ def test_malformed_inputs_give_an_error_reply(tmp_path):
     cases.append((RunConfig(command="classify",
                             poset_path=str(tmp_path / "true.json")),
                   "n must be a positive integer"))
+    cases.append((RunConfig(command="build", poset_path=str(tmp_path / "p.json"),
+                            function_tag="table"),
+                  "unknown function tag 'table'"))
     values = {'"1/0"': "divides by zero",
               "Infinity": "values must be finite, not inf",
               "-Infinity": "values must be finite, not -inf",

@@ -196,6 +196,58 @@ def test_lcm_up_set_avoids_trial_division():
     assert min(mixed.poset.labels) == 3**12
 
 
+def test_canonical_universes_match_their_definitions():
+    # One interval builder serves all three canonical universes; each must
+    # list exactly the defining set and order it as the pair scan does, on
+    # sets with nested members and on antichains.
+    rng = random.Random(1201)
+    cases = []
+    for _ in range(20):
+        cases.append(rng.sample(range(1, 200), rng.randint(1, 5)))
+        top = rng.choice((720720, 2**4 * 3**3 * 5**2 * 7, 30030, 997 * 12))
+        chain = [rng.choice(divisors(top))]
+        for _ in range(rng.randint(1, 4)):
+            chain.append(rng.choice([d for d in divisors(top) if d % chain[-1] == 0]))
+        cases.append(sorted(set(chain) | set(rng.sample(divisors(top), 3))))
+        primes = rng.sample([2, 3, 5, 7, 11, 13, 17], 4)
+        cases.append([primes[0] * primes[1], primes[1] * primes[2],
+                      primes[2] * primes[3], primes[3] ** 2])
+    assert any(a != b and b % a == 0 for s in cases for a in s for b in s)
+    for s in cases:
+        lcm = math.lcm(*s)
+        want = {
+            lcm_up_set: {d for d in divisors(lcm) if any(d % x == 0 for x in s)},
+            divisor_down_set: {d for x in s for d in divisors(x)},
+            unitary_divisor_down_set: {d for x in s for d in unitary_divisors(x)},
+        }
+        for build, universe in want.items():
+            lat = build(s)
+            unitary = build is unitary_divisor_down_set
+            assert lat.universe == tuple(sorted(universe)), (build.__name__, s)
+            scan = scan_divisibility_poset(universe, unitary)
+            assert lat.poset == scan and hash(lat.poset) == hash(scan)
+            assert lat.poset._up == scan._up
+
+
+def test_lcm_up_set_counts_its_own_elements():
+    # The cap was checked against the 32768 divisors of the lcm, so this
+    # 575-element up-set was refused.
+    s = [223092870, 2756205443]
+    lat = lcm_up_set(s)
+    assert len(lat) == 575
+    lcm = math.lcm(*s)
+    assert lat.universe == tuple(sorted({x * d for x in s for d in divisors(lcm // x)}))
+    # The 2**19 multiples of 2 are refused before any is listed.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61, 67, 71]
+    start = time.perf_counter()
+    with pytest.raises(
+        DeskScaleError, match="^universe of at least 524288 elements is over the cap of 10000$"
+    ):
+        lcm_up_set(primes)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_desk_scale_cap():
     with pytest.raises(DeskScaleError):
         divisor_down_set([720720], cap=16)
@@ -297,12 +349,13 @@ def test_build_canonical_ambient():
 
 def test_closure_ambient_honours_cap():
     # The closure ambient used DEFAULT_CAP whatever the caller gave and built
-    # a 1023-element poset here; the canonical ambient refused it.
+    # a 1023-element poset here; the canonical ambient refused it.  Its up-set
+    # has 1023 elements too, and the 512 multiples of 2 alone pass the cap.
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     with pytest.raises(DeskScaleError, match="^closure grew past the cap of 16 elements$"):
         build_named_matrix("reciprocal-power-lcm", primes, ambient="closure", cap=16)
     with pytest.raises(
-        DeskScaleError, match="^universe of 1024 elements is over the cap of 16$"
+        DeskScaleError, match="^universe of at least 512 elements is over the cap of 16$"
     ):
         build_named_matrix("reciprocal-power-lcm", primes, ambient="canonical", cap=16)
     assert build_named_matrix("reciprocal-power-lcm", primes, ambient="closure").poset.n == 1023

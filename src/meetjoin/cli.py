@@ -21,7 +21,7 @@ import click
 from .definiteness import classify_and_test, structure_flags
 from .errors import DeskScaleError, DuplicateError, MeetJoinError
 from .matrices import _float_pivots, det_general
-from .mobius import PosetFunction, _coerce, phi, psi
+from .mobius import PosetFunction, _coerce, _masses
 from .numtheory import (
     DEFAULT_CAP,
     MatrixModel,
@@ -31,7 +31,7 @@ from .numtheory import (
     divisor_down_set,
     normalize_family,
 )
-from .poset import FinitePoset, Subset, build_poset, join_closure, meet_closure
+from .poset import FinitePoset, Subset, _closure, build_poset
 from .spectral import eigen_sym, join_bounds, meet_bounds
 
 # Digits allowed in the product of the diagonal entries ``x**|alpha|`` once an
@@ -274,10 +274,6 @@ def _resolve(config: RunConfig) -> MatrixModel:
     return MatrixModel(kind, poset, subset, function)
 
 
-def _closure(model: MatrixModel):
-    return (meet_closure if model.kind == "meet" else join_closure)(model.subset)
-
-
 def _flag_payload(subset: Subset) -> dict:
     flags = structure_flags(subset)
     return {name: flags[name] for name in sorted(flags)}
@@ -290,14 +286,12 @@ def _closure_vector(model: MatrixModel, certificate: dict) -> dict | None:
     the poset do not matter."""
     f = model.function
     try:
-        closed = _closure(model).subset
+        closed = _closure(model.subset, model.kind).subset
         labels = closed.labels
         if certificate.get("support") == labels and "masses" in certificate:
             values = certificate["masses"]
-        elif model.kind == "meet":
-            values = psi(closed, f).values
         else:
-            values = phi(closed, f).values
+            values = _masses(closed, f, model.kind).values
     except MeetJoinError:
         return None
     return {str(lb): _encode(v) for lb, v in zip(labels, values)}
@@ -355,7 +349,7 @@ def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
         }
 
     if config.command == "closure":
-        result = _closure(model)
+        result = _closure(model.subset, model.kind)
         original = set(model.subset.members)
         added = [m for m in result.subset.members if m not in original]
         return 0, {
@@ -383,10 +377,8 @@ def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
         return 0, payload
 
     if config.command == "bounds":
-        if model.kind == "meet":
-            bounds = meet_bounds(model.subset, model.function)
-        else:
-            bounds = join_bounds(model.subset, model.function)
+        side_bounds = meet_bounds if model.kind == "meet" else join_bounds
+        bounds = side_bounds(model.subset, model.function)
         spectrum = eigen_sym(model.matrix, tol=config.tol)
         rows = bounds.table(spectrum, slack=config.slack)
         payload = {

@@ -21,11 +21,14 @@ from .errors import (
     NotSupersetError,
     PreconditionError,
 )
-from .matrices import SymMatrix, _float_pivots, join_matrix, leading_minors, meet_matrix
-from .mobius import PosetFunction, phi, psi
+from .matrices import SymMatrix, _float_pivots, _matrix, leading_minors, meet_matrix
+from .mobius import PosetFunction, _masses
 from .poset import (
     ClosureResult,
     Subset,
+    _closure,
+    _is_closed,
+    _kind,
     cover_graph,
     is_A_set,
     is_chain,
@@ -33,8 +36,6 @@ from .poset import (
     is_meet_closed,
     is_vee_tree_set,
     is_wedge_tree_set,
-    join_closure,
-    meet_closure,
 )
 
 POSITIVE_DEFINITE = "positive-definite"
@@ -84,7 +85,7 @@ def pd_oracle(m: SymMatrix, tol=0) -> PDReport:
 def _sign_test(s: Subset, f: PosetFunction, kind: str) -> PDReport:
     method = "T3.1" if kind == "meet" else "T3.2"
     try:
-        closed = is_meet_closed(s) if kind == "meet" else is_join_closed(s)
+        closed = _is_closed(s, kind)
     except (NoMeetError, NoJoinError) as exc:
         return PDReport(NOT_APPLICABLE, method, {"reason": str(exc)})
     if not closed:
@@ -97,7 +98,7 @@ def _sign_test(s: Subset, f: PosetFunction, kind: str) -> PDReport:
 def _signs(s: Subset, f: PosetFunction, kind: str) -> PDReport:
     """The sign test on a set that is its own closure."""
     method = "T3.1" if kind == "meet" else "T3.2"
-    vec = psi(s, f) if kind == "meet" else phi(s, f)
+    vec = _masses(s, f, kind)
     cert = {"kind": kind, "masses": vec.values, "support": s.labels}
     bad = [k for k, value in enumerate(vec.values) if not value > 0]
     if bad:
@@ -135,8 +136,7 @@ def pd_superset_sufficient(s: Subset, d, f: PosetFunction, kind: str = "meet") -
     if isinstance(d, ClosureResult):
         kind = d.kind
         d = d.subset
-    if kind not in ("meet", "join"):
-        raise ValueError("kind must be 'meet' or 'join'")
+    _kind(kind)
     if s.parent != d.parent:
         raise ValueError("both subsets must share one ambient poset")
     dmask = d.member_mask()
@@ -145,8 +145,7 @@ def pd_superset_sufficient(s: Subset, d, f: PosetFunction, kind: str = "meet") -
         raise NotSupersetError(
             "superset does not contain: " + ", ".join(map(str, outside))
         )
-    closed = is_meet_closed(d) if kind == "meet" else is_join_closed(d)
-    if not closed:
+    if not _is_closed(d, kind):
         raise NotClosedError(f"the superset is not {kind} closed")
     return _superset_masses(d, f, kind)
 
@@ -154,7 +153,7 @@ def pd_superset_sufficient(s: Subset, d, f: PosetFunction, kind: str = "meet") -
 def _superset_masses(d: Subset, f: PosetFunction, kind: str) -> PDReport:
     """C3.4/C3.6 on a superset ``d`` known to be closed and to cover the set."""
     method = "C3.4" if kind == "meet" else "C3.6"
-    vec = psi(d, f) if kind == "meet" else phi(d, f)
+    vec = _masses(d, f, kind)
     cert = {"kind": kind, "masses": vec.values, "support": d.labels}
     nonpositive = tuple(k for k, v in enumerate(vec.values) if not v > 0)
     if nonpositive:
@@ -171,26 +170,18 @@ def pd_tree(s: Subset, f: PosetFunction, kind: str = "meet") -> PDReport:
     with ``f`` positive and strictly order-reversing on the join closure.
     Any failed hypothesis yields ``not-applicable`` naming the failure.
     """
-    if kind not in ("meet", "join"):
-        raise ValueError("kind must be 'meet' or 'join'")
     try:
-        c = meet_closure(s) if kind == "meet" else join_closure(s)
+        c = _closure(s, kind)
     except (NoMeetError, NoJoinError) as exc:
         return PDReport(NOT_APPLICABLE, "T4.4", {"failed_hypothesis": str(exc)})
     tree = is_wedge_tree_set(s) if kind == "meet" else is_vee_tree_set(s)
     if not tree:
         reason = f"the set is not a {kind}-tree set"
         return PDReport(NOT_APPLICABLE, "T4.4", {"failed_hypothesis": reason})
-    if kind == "meet":
-        monotone = f.is_order_preserving(strict=True, within=c.subset)
-        requirement = "strictly order-preserving on the meet closure"
-    else:
-        monotone = f.is_order_reversing(strict=True, within=c.subset)
-        requirement = "strictly order-reversing on the join closure"
-    if not monotone:
-        return PDReport(
-            NOT_APPLICABLE, "T4.4", {"failed_hypothesis": f"f is not {requirement}"}
-        )
+    if not f._monotone(kind, strict=True, within=c.subset):
+        word = "preserving" if kind == "meet" else "reversing"
+        reason = f"f is not strictly order-{word} on the {kind} closure"
+        return PDReport(NOT_APPLICABLE, "T4.4", {"failed_hypothesis": reason})
     if not f.is_positive(within=c.subset):
         return PDReport(
             NOT_APPLICABLE,
@@ -199,8 +190,7 @@ def pd_tree(s: Subset, f: PosetFunction, kind: str = "meet") -> PDReport:
         )
     cert = {"kind": kind, "support": c.subset.labels}
     try:
-        vec = psi(c.subset, f) if kind == "meet" else phi(c.subset, f)
-        cert["masses"] = vec.values
+        cert["masses"] = _masses(c.subset, f, kind).values
     except ExactArithmeticError:
         cert["hypotheses_only"] = True
     return PDReport(POSITIVE_DEFINITE, "T4.4", cert)
@@ -264,10 +254,8 @@ def classify_and_test(
     The oracle runs on ``matrix`` when given, which must be the meet (join)
     matrix of ``s`` and ``f``; else it assembles it.
     """
-    if kind not in ("meet", "join"):
-        raise ValueError("kind must be 'meet' or 'join'")
     try:
-        c = meet_closure(s) if kind == "meet" else join_closure(s)
+        c = _closure(s, kind)
     except (NoMeetError, NoJoinError):
         c = None  # then no closed superset exists and no tree rule applies
     if c is not None:
@@ -282,5 +270,5 @@ def classify_and_test(
             if report.verdict == POSITIVE_DEFINITE:
                 return report
     if matrix is None:
-        matrix = meet_matrix(s, f) if kind == "meet" else join_matrix(s, f)
+        matrix = _matrix(s, f, kind)
     return pd_oracle(matrix)

@@ -17,16 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotClosedError, NotSupersetError
-from .mobius import PosetFunction, _number, phi, psi
-from .poset import (
-    FinitePoset,
-    Subset,
-    _as_join,
-    _mirror,
-    is_join_closed,
-    is_meet_closed,
-    meet,
-)
+from .mobius import PosetFunction, _masses, _number, phi, psi
+from .poset import FinitePoset, Subset, _as_join, _is_closed, _kind, _mirror, meet
 
 
 @dataclass(frozen=True)
@@ -131,24 +123,22 @@ def join_matrix(s: Subset, f: PosetFunction) -> SymMatrix:
         return _meet_entries(s.parent.dual(), _mirror(s), f.dual().values)
 
 
+def _matrix(s: Subset, f: PosetFunction, kind: str) -> SymMatrix:
+    return meet_matrix(s, f) if _kind(kind) == "meet" else join_matrix(s, f)
+
+
 def incidence_matrix(s: Subset, d: Subset, kind: str = "meet") -> IncMatrix:
     """0/1 pattern relating members of ``s`` to members of ``d``.
 
     For ``kind="meet"`` entry ``(i, j)`` marks ``d_j`` below ``x_i``; for
     ``kind="join"`` it marks ``d_j`` above ``x_i``.
     """
-    if kind not in ("meet", "join"):
-        raise ValueError("kind must be 'meet' or 'join'")
+    related = s.parent.down_mask if _kind(kind) == "meet" else s.parent.up_mask
     if s.parent != d.parent:
         raise ValueError("both subsets must share one ambient poset")
-    p = s.parent
-    bits = []
-    for x in s.members:
-        if kind == "meet":
-            bits.append(tuple(1 if p.leq(dj, x) else 0 for dj in d.members))
-        else:
-            bits.append(tuple(1 if p.leq(x, dj) else 0 for dj in d.members))
-    return IncMatrix(len(s.members), len(d.members), tuple(bits))
+    masks = map(related, s.members)
+    bits = tuple(tuple(mask >> dj & 1 for dj in d.members) for mask in masks)
+    return IncMatrix(len(s.members), len(d.members), bits)
 
 
 def _require_covering(p: FinitePoset, xs, dmask: int, word: str) -> None:
@@ -204,8 +194,7 @@ def factored_join_matrix(s: Subset, b: Subset, f: PosetFunction) -> SymMatrix:
 
 def mass_diagonal(d: Subset, f: PosetFunction, kind: str = "meet") -> DiagMatrix:
     """The diagonal factor of the incidence factorization."""
-    vec = psi(d, f) if kind == "meet" else phi(d, f)
-    return DiagMatrix(vec.values)
+    return DiagMatrix(_masses(d, f, kind).values)
 
 
 def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
@@ -215,12 +204,9 @@ def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
     determinant is the product of the bottom-up masses; dually with the
     top-down masses on a join closed set.
     """
-    if kind not in ("meet", "join"):
-        raise ValueError("kind must be 'meet' or 'join'")
-    if not (is_meet_closed(s) if kind == "meet" else is_join_closed(s)):
+    if not _is_closed(s, kind):
         raise NotClosedError(f"the set is not {kind} closed")
-    masses = psi(s, f) if kind == "meet" else phi(s, f)
-    return math.prod(masses.values, start=Fraction(1))
+    return math.prod(_masses(s, f, kind).values, start=Fraction(1))
 
 
 def leading_minors(m: SymMatrix, swap: bool = False):

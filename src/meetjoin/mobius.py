@@ -23,7 +23,7 @@ from .errors import (
     ExactArithmeticError,
     MissingValueError,
 )
-from .poset import FinitePoset, Subset, _bits
+from .poset import FinitePoset, Subset, _bits, _kind
 
 
 def _number(value):
@@ -134,6 +134,12 @@ class PosetFunction:
         ``f`` preserves the order dual."""
         dual_within = None if within is None else within.dual()
         return self.dual().is_order_preserving(strict, dual_within)
+
+    def _monotone(self, kind: str, strict: bool = False, within: Subset | None = None) -> bool:
+        """Order-preserving for a meet matrix, order-reversing for a join one."""
+        if _kind(kind) == "meet":
+            return self.is_order_preserving(strict, within)
+        return self.is_order_reversing(strict, within)
 
     def is_positive(self, within: Subset | None = None) -> bool:
         return all(self.values[i] > 0 for i in self._domain(within))
@@ -272,3 +278,8 @@ def phi(b: Subset, f: PosetFunction) -> PhiVector:
     if not vec.resums_to(f):
         raise CharacterizationMismatch("phi masses do not re-sum to f")
     return vec
+
+
+def _masses(d: Subset, f: PosetFunction, kind: str) -> _Masses:
+    """The masses of a meet matrix (``psi``) or of a join one (``phi``)."""
+    return psi(d, f) if _kind(kind) == "meet" else phi(d, f)

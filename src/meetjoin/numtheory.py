@@ -37,13 +37,14 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import DeskScaleError, DuplicateError
-from .matrices import SymMatrix, join_matrix, meet_matrix
+from .matrices import SymMatrix, _matrix
 from .mobius import PosetFunction
 from .poset import (
     FinitePoset,
     Subset,
     _close,
     _closure_result,
+    _kind,
     _restore_poset,
     total_order_poset,
 )
@@ -320,10 +321,10 @@ class DivisorLattice:
         return x in self.universe
 
 
-def _check_cap(count: int, cap: int, bound: str = "") -> None:
+def _check_cap(count: int, cap: int) -> None:
     if count > cap:
         raise DeskScaleError(
-            f"universe of {bound}{count} elements is over the cap of {cap}"
+            f"universe of at least {count} elements is over the cap of {cap}"
         )
 
 
@@ -334,7 +335,8 @@ def _divisor_lattice(s, cap: int, unitary=False, above=False) -> DivisorLattice:
     exponents read off the members' factorizations.  Members go from the top
     down, or the bottom up for ``above``; one already in the union is
     skipped, as by transitivity its interval is too.  An interval past
-    ``cap`` is refused before it is listed."""
+    ``cap`` is refused before it is listed, and the union as soon as it
+    passes ``cap``, so at most ``cap`` plus one interval is listed."""
     members = _clean_members(s)
     factors = {x: factorize(x) for x in members}
     top: dict[int, int] = {}
@@ -350,9 +352,9 @@ def _divisor_lattice(s, cap: int, unitary=False, above=False) -> DivisorLattice:
             start, parts = x, {p: e - f.get(p, 0) for p, e in top.items()}
         else:
             start, parts = 1, _unitary_parts(f) if unitary else f
-        _check_cap(math.prod([e + 1 for e in parts.values()]), cap, "at least ")
+        _check_cap(math.prod([e + 1 for e in parts.values()]), cap)
         seen.update(_expand_divisors(parts, start))
-    _check_cap(len(seen), cap)
+        _check_cap(len(seen), cap)
     universe = tuple(sorted(seen))
     primes = tuple(sorted(top))
     return DivisorLattice(universe, _divisibility_order(universe, primes, unitary))
@@ -424,17 +426,20 @@ _FAMILY_ALIASES = {"reciprocal_power_lcm": "power_lcm_reciprocal"}
 class MatrixModel:
     """The poset, subset, kind and function of one request.  The meet or
     join matrix is built on first read and kept.  ``function`` is None for
-    a poset given without one, which then has no matrix."""
+    a poset given without one, which then has no matrix.  A ``kind`` other
+    than ``"meet"`` or ``"join"`` raises :class:`ValueError`."""
 
     kind: str
     poset: FinitePoset
     subset: Subset
     function: PosetFunction | None
 
+    def __post_init__(self):
+        _kind(self.kind)
+
     @cached_property
     def matrix(self) -> SymMatrix:
-        build = meet_matrix if self.kind == "meet" else join_matrix
-        return build(self.subset, self.function)
+        return _matrix(self.subset, self.function, self.kind)
 
 
 def normalize_family(family: str) -> str:

@@ -13,8 +13,10 @@ on ascending integers from exponent vectors.
 
 The relation is kept as one down-set bitmask per element, which keeps meets,
 covers and chain tests cheap at desk scale.  Each job is written for meets;
-the join side runs it on the cached order dual.  One kernel, ``_close``,
-builds every closure, of poset indices here and of integers in
+the join side runs it on the cached order dual.  ``_kind`` is the one check
+of a meet/join switch, and ``_closure`` and ``_is_closed`` pick a side's
+routine, as ``mobius._masses`` and ``matrices._matrix`` do.  One kernel,
+``_close``, builds every closure, of poset indices here and of integers in
 ``numtheory``: it combines each pair of the closure once and raises
 :class:`DeskScaleError` once the set passes a cap.  All types are immutable
 apart from their caches of duals, closures and tree-set answers, and all
@@ -494,6 +496,17 @@ def join_closure(s: Subset) -> ClosureResult:
     return kept
 
 
+def _kind(kind: str) -> str:
+    """The one check of a meet/join switch: ``kind`` itself, or ValueError."""
+    if kind not in ("meet", "join"):
+        raise ValueError("kind must be 'meet' or 'join'")
+    return kind
+
+
+def _closure(s: Subset, kind: str) -> ClosureResult:
+    return meet_closure(s) if _kind(kind) == "meet" else join_closure(s)
+
+
 def _meets_inside(p: FinitePoset, members: Sequence[int]) -> bool:
     mask = sum(1 << m for m in members)
     for a in range(len(members)):
@@ -512,6 +525,10 @@ def is_join_closed(s: Subset) -> bool:
     """True when every pairwise join of members is itself a member."""
     with _as_join():
         return _meets_inside(s.parent.dual(), _mirror(s))
+
+
+def _is_closed(s: Subset, kind: str) -> bool:
+    return is_meet_closed(s) if _kind(kind) == "meet" else is_join_closed(s)
 
 
 def down_set(s: Subset) -> Subset:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .matrices import SymMatrix
 from .mobius import PosetFunction
-from .poset import Subset, join_closure, meet_closure
+from .poset import Subset, _closure, _kind
 
 _EPS = 2.0 ** -52
 
@@ -289,23 +289,20 @@ def reindex_monotone(s: Subset, f: PosetFunction, direction: str = "increasing")
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
-    if direction == "increasing":
-        closure = meet_closure(s)
-        if not f.is_order_preserving(within=closure.subset):
-            raise MonotonicityError("f is not order-preserving on the meet closure")
-    else:
-        closure = join_closure(s)
-        if not f.is_order_reversing(within=closure.subset):
-            raise MonotonicityError("f is not order-reversing on the join closure")
-    order = _value_order(s, f, direction)
+    kind = "meet" if direction == "increasing" else "join"
+    if not f._monotone(kind, within=_closure(s, kind).subset):
+        word = "preserving" if kind == "meet" else "reversing"
+        raise MonotonicityError(f"f is not order-{word} on the {kind} closure")
+    order = _value_order(s, f, kind)
     relisted = Subset(s.parent, tuple(s.members[t] for t in order))
     return relisted, tuple(order)
 
 
-def _value_order(s: Subset, f: PosetFunction, direction: str) -> list[int]:
+def _value_order(s: Subset, f: PosetFunction, kind: str) -> list[int]:
+    """Positions by ascending value for a meet matrix, descending for join."""
     def key(t: int):
         v = float(f.values[s.members[t]])
-        return (v if direction == "increasing" else -v, t)
+        return (v if kind == "meet" else -v, t)
 
     return sorted(range(len(s.members)), key=key)
 
@@ -314,18 +311,14 @@ def _bounds(s: Subset, f: PosetFunction, kind: str, strict: bool) -> BoundsRepor
     nonnegative = False
     monotone = False
     try:
-        closure = meet_closure(s) if kind == "meet" else join_closure(s)
+        closure = _closure(s, kind)
     except (NoMeetError, NoJoinError):
         closure = None
     if closure is not None:
         nonnegative = f.is_nonnegative(within=closure.subset)
-        if kind == "meet":
-            monotone = f.is_order_preserving(within=closure.subset)
-        else:
-            monotone = f.is_order_reversing(within=closure.subset)
+        monotone = f._monotone(kind, within=closure.subset)
 
-    direction = "increasing" if kind == "meet" else "decreasing"
-    order = _value_order(s, f, direction)
+    order = _value_order(s, f, kind)
     try:
         relisted = Subset(s.parent, tuple(s.members[t] for t in order))
         index_monotone = True
@@ -384,8 +377,7 @@ def quadratic_form_check(m: SymMatrix, y, k: int, kind: str = "meet") -> float:
     coordinates, for the join case in the last ``k``; anything else raises
     :class:`SupportError`.  The value is real for symmetric ``M``.
     """
-    if kind not in ("meet", "join"):
-        raise ValueError("kind must be 'meet' or 'join'")
+    _kind(kind)
     n = m.n
     ys = [complex(v) for v in y]
     if len(ys) != n:

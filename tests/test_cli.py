@@ -373,6 +373,22 @@ def test_kind_must_match_family():
     assert "join" in json.loads(result.output)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["build", "check-pd", "bounds", "classify", "closure"])
+def test_unknown_kind_exits_one(tmp_path, monkeypatch, command):
+    # "Meet" was read as join: build returned the lcm matrix labelled
+    # "Meet", closure and classify exited 0, bounds 2, and check-pd built
+    # the lcm matrix before it exited 1.  The model refuses it unbuilt.
+    calls = count_assembly(monkeypatch)
+    write_json(tmp_path / "p.json", {"divisors_of": 12})
+    code, text = run(RunConfig(command=command, poset_path=str(tmp_path / "p.json"),
+                               function_tag="identity", kind="Meet"))
+    assert code == 1
+    assert json.loads(text)["error"] == {
+        "type": "ValueError", "message": "kind must be 'meet' or 'join'",
+    }
+    assert calls == []
+
+
 def test_tolerances_must_be_positive():
     result = invoke(["bounds", "--set", "2,3", "--family",
                      "reciprocal-power-lcm", "--tol", "0"])

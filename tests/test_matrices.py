@@ -24,8 +24,10 @@ from meetjoin import (
     incidence_matrix,
     join_closure,
     join_matrix,
+    mass_diagonal,
     meet_closure,
     meet_matrix,
+    phi,
     up_set,
 )
 from meetjoin.matrices import _float_pivots, leading_minors
@@ -39,6 +41,19 @@ from support import (
     random_rational,
     random_subset,
 )
+
+
+def test_an_unknown_kind_is_refused():
+    # mass_diagonal read any kind but "meet" as join: "bogus" gave the phi
+    # masses.
+    p = divisibility_poset(divisors(12))
+    s = Subset.whole(p)
+    f = PosetFunction(p, p.labels)
+    calls = (mass_diagonal, det_closed, lambda s, f, kind: incidence_matrix(s, s, kind))
+    for call in calls:
+        with pytest.raises(ValueError, match="^kind must be 'meet' or 'join'$"):
+            call(s, f, "bogus")
+    assert mass_diagonal(s, f, "join").diagonal == phi(s, f).values
 
 
 def test_meet_matrix_is_gcd_table():

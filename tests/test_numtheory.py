@@ -11,6 +11,7 @@ import pytest
 from meetjoin import (
     DeskScaleError,
     DuplicateError,
+    MatrixModel,
     NamedFunction,
     build_named_matrix,
     divides_unitarily,
@@ -36,7 +37,8 @@ from meetjoin import (
     unitary_divisors,
 )
 from meetjoin.cli import parse_poset_file
-from meetjoin.numtheory import FACTOR_CAP
+from meetjoin import numtheory
+from meetjoin.numtheory import DEFAULT_CAP, FACTOR_CAP
 from meetjoin.poset import Subset
 
 from support import scan_divisibility_poset
@@ -246,6 +248,39 @@ def test_lcm_up_set_counts_its_own_elements():
     ):
         lcm_up_set(primes)
     assert time.perf_counter() - start < 1.0
+
+
+def test_lcm_up_set_stops_listing_once_the_union_passes_the_cap(monkeypatch):
+    # Each of the 14 intervals of 2**13 multiples fits the cap, and the
+    # union was checked only once complete: 114688 integers were listed
+    # before the 16383-element universe was refused.
+    listed = []
+    original = numtheory._expand_divisors
+
+    def counted(*args):
+        out = original(*args)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(numtheory, "_expand_divisors", counted)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+    with pytest.raises(
+        DeskScaleError, match="^universe of at least 12288 elements is over the cap of 10000$"
+    ):
+        lcm_up_set(primes)
+    assert sum(listed) <= DEFAULT_CAP + 2**13
+
+
+def test_matrix_model_refuses_an_unknown_kind():
+    # Any kind but "meet" was read as join: the model assembled an lcm
+    # matrix labelled with the unknown kind.
+    lattice = divisor_down_set([12])
+    subset = Subset.whole(lattice.poset)
+    f = NamedFunction("identity").bind(lattice.poset)
+    for kind in ("x", "Meet", None):
+        with pytest.raises(ValueError, match="^kind must be 'meet' or 'join'$"):
+            MatrixModel(kind, lattice.poset, subset, f)
+    assert MatrixModel("join", lattice.poset, subset, f).matrix == join_matrix(subset, f)
 
 
 def test_desk_scale_cap():

@@ -139,13 +139,17 @@ def parse_poset_file(path: str) -> tuple[FinitePoset, Subset]:
         relation = data.get("relation", [])
         if not isinstance(relation, list):
             raise ValueError(f"{path}: relation must be a list of pairs")
-        pairs = []
+        # type(), not isinstance(): JSON true and false load as bools, ints too.
         for entry in relation:
-            if not isinstance(entry, list) or len(entry) != 2:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(type(v) is int for v in entry)):
                 raise ValueError(f"{path}: relation entries must be [i, j] pairs")
-            pairs.append((entry[0], entry[1]))
         labels = data.get("labels")
-        poset = build_poset(n, pairs, labels=tuple(labels) if labels else None)
+        if "labels" in data and not (
+            isinstance(labels, list) and all(type(lb) in (int, str) for lb in labels)
+        ):
+            raise ValueError(f"{path}: labels must be a list of strings or integers")
+        poset = build_poset(n, relation, labels=labels)
         default_set = poset.labels
     chosen = data.get("set", list(default_set))
     if not isinstance(chosen, list) or not chosen:

@@ -54,12 +54,17 @@ DEFAULT_CAP = 10_000
 FACTOR_CAP = 10**12
 
 
+def _positive(m) -> int:
+    """``m`` itself when it is a positive integer (not a bool), else ValueError."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"not a positive integer: {m!r}")
+    return m
+
+
 def factorize(m: int) -> dict[int, int]:
     """Prime factorization by trial division, for ``m`` up to ``FACTOR_CAP``;
     larger integers raise :class:`DeskScaleError`."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"not a positive integer: {m!r}")
-    if m > FACTOR_CAP:
+    if _positive(m) > FACTOR_CAP:
         raise DeskScaleError(f"{m} is over the factorization cap of {FACTOR_CAP}")
     factors: dict[int, int] = {}
     rest = m
@@ -103,12 +108,15 @@ def divides_unitarily(d: int, m: int) -> bool:
 
 
 def gcud(a: int, b: int) -> int:
-    """Greatest common unitary divisor, by scanning the common ones.
-
-    1 divides everything unitarily, so the scan never comes up empty.
-    """
-    common = set(unitary_divisors(a)) & set(unitary_divisors(b))
-    return max(common)
+    """Greatest common unitary divisor, by gcds alone: the prime powers of
+    ``gcd(a, b)`` with the same exponent in both.  While ``d`` and ``m // d``
+    share a prime, its exponent in ``d`` is short of the one in ``m``, and
+    dividing out ``gcd(d, m // d)`` drives it down to 0."""
+    d = math.gcd(_positive(a), _positive(b))
+    for m in (a, b):
+        while (g := math.gcd(d, m // d)) != 1:
+            d //= g
+    return d
 
 
 def _normalize_alpha(alpha):
@@ -149,8 +157,7 @@ def _clean_members(s) -> tuple[int, ...]:
     if not members:
         raise ValueError("need at least one integer")
     for x in members:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"not a positive integer: {x!r}")
+        _positive(x)
     if len(set(members)) != len(members):
         raise DuplicateError("integer sets must have distinct members")
     return tuple(sorted(members))

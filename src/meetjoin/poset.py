@@ -4,12 +4,12 @@ Every poset here is stored under a linear extension, so ``x_i`` below ``x_j``
 implies ``i <= j``.  That indexing convention is what makes the incidence
 factorizations and the recursive mass computations in the sibling modules
 triangular.  The public constructor ``FinitePoset(down, ...)``, and so
-``from_leq``, ``build_poset`` and ``total_order_poset``, validates it along
-with reflexivity and transitivity.  Posets whose order holds by construction
-skip that check and go through ``_restore_poset``: ``dual()`` and
-``Subset.restrict()`` read their masks off a valid poset, unpickling and
-copying restore a valid one, and ``numtheory`` builds divisibility orders
-on ascending integers from exponent vectors.
+``from_leq``, validates it along with reflexivity and transitivity.  Posets
+whose order holds by construction skip that check and go through
+``_restore_poset``: ``dual()`` and ``Subset.restrict()`` read their masks
+off a valid poset, unpickling and copying restore one, ``build_poset`` (so
+``total_order_poset`` too) closes checked input along the extension it
+finds, and ``numtheory`` builds divisibility orders from exponent vectors.
 
 The relation is kept as one down-set bitmask per element, which keeps meets,
 covers and chain tests cheap at desk scale.  Each job is written for meets;
@@ -112,21 +112,14 @@ class FinitePoset:
 
     @classmethod
     def from_leq(cls, rows: Sequence[Sequence[bool]], labels=None) -> "FinitePoset":
-        """Build from a full boolean relation matrix (already index-compatible)."""
-        masks = []
-        for row in rows:
-            mask = 0
-            for j, flag in enumerate(row):
-                if flag:
-                    mask |= 1 << j
-            masks.append(mask)
-        n = len(masks)
-        down = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if (masks[i] >> j) & 1:
-                    down[j] |= 1 << i
-        return cls(down, labels=labels)
+        """Build from a full, square boolean relation matrix (index-compatible)."""
+        n = len(rows)
+        up = []
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"row {i} has {len(row)} entries, not {n}")
+            up.append(sum(1 << j for j, flag in enumerate(row) if flag))
+        return cls(_up_masks(up), labels=labels)
 
     def leq(self, i: int, j: int) -> bool:
         """True when ``x_i`` is below or equal to ``x_j``."""
@@ -197,67 +190,62 @@ def build_poset(n: int, relation: Iterable[tuple[int, int]], labels=None) -> Fin
 
     ``relation`` contains pairs ``(a, b)`` meaning element ``a`` is below
     element ``b``; both are 1-based positions in the input ordering, matching
-    the on-disk poset format.  The reflexive-transitive closure is taken, a
-    cycle raises :class:`CycleError`, and elements are re-indexed along a
-    linear extension (stable sort by height, then input position).  The input
-    position of each element survives in ``source_order`` and, when no labels
-    are given, as the default label.
-    """
+    the on-disk poset format.  One topological pass (Kahn's, a height at a
+    time) finds any cycle (:class:`CycleError`) and re-indexes the elements
+    by longest-chain height, then input position.  Along that extension each
+    down-set ORs in its direct predecessors' and, from the top, each up-set
+    its direct successors': O(n + pairs) big-int ORs, valid by construction.
+    The input position of each element survives in ``source_order`` and,
+    when no labels are given, as the default label."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    down = [1 << i for i in range(n)]
+    below: list[list[int]] = [[] for _ in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
     for a, b in relation:
         if not (1 <= a <= n and 1 <= b <= n):
             raise IndexError(f"pair ({a}, {b}) out of range for n={n}")
-        down[b - 1] |= 1 << (a - 1)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(n):
-            acc = down[j]
-            for i in _bits(acc):
-                acc |= down[i]
-            if acc != down[j]:
-                down[j] = acc
-                changed = True
-    for j in range(n):
-        for i in _bits(down[j]):
-            if i != j and (down[i] >> j) & 1:
-                raise CycleError(f"elements {i + 1} and {j + 1} lie on a cycle")
-
-    # Longest-chain height; popcount of the down-set gives a topological order.
-    topo = sorted(range(n), key=lambda j: down[j].bit_count())
-    height = [0] * n
-    for j in topo:
-        best = 0
-        for i in _bits(down[j]):
-            if i != j:
-                best = max(best, height[i] + 1)
-        height[j] = best
-    order = sorted(range(n), key=lambda j: (height[j], j))
-    position = [0] * n
-    for new, old in enumerate(order):
-        position[old] = new
-    new_down = [0] * n
-    for old_j, mask in enumerate(down):
-        acc = 0
-        for old_i in _bits(mask):
-            acc |= 1 << position[old_i]
-        new_down[position[old_j]] = acc
-    if labels is not None:
-        labels = list(labels)
-        if len(labels) != n:
-            raise ValueError("labels length must match n")
-        new_labels = tuple(labels[old] for old in order)
-    else:
-        new_labels = tuple(old + 1 for old in order)
-    return FinitePoset(new_down, labels=new_labels, source_order=tuple(order))
+        if a != b:
+            below[b - 1].append(a - 1)
+            above[a - 1].append(b - 1)
+    waiting = [len(preds) for preds in below]
+    order: list[int] = []
+    level = [j for j in range(n) if not waiting[j]]
+    while level:
+        order += level
+        for i in level:
+            for j in above[i]:
+                waiting[j] -= 1
+        level = sorted({j for i in level for j in above[i] if not waiting[j]})
+    if len(order) < n:
+        # Every element left has a predecessor left: walk down until one repeats.
+        step, path = next(j for j in range(n) if waiting[j]), {}
+        while step not in path:
+            path[step] = len(path)
+            step = min(i for i in below[step] if waiting[i])
+        first, second = sorted(list(path)[path[step]:])[:2]
+        raise CycleError(f"elements {second + 1} and {first + 1} lie on a cycle")
+    labels = list(range(1, n + 1) if labels is None else labels)
+    if len(labels) != n:
+        raise ValueError("labels length must match n")
+    if len(set(labels)) != n:
+        raise DuplicateError("labels must be unique")
+    down, up = [0] * n, [0] * n
+    for k, j in enumerate(order):
+        down[j] = 1 << k
+        for i in below[j]:
+            down[j] |= down[i]
+    for k, i in reversed(list(enumerate(order))):
+        up[i] = 1 << k
+        for j in above[i]:
+            up[i] |= up[j]
+    labels, down, up = (tuple(xs[j] for j in order) for xs in (labels, down, up))
+    return _restore_poset(labels, tuple(order), down, up)
 
 
 def total_order_poset(labels: Sequence) -> FinitePoset:
     """The chain whose i-th element sits below every later one."""
     n = len(labels)
-    return FinitePoset([(1 << (i + 1)) - 1 for i in range(n)], labels=tuple(labels))
+    return build_poset(n, [(i, i + 1) for i in range(1, n)], labels)
 
 
 @dataclass(frozen=True)

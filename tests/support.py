@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from meetjoin import (
+    CycleError,
     FinitePoset,
     PosetFunction,
     Subset,
@@ -20,7 +21,9 @@ from meetjoin import (
     divisors,
     join_closure,
     meet_closure,
+    unitary_divisors,
 )
+from meetjoin.poset import _bits
 
 
 def random_intersection_lattice(rng: random.Random, ground: int = 4,
@@ -191,6 +194,73 @@ def scan_divisibility_poset(values, unitary=False):
                 mask |= 1 << i
         masks.append(mask)
     return FinitePoset(masks, labels=labels)
+
+
+def fixpoint_closure(n, relation):
+    """Reference closure of generating pairs, cycles included: each
+    element's down-set mask in input positions, swept until nothing
+    changes."""
+    down = [1 << i for i in range(n)]
+    for a, b in relation:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise IndexError(f"pair ({a}, {b}) out of range for n={n}")
+        down[b - 1] |= 1 << (a - 1)
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n):
+            acc = down[j]
+            for i in _bits(acc):
+                acc |= down[i]
+            if acc != down[j]:
+                down[j] = acc
+                changed = True
+    return down
+
+
+def fixpoint_build_poset(n, relation, labels=None):
+    """Reference ``build_poset``: the fixpoint closure, a scan of every pair
+    for a cycle, heights from down-sets taken in popcount order, a bit remap
+    to the linear extension and the validating ``FinitePoset`` constructor."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    down = fixpoint_closure(n, relation)
+    for j in range(n):
+        for i in _bits(down[j]):
+            if i != j and (down[i] >> j) & 1:
+                raise CycleError(f"elements {i + 1} and {j + 1} lie on a cycle")
+    topo = sorted(range(n), key=lambda j: down[j].bit_count())
+    height = [0] * n
+    for j in topo:
+        best = 0
+        for i in _bits(down[j]):
+            if i != j:
+                best = max(best, height[i] + 1)
+        height[j] = best
+    order = sorted(range(n), key=lambda j: (height[j], j))
+    position = [0] * n
+    for new, old in enumerate(order):
+        position[old] = new
+    new_down = [0] * n
+    for old_j, mask in enumerate(down):
+        acc = 0
+        for old_i in _bits(mask):
+            acc |= 1 << position[old_i]
+        new_down[position[old_j]] = acc
+    if labels is not None:
+        labels = list(labels)
+        if len(labels) != n:
+            raise ValueError("labels length must match n")
+        new_labels = tuple(labels[old] for old in order)
+    else:
+        new_labels = tuple(old + 1 for old in order)
+    return FinitePoset(new_down, labels=new_labels, source_order=tuple(order))
+
+
+def scan_gcud(a, b):
+    """Reference gcud: the largest unitary divisor the two share, from
+    their factorizations."""
+    return max(set(unitary_divisors(a)) & set(unitary_divisors(b)))
 
 
 def rescan_closure(s, op):

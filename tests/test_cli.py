@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -601,6 +602,43 @@ def test_malformed_inputs_give_an_error_reply(tmp_path):
         if fragment is not None:
             assert code == 1, config
             assert fragment in body["error"]["message"], config
+
+
+def test_malformed_poset_files_are_refused(tmp_path):
+    # Each was read as something else: "abc" as the labels a, b, c, an empty
+    # list as the default labels, and true as the position 1.
+    files = {
+        "labels": {"n": 3, "relation": [[1, 2]], "labels": "abc"},
+        "labels length": {"n": 3, "relation": [[1, 2]], "labels": []},
+        "labels must": {"n": 2, "labels": [True, False]},
+        "relation entries": {"n": 3, "relation": [[True, 2]]},
+    }
+    for k, (field, data) in enumerate(files.items()):
+        write_json(tmp_path / f"p{k}.json", data)
+        result = invoke(["classify", "--poset", str(tmp_path / f"p{k}.json")])
+        assert result.exit_code == 1, data
+        error = json.loads(result.output)["error"]
+        assert error["type"] == "ValueError"
+        assert field in error["message"], data
+
+
+def test_long_chain_file_closes_fast(tmp_path):
+    # Listed against its order; closing the relation took 17.8 s.
+    n = 3000
+    write_json(tmp_path / "p.json", {"n": n, "relation": [[i + 1, i] for i in range(1, n)],
+                                     "set": [1, 2, 3]})
+    start = time.perf_counter()
+    result = invoke(["closure", "--poset", str(tmp_path / "p.json")])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    assert json.loads(result.output)["members"] == [3, 2, 1]
+
+
+def test_gcud_closure_past_the_factorization_cap():
+    # The closure ambient needs no factorization; gcud used to factorize.
+    result = invoke(["check-pd", "--set", "10000000000000,6",
+                     "--family", "gcud-power", "--ambient", "closure"])
+    assert result.exit_code == 0, result.output
 
 
 def test_exponent_cap_on_poset_labels(tmp_path):

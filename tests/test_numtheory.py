@@ -38,6 +38,7 @@ from meetjoin import (
 )
 from meetjoin.cli import parse_poset_file
 from meetjoin import numtheory
+from support import scan_gcud
 from meetjoin.numtheory import DEFAULT_CAP, FACTOR_CAP
 from meetjoin.poset import Subset
 
@@ -137,6 +138,32 @@ def test_gcud_properties():
         for d in unitary_divisors(a):
             if d > g:
                 assert not divides_unitarily(d, b)
+
+
+def test_gcud_matches_the_unitary_divisor_scan():
+    rng = random.Random(1403)
+    for _ in range(600):
+        shared = math.prod(p ** rng.randint(0, 2) for p in (2, 3, 5, 7))
+        a = shared * math.prod(p ** rng.randint(0, 2) for p in (2, 3, 11))
+        b = shared * math.prod(p ** rng.randint(0, 2) for p in (3, 5, 13))
+        for x, y in ((a, b), (rng.randint(1, 5000), rng.randint(1, 5000))):
+            assert gcud(x, y) == scan_gcud(x, y), (x, y)
+    for bad in (0, -4, True, 2.0, "6"):
+        with pytest.raises(ValueError, match="not a positive integer"):
+            gcud(bad, 6)
+        with pytest.raises(ValueError, match="not a positive integer"):
+            gcud(6, bad)
+
+
+def test_gcud_needs_no_factorization():
+    big = 2**60 * 10**9 + 1
+    assert gcud(big * 3, big * 9) == big
+    assert gcud(2**60 * 3**2 * 5, 2**60 * 3 * 7) == 2**60
+    members = [10**12 + k for k in (3, 7, 9, 13, 21, 39)]
+    start = time.perf_counter()
+    closure = gcud_closure(members)
+    assert time.perf_counter() - start < 0.2
+    assert set(members) < set(closure)
 
 
 def test_gcud_is_meet_in_unitary_poset():

@@ -3,6 +3,8 @@ import dataclasses
 import math
 import pickle
 import random
+import re
+import time
 
 import pytest
 
@@ -37,6 +39,8 @@ from meetjoin import (
 )
 from support import (
     brute_join,
+    fixpoint_build_poset,
+    fixpoint_closure,
     forked_meet_tree,
     random_intersection_lattice,
     random_poset,
@@ -84,6 +88,87 @@ def test_pair_out_of_range():
 def test_duplicate_labels_rejected():
     with pytest.raises(DuplicateError):
         build_poset(2, [(1, 2)], labels=("a", "a"))
+
+
+def _seeded_relation(rng, n, cyclic):
+    """Pairs of a hidden order listed in random order, against the input
+    positions, with duplicates and self-pairs; ``cyclic`` adds back edges."""
+    rank = rng.sample(range(n), n)
+    relation = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                if rank[a - 1] < rank[b - 1] and rng.random() < 0.3]
+    relation += [(a, a) for a in range(1, n + 1) if rng.random() < 0.1]
+    relation += rng.sample(relation, min(len(relation), rng.randint(0, 3)))
+    if cyclic:
+        relation += [tuple(rng.sample(range(1, n + 1), 2))
+                     for _ in range(rng.randint(1, 3))]
+    rng.shuffle(relation)
+    return relation
+
+
+def test_build_poset_matches_the_fixpoint_reference():
+    rng = random.Random(1401)
+    for _ in range(2400):
+        n = rng.randint(1, 10)
+        relation = _seeded_relation(rng, n, cyclic=False)
+        labels = None
+        if rng.random() < 0.5:
+            labels = [f"x{k}" for k in rng.sample(range(50), n)]
+        p = build_poset(n, relation, labels=labels)
+        q = fixpoint_build_poset(n, relation, labels=labels)
+        assert (p._down, p._up, p.labels, p.source_order) == (
+            q._down, q._up, q.labels, q.source_order
+        ), (n, relation)
+        assert p == q and hash(p) == hash(q)
+
+
+def test_cycle_error_names_two_elements_on_one_cycle():
+    rng = random.Random(1402)
+    cyclic = 0
+    for _ in range(1500):
+        n = rng.randint(2, 10)
+        relation = _seeded_relation(rng, n, cyclic=True)
+        try:
+            fixpoint_build_poset(n, relation)
+        except CycleError:
+            cyclic += 1
+        else:
+            build_poset(n, relation)
+            continue
+        with pytest.raises(CycleError) as err:
+            build_poset(n, relation)
+        match = re.fullmatch(r"elements (\d+) and (\d+) lie on a cycle",
+                             str(err.value))
+        a, b = int(match[1]) - 1, int(match[2]) - 1
+        down = fixpoint_closure(n, relation)
+        assert a != b and (down[a] >> b) & 1 and (down[b] >> a) & 1, relation
+    assert cyclic > 500
+
+
+def test_long_chains_build_fast():
+    # The fixpoint closure took 17.8 s for a 3000-element chain file.
+    n = 3000
+    for relation in ([(i, i + 1) for i in range(1, n)],
+                     [(i + 1, i) for i in range(1, n)]):
+        start = time.perf_counter()
+        p = build_poset(n, relation)
+        assert time.perf_counter() - start < 1
+        assert p.down_mask(n - 1) == (1 << n) - 1 and p.up_mask(0) == (1 << n) - 1
+        assert p.labels == tuple(sorted(p.labels, reverse=relation[0][0] > 1))
+    # The validating constructor took 5.2 s on this chain.
+    start = time.perf_counter()
+    chain = total_order_poset(range(n))
+    assert time.perf_counter() - start < 1
+    assert chain.labels == tuple(range(n)) and chain.down_mask(n - 1) == (1 << n) - 1
+
+
+def test_from_leq_refuses_rows_of_the_wrong_length():
+    chain = FinitePoset.from_leq([[True, True], [False, True]], labels="ab")
+    assert chain == total_order_poset("ab")
+    for rows in ([[True, True, True], [False, True]],
+                 [[True, True], [False]],
+                 [[True], [False, True]]):
+        with pytest.raises(ValueError, match="entries, not 2"):
+            FinitePoset.from_leq(rows)
 
 
 def test_meet_join_match_gcd_lcm():

@@ -180,7 +180,7 @@ def _parse_number(text: str):
     if "/" in s:
         return _coerce(s)
     value = float(s)
-    if math.isinf(value):
+    if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
 

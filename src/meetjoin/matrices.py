@@ -15,10 +15,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotClosedError, NotSupersetError
 from .mobius import PosetFunction, _masses, _number, phi, psi
-from .poset import FinitePoset, Subset, _as_join, _is_closed, _kind, _mirror, meet
+from .poset import (FinitePoset, Subset, _as_join, _bits, _is_closed, _kind,
+                    _mirror, _pair_meets)
 
 
 @dataclass(frozen=True)
@@ -30,20 +32,21 @@ class SymMatrix:
     def __post_init__(self):
         rows = tuple(tuple(_number(v) for v in row) for row in self.entries)
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        # A mismatch left of i ends an earlier row; tuple comparison skips
+        # the entry objects both triangles share.
+        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+            if row != col:
+                j = next(j for j in range(i + 1, n) if row[j] != col[j])
+                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
         object.__setattr__(self, "entries", rows)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for row in self.entries for v in row)
 
@@ -102,11 +105,11 @@ def _check_same_parent(s: Subset, f: PosetFunction) -> None:
 
 def _meet_entries(p: FinitePoset, ms, values) -> SymMatrix:
     n = len(ms)
-    rows = [[None] * n for _ in range(n)]
+    rows = [[values[m]] * n for m in ms]  # the diagonal: meet(x, x) = x
+    meets = _pair_meets(p, ms)
     for i in range(n):
-        for j in range(i, n):
-            value = values[meet(p, ms[i], ms[j])]
-            rows[i][j] = rows[j][i] = value
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = values[next(meets)]
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 
@@ -143,11 +146,9 @@ def incidence_matrix(s: Subset, d: Subset, kind: str = "meet") -> IncMatrix:
 
 def _require_covering(p: FinitePoset, xs, dmask: int, word: str) -> None:
     missing = [p.labels[m] for m in xs if not (dmask >> m) & 1]
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            v = meet(p, xs[a], xs[b])
-            if not (dmask >> v) & 1 and p.labels[v] not in missing:
-                missing.append(p.labels[v])
+    for v in _pair_meets(p, xs):
+        if not (dmask >> v) & 1 and p.labels[v] not in missing:
+            missing.append(p.labels[v])
     if missing:
         raise NotSupersetError(
             f"reference set must contain the members and their {word}; "
@@ -161,13 +162,8 @@ def _factored(masses, inc: IncMatrix) -> SymMatrix:
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = Fraction(0)
-            shared = row_masks[i] & row_masks[j]
-            while shared:
-                low = shared & -shared
-                acc += masses[low.bit_length() - 1]
-                shared ^= low
-            rows[i][j] = rows[j][i] = acc
+            shared = _bits(row_masks[i] & row_masks[j])
+            rows[i][j] = rows[j][i] = sum((masses[k] for k in shared), Fraction(0))
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 

@@ -73,7 +73,12 @@ class PosetFunction:
 
     @classmethod
     def from_table(cls, poset: FinitePoset, table) -> "PosetFunction":
-        """Bind a label -> value mapping; every element must be covered."""
+        """Bind a label -> value mapping; every element must be covered, and
+        keys are read as text, so two labels must not print alike."""
+        known = {}
+        for lb in poset.labels:
+            if (other := known.setdefault(str(lb), lb)) is not lb:
+                raise DuplicateError(f"labels {other!r} and {lb!r} share a value key")
         normalized = {}
         for key, value in table.items():
             key = str(key)
@@ -83,8 +88,7 @@ class PosetFunction:
         missing = [lb for lb in poset.labels if str(lb) not in normalized]
         if missing:
             raise MissingValueError(missing)
-        known = {str(lb) for lb in poset.labels}
-        unknown = sorted(set(normalized) - known)
+        unknown = sorted(set(normalized) - known.keys())
         if unknown:
             raise ValueError("values given for unknown labels: " + ", ".join(unknown))
         return cls(poset, tuple(normalized[str(lb)] for lb in poset.labels))
@@ -120,13 +124,12 @@ class PosetFunction:
     def is_order_preserving(self, strict: bool = False, within: Subset | None = None) -> bool:
         """x below y implies f(x) <= f(y); ``strict`` demands <."""
         idx = self._domain(within)
-        p = self.poset
-        for a in range(len(idx)):
-            for b in range(len(idx)):
-                if a != b and p.less(idx[a], idx[b]):
-                    fa, fb = self.values[idx[a]], self.values[idx[b]]
-                    if fa > fb or (strict and fa == fb):
-                        return False
+        domain = sum(1 << i for i in idx)
+        for b in idx:
+            fb = self.values[b]
+            for a in _bits(self.poset.down_mask(b) & domain & ~(1 << b)):
+                if self.values[a] > fb or (strict and self.values[a] == fb):
+                    return False
         return True
 
     def is_order_reversing(self, strict: bool = False, within: Subset | None = None) -> bool:

@@ -18,7 +18,9 @@ of a meet/join switch, and ``_closure`` and ``_is_closed`` pick a side's
 routine, as ``mobius._masses`` and ``matrices._matrix`` do.  One kernel,
 ``_close``, builds every closure, of poset indices here and of integers in
 ``numtheory``: it combines each pair of the closure once and raises
-:class:`DeskScaleError` once the set passes a cap.  All types are immutable
+:class:`DeskScaleError` once the set passes a cap.  ``_pair_meets`` yields
+the meets of member pairs to every classifier and matrix; the tree and
+monotonicity tests read masks, not index pairs.  All types are immutable
 apart from their caches of duals, closures and tree-set answers, and all
 functions are pure, so everything is safe to share between threads.
 """
@@ -28,7 +30,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -383,17 +386,22 @@ def meet(p: FinitePoset, i: int, j: int) -> int:
     The common lower bounds form a down-closed set; under the indexing
     convention its greatest element, when it exists, is its highest index.
     """
-    clb = p.down_mask(i) & p.down_mask(j)
+    clb = p._down[i] & p._down[j]
     if clb == 0:
         raise NoMeetError(
             f"{p.labels[i]!r} and {p.labels[j]!r} have no common lower bound"
         )
     top = clb.bit_length() - 1
-    if p.down_mask(top) == clb:
+    if p._down[top] == clb:
         return top
     raise NoMeetError(
         f"{p.labels[i]!r} and {p.labels[j]!r} have no greatest common lower bound"
     )
+
+
+def _pair_meets(p: FinitePoset, members: Sequence[int]) -> Iterator[int]:
+    """``meet(p, x_a, x_b)`` for each pair a < b, in listing order, lazily."""
+    return (meet(p, x, y) for a, x in enumerate(members) for y in members[a + 1:])
 
 
 @contextmanager
@@ -497,11 +505,7 @@ def _closure(s: Subset, kind: str) -> ClosureResult:
 
 def _meets_inside(p: FinitePoset, members: Sequence[int]) -> bool:
     mask = sum(1 << m for m in members)
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if not (mask >> meet(p, members[a], members[b])) & 1:
-                return False
-    return True
+    return all((mask >> z) & 1 for z in _pair_meets(p, members))
 
 
 def is_meet_closed(s: Subset) -> bool:
@@ -561,20 +565,20 @@ def _tree_characterizations(q: FinitePoset) -> tuple[bool, bool, bool, bool]:
     cg = cover_graph(q)
     as_tree = cg.is_tree()
 
-    lower_counts = [0] * q.n
-    for _, upper in cg.edges:
-        lower_counts[upper] += 1
-    covers_at_most_one = all(c <= 1 for c in lower_counts)
+    uppers = [upper for _, upper in cg.edges]
+    covers_at_most_one = len(set(uppers)) == len(uppers)
 
     down_sets_chains = all(
         _indices_form_chain(q, list(_bits(q.down_mask(x)))) for x in range(q.n)
     )
 
-    bounded_pairs_comparable = True
-    for x in range(q.n):
-        for y in range(x + 1, q.n):
-            if q.up_mask(x) & q.up_mask(y) and not q.leq(x, y):
-                bounded_pairs_comparable = False
+    # The elements sharing an upper bound with x are the down-sets of its
+    # up-set; each must lie below or above x.
+    bounded_pairs_comparable = all(
+        reduce(or_, map(q.down_mask, _bits(q.up_mask(x))))
+        & ~(q.down_mask(x) | q.up_mask(x)) == 0
+        for x in range(q.n)
+    )
     return as_tree, covers_at_most_one, down_sets_chains, bounded_pairs_comparable
 
 
@@ -618,9 +622,4 @@ def is_A_set(s: Subset) -> bool:
     members themselves.  Singletons qualify vacuously.
     """
     p = s.parent
-    ms = s.members
-    meets = set()
-    for a in range(len(ms)):
-        for b in range(a + 1, len(ms)):
-            meets.add(meet(p, ms[a], ms[b]))
-    return _indices_form_chain(p, sorted(meets))
+    return _indices_form_chain(p, set(_pair_meets(p, s.members)))

@@ -17,6 +17,7 @@ from meetjoin import (
     PosetFunction,
     Subset,
     build_poset,
+    cover_graph,
     divisibility_poset,
     divisors,
     join_closure,
@@ -302,4 +303,36 @@ def leading_minors_positive(matrix) -> bool:
         rows = [[matrix.entry(i, j) for j in range(k)] for i in range(k)]
         if cofactor_det(rows) <= 0:
             return False
+    return True
+
+
+def scan_covers_at_most_one(q):
+    """Reference: count the lower ends of the cover edges at each upper end."""
+    lower_counts = [0] * q.n
+    for _, upper in cover_graph(q).edges:
+        lower_counts[upper] += 1
+    return all(c <= 1 for c in lower_counts)
+
+
+def scan_bounded_pairs_comparable(q):
+    """Reference: every index pair with a common upper bound, tested with
+    ``leq``."""
+    for x in range(q.n):
+        for y in range(x + 1, q.n):
+            if q.up_mask(x) & q.up_mask(y) and not q.leq(x, y):
+                return False
+    return True
+
+
+def scan_is_order_preserving(f, strict=False, within=None):
+    """Reference ``PosetFunction.is_order_preserving``: every ordered index
+    pair of the domain tested with ``less``."""
+    idx = tuple(range(f.poset.n)) if within is None else within.members
+    p = f.poset
+    for a in range(len(idx)):
+        for b in range(len(idx)):
+            if a != b and p.less(idx[a], idx[b]):
+                fa, fb = f.values[idx[a]], f.values[idx[b]]
+                if fa > fb or (strict and fa == fb):
+                    return False
     return True

@@ -340,6 +340,20 @@ def test_duplicate_json_key_exits_two(tmp_path):
     assert body["error"]["type"] == "DuplicateError"
 
 
+def test_labels_that_print_alike_share_no_value(tmp_path):
+    # Value keys are read as text, so labels 1 and "1" both took the value of
+    # "1" and the singular matrix got a verdict (exit 0).
+    write_json(tmp_path / "p.json", {"n": 2, "relation": [[1, 2]], "labels": [1, "1"]})
+    write_json(tmp_path / "f.json", {"1": 5})
+    for command in ("build", "check-pd", "bounds"):
+        result = invoke([command, "--poset", str(tmp_path / "p.json"),
+                         "--values", str(tmp_path / "f.json")])
+        assert result.exit_code == 2
+        error = json.loads(result.output)["error"]
+        assert error == {"type": "DuplicateError",
+                         "message": "labels 1 and '1' share a value key"}
+
+
 def test_missing_values_exit_two(tmp_path):
     write_json(tmp_path / "p.json", {"n": 2, "relation": [[1, 2]]})
     write_json(tmp_path / "f.json", {"1": 1})
@@ -565,10 +579,11 @@ def test_malformed_inputs_give_an_error_reply(tmp_path):
     # out of run; "n": true passed as an int and gave a 1-element poset.
     # inf and nan values used to reach a verdict; binding now refuses them.
     # --alpha 1e400 read as inf was refused as a DeskScaleError (exit 2).
+    # --alpha nan was refused as a bad function value, not as a bad number.
     write_json(tmp_path / "p.json", {"n": 3, "relation": [[1, 2], [2, 3]]})
     write_json(tmp_path / "true.json", {"n": True})
     alphas = {"1/0": "divides by zero", "0/0": "divides by zero",
-              "nan": "values must be finite, not nan",
+              "nan": "'nan' is not a finite number",
               "abc": None, "": None,
               "1e400": "'1e400' is not a finite number",
               "-1e400": "'-1e400' is not a finite number",
@@ -602,6 +617,21 @@ def test_malformed_inputs_give_an_error_reply(tmp_path):
         if fragment is not None:
             assert code == 1, config
             assert fragment in body["error"]["message"], config
+
+
+@pytest.mark.parametrize("alpha", ["nan", "NaN", "-nan", " nan "])
+def test_nan_alpha_is_refused_as_a_number(alpha, tmp_path):
+    # --alpha nan was read as a float and refused later as a function value.
+    write_json(tmp_path / "p.json", {"n": 2, "relation": [[1, 2]]})
+    runs = [["check-pd", "--set", "6,10,15", "--alpha", alpha],
+            ["bounds", "--poset", str(tmp_path / "p.json"), "--function", "power",
+             "--alpha", alpha]]
+    for args in runs:
+        result = invoke(args)
+        assert result.exit_code == 1
+        error = json.loads(result.output)["error"]
+        assert error == {"type": "ValueError",
+                         "message": f"{alpha!r} is not a finite number"}
 
 
 def test_malformed_poset_files_are_refused(tmp_path):

@@ -110,6 +110,21 @@ def test_sym_matrix_validation():
     assert m.trace() == 6
 
 
+def test_symmetry_error_names_the_first_pair_in_row_major_order():
+    # Asymmetric at (1, 2) and at (0, 3): a column-by-column scan meets
+    # (1, 2) first, row-major order meets (0, 3).
+    rows = [[1, 0, 0, 4], [0, 1, 7, 0], [0, 8, 1, 0], [3, 0, 0, 1]]
+    with pytest.raises(ValueError, match=r"^matrix is not symmetric at \(0, 3\)$"):
+        SymMatrix(rows)
+    rows[3][0] = 4
+    with pytest.raises(ValueError, match=r"^matrix is not symmetric at \(1, 2\)$"):
+        SymMatrix(rows)
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        SymMatrix(((1, 2), (2,)))
+    m = SymMatrix(((1, 0.5), (0.5, 2)))
+    assert not m.is_exact and "is_exact" in m.__dict__
+
+
 def test_incidence_matrix_semantics():
     p = divisibility_poset(divisors(30))
     s = Subset.of_labels(p, [6, 10, 15])

@@ -28,9 +28,12 @@ from meetjoin import (
 )
 from support import (
     random_function,
+    random_monotone_function,
     random_poset,
     random_rational,
+    random_relation_poset,
     random_subset,
+    scan_is_order_preserving,
 )
 
 
@@ -275,6 +278,37 @@ def test_monotonicity_probes():
                 for x in s.members for y in s.members if q.less(x, y)
             )
             assert g.is_order_reversing(strict, within=s) == expected
+
+
+def test_order_preserving_matches_the_pair_scan():
+    # is_order_preserving reads each element's down mask inside the domain;
+    # the ordered index-pair scan in support.py is the reference.
+    rng = random.Random(1508)
+    outcomes = set()
+    for k in range(300):
+        if k % 3:
+            p = random_poset(rng)
+        else:
+            p = random_relation_poset(rng, rng.randint(2, 12))
+        if k % 2:
+            f = random_function(rng, p)
+        else:
+            f = random_monotone_function(rng, p, strict=rng.random() < 0.5)
+        for within in (None, random_subset(rng, p), Subset.whole(p)):
+            for strict in (False, True):
+                got = f.is_order_preserving(strict, within)
+                assert got == scan_is_order_preserving(f, strict, within)
+                assert f.is_order_reversing(strict, within) == scan_is_order_preserving(
+                    f.dual(), strict, None if within is None else within.dual()
+                )
+                outcomes.add(got)
+    assert outcomes == {False, True}
+
+
+def test_labels_that_print_alike_are_refused():
+    p = total_order_poset((1, "1", 2))
+    with pytest.raises(DuplicateError, match="^labels 1 and '1' share a value key$"):
+        PosetFunction.from_table(p, {"1": 5, "2": 6})
 
 
 def test_restrict_matches_parent_values():

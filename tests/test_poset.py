@@ -48,6 +48,8 @@ from support import (
     random_subset,
     random_tree_poset,
     rescan_closure,
+    scan_bounded_pairs_comparable,
+    scan_covers_at_most_one,
     spine_meet_tree,
 )
 
@@ -365,6 +367,57 @@ def test_tree_characterizations_never_disagree():
         except NoJoinError:
             pass
         # CharacterizationMismatch escaping would fail the test by itself
+
+
+def test_tree_mask_checks_match_the_pair_scans():
+    # "Covers at most one" and "bounded pairs are comparable" read masks; the
+    # count list and the index-pair scan in support.py are the references.
+    # Whole posets (lattices and not), their duals, meet closures and the
+    # duals of join closures; closures without all meets are skipped.  On
+    # any finite order the two hold together: both say it is a forest.
+    rng = random.Random(1507)
+    outcomes = set()
+    for k in range(300):
+        if k % 3:
+            p = random_poset(rng)
+        else:
+            p = random_relation_poset(rng, rng.randint(2, 12))
+        s = random_subset(rng, p)
+        orders = [p, p.dual()]
+        try:
+            orders.append(meet_closure(s).closed)
+        except NoMeetError:
+            pass
+        try:
+            orders.append(join_closure(s).closed.dual())
+        except NoJoinError:
+            pass
+        for q in orders:
+            _, covers, _, bounded = poset_module._tree_characterizations(q)
+            assert covers == scan_covers_at_most_one(q)
+            assert bounded == scan_bounded_pairs_comparable(q)
+            outcomes.add((covers, bounded))
+    assert outcomes == {(False, False), (True, True)}
+
+
+def test_pair_meets_follow_the_listing():
+    # 1 lies below 2 and 3, and 4 has no lower bound in common with them.
+    # Listed 2, 3, 4 the first pair meets outside the set; listed 4, 2, 3
+    # the first pair has no meet.  Dually for joins, with 1 above 2 and 3.
+    p = build_poset(4, [(1, 2), (1, 3)])
+    two, three, four = (p.index_of(lb) for lb in (2, 3, 4))
+    pairs = poset_module._pair_meets(p, (two, three, four))
+    assert next(pairs) == p.index_of(1)
+    with pytest.raises(NoMeetError, match="^2 and 4 have no common lower bound$"):
+        next(pairs)
+    assert is_meet_closed(Subset(p, (two, three, four))) is False
+    with pytest.raises(NoMeetError, match="^4 and 2 have no common lower bound$"):
+        is_meet_closed(Subset(p, (four, two, three)))
+    q = build_poset(4, [(2, 1), (3, 1)])
+    two, three, four = (q.index_of(lb) for lb in (2, 3, 4))
+    assert is_join_closed(Subset(q, (two, three, four))) is False
+    with pytest.raises(NoJoinError, match="^4 and 2 have no common upper bound$"):
+        is_join_closed(Subset(q, (four, two, three)))
 
 
 def test_subsets_of_tree_orders_are_tree_sets():

@@ -17,8 +17,10 @@ the join side runs it on the cached order dual.  ``_kind`` is the one check
 of a meet/join switch, and ``_closure`` and ``_is_closed`` pick a side's
 routine, as ``mobius._masses`` and ``matrices._matrix`` do.  One kernel,
 ``_close``, builds every closure, of poset indices here and of integers in
-``numtheory``: it combines each pair of the closure once and raises
-:class:`DeskScaleError` once the set passes a cap.  ``_pair_meets`` yields
+``numtheory``: one ascending pass adds each new element's meets with those
+held, then the element, and as meets associate the set stays closed.  It
+checks a cap after each element (:class:`DeskScaleError`), and a missing
+meet names the first pair of the pass without one.  ``_pair_meets`` yields
 the meets of member pairs to every classifier and matrix; the tree and
 monotonicity tests read masks, not index pairs.  All types are immutable
 apart from their caches of duals, closures and tree-set answers, and all
@@ -27,7 +29,6 @@ functions are pure, so everything is safe to share between threads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -312,11 +313,15 @@ class Subset:
 
     def restrict(self) -> FinitePoset:
         """The induced subposet, indexed by the listing order, read off the
-        parent's masks: the listing check already keeps the index convention."""
+        parent's masks: the listing check already keeps the index convention.
+        The whole parent, listed in index order, keeps its masks as they are."""
+        p = self.parent
+        if self.members == tuple(range(p.n)):
+            return _restore_poset(p.labels, None, p._down, p._up)
         keep = self.member_mask()
         where = {m: k for k, m in enumerate(self.members)}
         down = tuple(
-            sum(1 << where[i] for i in _bits(self.parent.down_mask(m) & keep))
+            sum(1 << where[i] for i in _bits(p.down_mask(m) & keep))
             for m in self.members
         )
         return _restore_poset(self.labels, None, down, _up_masks(down))
@@ -430,31 +435,23 @@ def join(p: FinitePoset, i: int, j: int) -> int:
 
 
 def _close(elements: Iterable[int], op, cap: int) -> tuple[int, ...]:
-    """The smallest superset of ``elements`` closed under the symmetric
-    ``op``, ascending.  Round r combines, in ascending ``(x, y)`` order with
-    ``x < y``, only the pairs that hold an element added in round r - 1: each
-    pair of the closure is combined once, and a failing ``op`` fails at the
-    pair a full rescan of each round would reach first.  The size is checked
-    before each ``x``: a set past ``cap`` elements raises
+    """The smallest superset of ``elements`` closed under the symmetric,
+    associative ``op``, ascending.  One pass takes the elements in ascending
+    order; each ``x`` the closed set ``C`` lacks brings in ``op(c, x)`` for
+    every ``c`` in ``C``, in the order ``C`` gained them, then ``x``.  As
+    ``op(op(c, x), op(d, x)) = op(op(c, d), x)``, that set is closed, and no
+    pair is combined twice.  A missing meet fails at the first pair of the
+    pass without one, which exists exactly when the generated set has one.
+    The size is checked after each ``x``: past ``cap`` elements it raises
     :class:`DeskScaleError`."""
-    done: list[int] = []
-    fresh = sorted(set(elements))
-    seen = set(fresh)
-    while fresh:
-        current = sorted(done + fresh)
-        new = set(fresh)
-        added = []
-        for a, x in enumerate(current):
-            if len(seen) > cap:
+    closed: dict[int, None] = {}
+    for x in sorted(set(elements)):
+        if x not in closed:
+            closed.update(dict.fromkeys([op(c, x) for c in closed]))
+            closed[x] = None
+            if len(closed) > cap:
                 raise DeskScaleError(f"closure grew past the cap of {cap} elements")
-            partners = current[a + 1:] if x in new else fresh[bisect_right(fresh, x):]
-            for y in partners:
-                z = op(x, y)
-                if z not in seen:
-                    seen.add(z)
-                    added.append(z)
-        done, fresh = current, sorted(added)
-    return tuple(done)
+    return tuple(sorted(closed))
 
 
 def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureResult:

@@ -281,6 +281,17 @@ def rescan_closure(s, op):
         members = sorted(grown)
 
 
+def fixpoint_integer_closure(values, op):
+    """Reference integer closure: add ``op`` of every pair of the set until
+    nothing changes.  Returns the members, ascending."""
+    closed = set(values)
+    while True:
+        grown = closed | {op(a, b) for a in closed for b in closed}
+        if grown == closed:
+            return tuple(sorted(closed))
+        closed = grown
+
+
 def cofactor_det(rows):
     """Independent determinant by cofactor expansion; exact on Fractions."""
     n = len(rows)

@@ -38,7 +38,7 @@ from meetjoin import (
 )
 from meetjoin.cli import parse_poset_file
 from meetjoin import numtheory
-from support import scan_gcud
+from support import fixpoint_integer_closure, scan_gcud
 from meetjoin.numtheory import DEFAULT_CAP, FACTOR_CAP
 from meetjoin.poset import Subset
 
@@ -186,20 +186,46 @@ def test_closures_fixpoints():
 
 
 def test_gcd_closure_combines_each_pair_once(monkeypatch):
-    calls = 0
+    # Combining every pair of the closure once took C(|D|, 2) gcd calls; one
+    # pass over the members needs fewer, and still no pair twice.
+    pairs = []
     original = math.gcd
 
     def counted(a, b):
-        nonlocal calls
-        calls += 1
+        pairs.append(frozenset((a, b)))
         return original(a, b)
 
     monkeypatch.setattr(math, "gcd", counted)
     rng = random.Random(11)
     for _ in range(3):
-        calls = 0
+        pairs.clear()
         closed = gcd_closure(rng.sample(range(1, 3000), 40))
-        assert calls == math.comb(len(closed), 2)
+        assert len(set(pairs)) == len(pairs)
+        assert len(pairs) < math.comb(len(closed), 2)
+
+
+def test_integer_closures_match_the_pair_fixpoint():
+    # The one-pass kernel against adding every pair until nothing changes,
+    # directly and through the closure ambient, where a cap of 16 must refuse
+    # exactly the sets whose closure is larger.
+    rng = random.Random(12)
+    cases = ((gcd_closure, math.gcd, "power-gcd"),
+             (lcm_closure, math.lcm, "reciprocal-power-lcm"),
+             (gcud_closure, gcud, "gcud-power"))
+    refused = 0
+    for _ in range(120):
+        members = rng.sample(range(1, 400), rng.randint(1, 7))
+        for closure, op, family in cases:
+            expected = fixpoint_integer_closure(members, op)
+            assert closure(members) == expected
+            if len(expected) > 16:
+                refused += 1
+                with pytest.raises(DeskScaleError, match="^closure grew past the cap of 16 elements$"):
+                    build_named_matrix(family, members, ambient="closure", cap=16)
+            else:
+                model = build_named_matrix(family, members, ambient="closure", cap=16)
+                assert model.poset.labels == expected
+    assert refused > 20
 
 
 def test_divisor_down_set_examples():

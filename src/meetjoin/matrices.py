@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotClosedError, NotSupersetError
-from .mobius import PosetFunction, _masses, _number, phi, psi
+from .mobius import (PosetFunction, _check_same_parent, _masses, _number,
+                     phi, psi)
 from .poset import (FinitePoset, Subset, _as_join, _bits, _is_closed, _kind,
                     _mirror, _pair_meets)
 
@@ -83,24 +84,12 @@ class IncMatrix:
     cols: int
     bits: tuple[tuple[int, ...], ...]
 
-    def row_mask(self, i: int) -> int:
-        mask = 0
-        for j, bit in enumerate(self.bits[i]):
-            if bit:
-                mask |= 1 << j
-        return mask
-
 
 @dataclass(frozen=True)
 class DiagMatrix:
     """A diagonal matrix, stored as its diagonal."""
 
     diagonal: tuple
-
-
-def _check_same_parent(s: Subset, f: PosetFunction) -> None:
-    if s.parent is not f.poset and s.parent != f.poset:
-        raise ValueError("subset and function live on different posets")
 
 
 def _meet_entries(p: FinitePoset, ms, values) -> SymMatrix:
@@ -156,14 +145,19 @@ def _require_covering(p: FinitePoset, xs, dmask: int, word: str) -> None:
         )
 
 
-def _factored(masses, inc: IncMatrix) -> SymMatrix:
-    row_masks = [inc.row_mask(i) for i in range(inc.rows)]
-    n = inc.rows
+def _factored(s: Subset, vec, mask) -> SymMatrix:
+    """E diag(masses) E^T: entry (i, j) sums the masses over the members
+    of their set that the ``mask`` of both ``x_i`` and ``x_j`` holds."""
+    d = vec.subset
+    keep = d.member_mask()
+    mass = dict(zip(d.members, vec.values))
+    row_masks = [mask(x) & keep for x in s.members]
+    n = len(row_masks)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             shared = _bits(row_masks[i] & row_masks[j])
-            rows[i][j] = rows[j][i] = sum((masses[k] for k in shared), Fraction(0))
+            rows[i][j] = rows[j][i] = sum((mass[k] for k in shared), Fraction(0))
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 
@@ -176,7 +170,7 @@ def factored_meet_matrix(s: Subset, d: Subset, f: PosetFunction) -> SymMatrix:
     """
     _check_same_parent(s, f)
     _require_covering(s.parent, s.members, d.member_mask(), "meets")
-    return _factored(psi(d, f).values, incidence_matrix(s, d, "meet"))
+    return _factored(s, psi(d, f), s.parent.down_mask)
 
 
 def factored_join_matrix(s: Subset, b: Subset, f: PosetFunction) -> SymMatrix:
@@ -185,7 +179,7 @@ def factored_join_matrix(s: Subset, b: Subset, f: PosetFunction) -> SymMatrix:
     _check_same_parent(s, f)
     with _as_join():
         _require_covering(s.parent.dual(), _mirror(s), b.dual().member_mask(), "joins")
-    return _factored(phi(b, f).values, incidence_matrix(s, b, "join"))
+    return _factored(s, phi(b, f), s.parent.up_mask)
 
 
 def mass_diagonal(d: Subset, f: PosetFunction, kind: str = "meet") -> DiagMatrix:

@@ -3,10 +3,12 @@
 ``psi`` assigns every element of a listed set the mass its function value
 adds on top of everything strictly below it inside the set; summing masses
 over a principal down-set recovers the function.  ``phi`` is the top-down
-dual, computed as ``psi`` over the order dual and listed back.  The masses
-come from a triangular recursion and are checked by summing them back up,
-which holds only for the right masses because zeta is invertible; a failed
-check raises :class:`CharacterizationMismatch`, also under ``python -O``.
+dual.  ``psi`` walks the set's down masks in listing order, ``phi`` its up
+masks in reverse: the order dual, with no dual built.  Each result is
+checked by summing it back along the other mask, which holds only for the
+right masses as zeta is invertible, and catches a wrong mask too, since
+every poset builds its up masks apart from its down masks.  A failed check
+raises :class:`CharacterizationMismatch`, also under ``python -O``.
 Everything here runs in exact rational arithmetic; supplying floats raises
 :class:`ExactArithmeticError`.
 """
@@ -189,13 +191,9 @@ def mobius_table(p: FinitePoset) -> MobiusTable:
     return MobiusTable(p, tuple(tuple(row) for row in mu))
 
 
-def _exact_values(d: Subset, f: PosetFunction) -> list[Fraction]:
-    if d.parent is not f.poset and d.parent != f.poset:
+def _check_same_parent(s: Subset, f: PosetFunction) -> None:
+    if s.parent is not f.poset and s.parent != f.poset:
         raise ValueError("subset and function live on different posets")
-    vals = [f.values[m] for m in d.members]
-    if any(not isinstance(v, Fraction) for v in vals):
-        raise ExactArithmeticError("mass vectors require exact rational values")
-    return vals
 
 
 @dataclass(frozen=True)
@@ -204,6 +202,10 @@ class _Masses:
 
     subset: Subset
     values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.values) != len(self.subset):
+            raise ValueError("one mass per member of the set is required")
 
     @property
     def labels(self) -> tuple:
@@ -218,66 +220,67 @@ class _Masses:
     def __len__(self):
         return len(self.values)
 
+    def resums_to(self, f: PosetFunction) -> bool:
+        """Check that the masses sum back to f over principal down-sets
+        (psi) or up-sets (phi), each added to the members its other mask
+        holds: the up mask for psi, the down mask for phi."""
+        _check_same_parent(self.subset, f)
+        ms, keep = self.subset.members, self.subset.member_mask()
+        mask = getattr(self.subset.parent, self._resum_mask)
+        total = dict.fromkeys(ms, Fraction(0))
+        for m, mass in zip(ms, self.values):
+            for x in _bits(mask(m) & keep):
+                total[x] += mass
+        return all(total[m] == f.values[m] for m in ms)
+
 
 class PsiVector(_Masses):
     """Bottom-up masses of a function over a listed set."""
 
-    def resums_to(self, f: PosetFunction) -> bool:
-        """Check that summing masses over principal down-sets recovers f."""
-        p = self.subset.parent
-        ms = self.subset.members
-        for k in range(len(ms)):
-            total = sum(
-                (self.values[v] for v in range(len(ms)) if p.leq(ms[v], ms[k])),
-                Fraction(0),
-            )
-            if total != f.values[ms[k]]:
-                return False
-        return True
+    _resum_mask = "up_mask"
 
 
 class PhiVector(_Masses):
     """Top-down masses of a function over a listed set."""
 
-    def resums_to(self, f: PosetFunction) -> bool:
-        """Check that summing masses over principal up-sets recovers f."""
-        dual = PsiVector(self.subset.dual(), self.values[::-1])
-        return dual.resums_to(f.dual())
+    _resum_mask = "down_mask"
 
 
-def _bottom_up(d: Subset, f: PosetFunction) -> tuple[Fraction, ...]:
-    vals = _exact_values(d, f)
-    p = d.parent
-    ms = d.members
-    k = len(ms)
-    out: list[Fraction] = []
-    for j in range(k):
-        acc = vals[j]
-        for v in range(j):
-            if p.less(ms[v], ms[j]):
-                acc -= out[v]
-        out.append(acc)
-    return tuple(out)
+def _gather(d: Subset, f: PosetFunction, members, mask) -> tuple[Fraction, ...]:
+    """Each member's value less the masses of the other members its
+    ``mask`` holds, taking ``members`` in an order that lists those first;
+    the masses come back in the listing of ``d``."""
+    _check_same_parent(d, f)
+    if not all(isinstance(f.values[m], Fraction) for m in d.members):
+        raise ExactArithmeticError("mass vectors require exact rational values")
+    keep = d.member_mask()
+    masses: dict[int, Fraction] = {}
+    for m in members:
+        acc = f.values[m]
+        for z in _bits(mask(m) & keep & ~(1 << m)):
+            acc -= masses[z]
+        masses[m] = acc
+    return tuple(masses[m] for m in d.members)
 
 
 def psi(d: Subset, f: PosetFunction) -> PsiVector:
     """Bottom-up mass of ``f`` over the listed set ``d``.
 
-    The recursion subtracts the masses of everything strictly below inside
-    ``d``; the listing convention makes it triangular.  The result is
-    checked by re-summing it over every principal down-set of ``d``.
+    Each member, in listing order, subtracts the masses of the members its
+    down mask holds, which the listing convention puts first.  The result
+    is checked by re-summing it along the up masks.
     """
-    vec = PsiVector(d, _bottom_up(d, f))
+    vec = PsiVector(d, _gather(d, f, d.members, d.parent.down_mask))
     if not vec.resums_to(f):
         raise CharacterizationMismatch("psi masses do not re-sum to f")
     return vec
 
 
 def phi(b: Subset, f: PosetFunction) -> PhiVector:
-    """Top-down mass of ``f`` over the listed set ``b``: the bottom-up mass
-    over the order dual, listed back.  Checked by re-summing it over every
-    principal up-set of ``b``."""
-    vec = PhiVector(b, _bottom_up(b.dual(), f.dual())[::-1])
+    """Top-down mass of ``f`` over the listed set ``b``: the walk of
+    :func:`psi` along the up masks in reverse listing.  Checked by
+    re-summing it along the down masks."""
+    vec = PhiVector(b, _gather(b, f, b.members[::-1], b.parent.up_mask))
     if not vec.resums_to(f):
         raise CharacterizationMismatch("phi masses do not re-sum to f")
     return vec

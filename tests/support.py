@@ -96,6 +96,18 @@ def random_subset(rng: random.Random, p: FinitePoset, max_size: int = 8) -> Subs
     return Subset(p, tuple(members))
 
 
+def random_linear_extension(rng: random.Random, s: Subset) -> Subset:
+    """The members of ``s`` relisted in a random order compatible with the
+    parent order: each step picks a random member with nothing left below."""
+    left, listing = set(s.members), []
+    while left:
+        keep = sum(1 << m for m in left)
+        low = [m for m in sorted(left) if s.parent.down_mask(m) & keep == 1 << m]
+        listing.append(rng.choice(low))
+        left.remove(listing[-1])
+    return Subset(s.parent, tuple(listing))
+
+
 def random_meet_closed_subset(rng: random.Random, p: FinitePoset,
                               max_size: int = 8) -> Subset:
     return meet_closure(random_subset(rng, p, max_size)).subset

@@ -36,6 +36,7 @@ from support import (
     cofactor_det,
     random_function,
     random_join_closed_subset,
+    random_linear_extension,
     random_meet_closed_subset,
     random_poset,
     random_rational,
@@ -142,6 +143,7 @@ def test_incidence_matrix_semantics():
 
 def test_factored_meet_matrix_equals_direct():
     rng = random.Random(601)
+    relist = random.Random(1601)
     done = 0
     while done < 120:
         p = random_poset(rng)
@@ -154,11 +156,15 @@ def test_factored_meet_matrix_equals_direct():
         assert factored_meet_matrix(s, d, f) == meet_matrix(s, f)
         # any larger support works too
         assert factored_meet_matrix(s, down_set(s), f) == meet_matrix(s, f)
+        # and a listing of d that need not ascend
+        d = random_linear_extension(relist, d)
+        assert factored_meet_matrix(s, d, f) == meet_matrix(s, f)
         done += 1
 
 
 def test_factored_join_matrix_equals_direct():
     rng = random.Random(602)
+    relist = random.Random(1602)
     done = 0
     while done < 120:
         p = random_poset(rng)
@@ -170,6 +176,8 @@ def test_factored_join_matrix_equals_direct():
             continue
         assert factored_join_matrix(s, b, f) == join_matrix(s, f)
         assert factored_join_matrix(s, up_set(s), f) == join_matrix(s, f)
+        b = random_linear_extension(relist, b)
+        assert factored_join_matrix(s, b, f) == join_matrix(s, f)
         done += 1
 
 

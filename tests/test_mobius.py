@@ -13,11 +13,16 @@ from meetjoin import (
     DuplicateError,
     ExactArithmeticError,
     MissingValueError,
+    NoJoinError,
+    NoMeetError,
+    PhiVector,
     PosetFunction,
+    PsiVector,
     Subset,
     divisibility_poset,
     divisor_down_set,
     divisors,
+    down_set,
     factorize,
     join_closure,
     meet_closure,
@@ -25,9 +30,11 @@ from meetjoin import (
     phi,
     psi,
     total_order_poset,
+    up_set,
 )
 from support import (
     random_function,
+    random_linear_extension,
     random_monotone_function,
     random_poset,
     random_rational,
@@ -124,47 +131,87 @@ def test_phi_resums_to_f():
 
 
 def test_psi_equals_mobius_convolution():
+    # The masses over a listed set d are the Moebius convolution of f over
+    # the subposet d induces, in the listing of d: over the whole poset,
+    # over meet and join closures, down- and up-sets, and over a random
+    # linear extension of the whole poset, which need not ascend.
     rng = random.Random(504)
+    more = random.Random(1504)
+    relisted = 0
     for _ in range(40):
         p = random_poset(rng)
         f = random_function(rng, p)
-        d = Subset.whole(p)
-        vec = psi(d, f)
-        dual = phi(d, f)
-        mu = mobius_table(p).mu
-        for k in range(p.n):
-            total = sum(
-                (f.values[v] * mu[v][k] for v in range(p.n) if p.leq(v, k)),
-                Fraction(0),
+        s = random_subset(more, p)
+        extension = random_linear_extension(more, Subset.whole(p))
+        relisted += extension.members != tuple(range(p.n))
+        sets = [Subset.whole(p), down_set(s), up_set(s), extension]
+        for close in (meet_closure, join_closure):
+            try:
+                sets.append(close(s).subset)
+            except (NoMeetError, NoJoinError):
+                pass
+        for d in sets:
+            q = d.restrict()
+            g = f.restrict(d).values
+            mu = mobius_table(q).mu
+            below = tuple(
+                sum((g[v] * mu[v][k] for v in range(q.n) if q.leq(v, k)), Fraction(0))
+                for k in range(q.n)
             )
-            assert vec[k] == total
-            total = sum(
-                (f.values[v] * mu[k][v] for v in range(p.n) if p.leq(k, v)),
-                Fraction(0),
+            above = tuple(
+                sum((g[v] * mu[k][v] for v in range(q.n) if q.leq(k, v)), Fraction(0))
+                for k in range(q.n)
             )
-            assert dual[k] == total
+            assert psi(d, f).values == below
+            assert phi(d, f).values == above
+    assert relisted >= 10
+
+
+def test_resums_to_refuses_a_foreign_function():
+    # A function on divisors(60) made resums_to answer False, and one on a
+    # 2-chain raised IndexError; a vector shorter than its set was kept.
+    p = divisibility_poset(divisors(12))
+    f = PosetFunction.from_callable(p, Fraction)
+    d = Subset.whole(p)
+    for q in (divisibility_poset(divisors(60)), total_order_poset((1, 2))):
+        g = PosetFunction.from_callable(q, Fraction)
+        for vec in (psi(d, f), phi(d, f)):
+            with pytest.raises(
+                ValueError, match="^subset and function live on different posets$"
+            ):
+                vec.resums_to(g)
+    for masses in (PsiVector, PhiVector):
+        with pytest.raises(ValueError, match="one mass per member"):
+            masses(d, psi(d, f).values[:-1])
 
 
 def test_mass_check_raises_under_optimize():
-    # With asserts stripped by -O the re-sum check must still run: a poset
-    # whose strict order lies about 2 < 4 derails the recursion, and the
-    # masses then fail to re-sum to f.
+    # With asserts stripped by -O the re-sum check must still run.  The walk
+    # gathers along one mask and the check re-sums along the other, so a
+    # poset whose down(4) lacks 2, or whose up(2) lacks 4, fails the check
+    # in psi and in phi alike.
     script = textwrap.dedent("""
         from fractions import Fraction
         from meetjoin import (
-            CharacterizationMismatch, FinitePoset, PosetFunction, Subset,
+            CharacterizationMismatch, PosetFunction, Subset,
             divisibility_poset, divisors, phi, psi,
         )
+        from meetjoin.poset import _restore_poset
         p = divisibility_poset(divisors(12))
-        f = PosetFunction.from_callable(p, Fraction)
-        lie = (p.index_of(2), p.index_of(4))
-        honest = FinitePoset.less
-        FinitePoset.less = lambda self, i, j: (i, j) != lie and honest(self, i, j)
-        for masses in (psi, phi):
-            try:
-                masses(Subset.whole(p), f)
-            except CharacterizationMismatch:
-                print(masses.__name__, "raised")
+        two, four = p.index_of(2), p.index_of(4)
+        down, up = list(p._down), list(p._up)
+        down[four] &= ~(1 << two)
+        up[two] &= ~(1 << four)
+        for name, lie in (
+            ("down", _restore_poset(p.labels, None, tuple(down), p._up)),
+            ("up", _restore_poset(p.labels, None, p._down, tuple(up))),
+        ):
+            f = PosetFunction.from_callable(lie, Fraction)
+            for masses in (psi, phi):
+                try:
+                    masses(Subset.whole(lie), f)
+                except CharacterizationMismatch:
+                    print(name, masses.__name__, "raised")
     """)
     src = os.path.dirname(os.path.dirname(meetjoin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -173,7 +220,9 @@ def test_mass_check_raises_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["psi raised", "phi raised"]
+    assert done.stdout.splitlines() == [
+        "down psi raised", "down phi raised", "up psi raised", "up phi raised",
+    ]
 
 
 def test_psi_chain_is_difference_of_consecutive_values():

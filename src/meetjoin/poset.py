@@ -22,16 +22,19 @@ held, then the element, and as meets associate the set stays closed.  It
 checks a cap after each element (:class:`DeskScaleError`), and a missing
 meet names the first pair of the pass without one.  ``_pair_meets`` yields
 the meets of member pairs to every classifier and matrix; the tree and
-monotonicity tests read masks, not index pairs.  All types are immutable
-apart from their caches of duals, closures and tree-set answers, and all
-functions are pure, so everything is safe to share between threads.
+monotonicity tests read masks, not index pairs.  ``_cover_edges`` walks the
+lower covers of a member mask on the parent's masks, one step per edge, so
+the tree tests never build a closure's induced poset.  All types are
+immutable apart from their caches of duals, closures, induced posets and
+tree-set answers, and all functions are pure, so everything is safe to share
+between threads.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -380,9 +383,14 @@ class ClosureResult:
     """A closure together with how the original set embeds into it."""
 
     subset: Subset
-    closed: FinitePoset
     embed: tuple[int, ...]
     kind: str
+
+    @cached_property
+    def closed(self) -> FinitePoset:
+        """The induced poset on the closure, restricted on first read and
+        kept; no route of a request reads it."""
+        return self.subset.restrict()
 
 
 def meet(p: FinitePoset, i: int, j: int) -> int:
@@ -458,11 +466,8 @@ def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureRe
     """The closure with ascending ``members``, kept on ``s`` like its dual,
     so every route of a request reads the same one."""
     pos = {m: k for k, m in enumerate(members)}
-    closed_subset = Subset(s.parent, members)
     embed = tuple(pos[m] for m in s.members)
-    result = ClosureResult(
-        subset=closed_subset, closed=closed_subset.restrict(), embed=embed, kind=kind
-    )
+    result = ClosureResult(subset=Subset(s.parent, members), embed=embed, kind=kind)
     object.__setattr__(s, f"_{kind}_closure", result)
     return result
 
@@ -534,17 +539,32 @@ def up_set(s: Subset) -> Subset:
     return down_set(s.dual()).dual()
 
 
+def _cover_edges(p: FinitePoset, keep: int) -> Iterator[tuple[int, int]]:
+    """The cover edges ``(i, j)`` of the order ``p`` induces on the bits of
+    ``keep``, in parent indices.  Below each ``j``, the highest index left
+    is maximal there, so a lower cover; its down-set, which holds no other
+    cover, is then cleared.  The work is one step per cover edge, not one
+    per comparable pair."""
+    down = p._down
+    for j in _bits(keep):
+        below = (down[j] & keep) ^ (1 << j)
+        while below:
+            i = below.bit_length() - 1
+            yield i, j
+            below &= ~down[i]
+
+
 def cover_graph(p: FinitePoset) -> CoverGraph:
     """The transitive reduction of the strict order."""
-    edges = []
-    for j in range(p.n):
-        for i in _bits(p.down_mask(j)):
-            if i == j:
-                continue
-            between = p.down_mask(j) & p.up_mask(i)
-            if between == (1 << i) | (1 << j):
-                edges.append((i, j))
-    return CoverGraph(p.n, tuple(sorted(edges)))
+    return CoverGraph(p.n, tuple(sorted(_cover_edges(p, (1 << p.n) - 1))))
+
+
+def _induced_cover_graph(p: FinitePoset, keep: int) -> CoverGraph:
+    """The cover graph of the order ``p`` induces on the bits of ``keep``,
+    each kept index numbered by its place among them, in walk order."""
+    pos = {m: k for k, m in enumerate(_bits(keep))}
+    edges = tuple((pos[i], pos[j]) for i, j in _cover_edges(p, keep))
+    return CoverGraph(len(pos), edges)
 
 
 def _indices_form_chain(p: FinitePoset, indices: Sequence[int]) -> bool:
@@ -558,23 +578,25 @@ def is_chain(s: Subset) -> bool:
     return _indices_form_chain(s.parent, s.members)
 
 
-def _tree_characterizations(q: FinitePoset) -> tuple[bool, bool, bool, bool]:
-    cg = cover_graph(q)
+def _tree_characterizations(p: FinitePoset, keep: int) -> tuple[bool, bool, bool, bool]:
+    """The four tree characterizations of the order ``p`` induces on the
+    bits of ``keep``, each read off the parent's masks cut to ``keep``."""
+    cg = _induced_cover_graph(p, keep)
     as_tree = cg.is_tree()
 
     uppers = [upper for _, upper in cg.edges]
     covers_at_most_one = len(set(uppers)) == len(uppers)
 
     down_sets_chains = all(
-        _indices_form_chain(q, list(_bits(q.down_mask(x)))) for x in range(q.n)
+        _indices_form_chain(p, list(_bits(p.down_mask(x) & keep))) for x in _bits(keep)
     )
 
     # The elements sharing an upper bound with x are the down-sets of its
     # up-set; each must lie below or above x.
     bounded_pairs_comparable = all(
-        reduce(or_, map(q.down_mask, _bits(q.up_mask(x))))
-        & ~(q.down_mask(x) | q.up_mask(x)) == 0
-        for x in range(q.n)
+        reduce(or_, map(p.down_mask, _bits(p.up_mask(x) & keep)))
+        & keep & ~(p.down_mask(x) | p.up_mask(x)) == 0
+        for x in _bits(keep)
     )
     return as_tree, covers_at_most_one, down_sets_chains, bounded_pairs_comparable
 
@@ -583,8 +605,8 @@ def _is_tree(c: ClosureResult) -> bool:
     """The characterizations on a meet closure, or on the dual of a join
     closure; the answer is kept on ``c``, so they run once per closure."""
     if (kept := c.__dict__.get("_tree")) is None:
-        q = c.closed if c.kind == "meet" else c.closed.dual()
-        answers = _tree_characterizations(q)
+        d = c.subset if c.kind == "meet" else c.subset.dual()
+        answers = _tree_characterizations(d.parent, d.member_mask())
         if len(set(answers)) != 1:
             raise CharacterizationMismatch(
                 f"{c.kind}-tree characterizations disagree: {answers}"

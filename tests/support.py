@@ -17,7 +17,6 @@ from meetjoin import (
     PosetFunction,
     Subset,
     build_poset,
-    cover_graph,
     divisibility_poset,
     divisors,
     join_closure,
@@ -329,10 +328,21 @@ def leading_minors_positive(matrix) -> bool:
     return True
 
 
+def scan_cover_edges(q):
+    """Reference ``cover_graph(q).edges``: every comparable pair ``i < j``
+    whose interval holds nothing but the two ends, ascending."""
+    edges = []
+    for j in range(q.n):
+        for i in _bits(q.down_mask(j)):
+            if i != j and q.down_mask(j) & q.up_mask(i) == (1 << i) | (1 << j):
+                edges.append((i, j))
+    return tuple(sorted(edges))
+
+
 def scan_covers_at_most_one(q):
     """Reference: count the lower ends of the cover edges at each upper end."""
     lower_counts = [0] * q.n
-    for _, upper in cover_graph(q).edges:
+    for _, upper in scan_cover_edges(q):
         lower_counts[upper] += 1
     return all(c <= 1 for c in lower_counts)
 

@@ -164,9 +164,9 @@ def test_check_pd_runs_the_tree_characterizations_once(monkeypatch):
     original = poset._tree_characterizations
     sizes = []
 
-    def counted(q):
-        sizes.append(q.n)
-        return original(q)
+    def counted(p, keep):
+        sizes.append(keep.bit_count())
+        return original(p, keep)
 
     monkeypatch.setattr(poset, "_tree_characterizations", counted)
     members = random.Random(0).sample(range(1, 3000), 100)
@@ -176,6 +176,27 @@ def test_check_pd_runs_the_tree_characterizations_once(monkeypatch):
     ))
     assert code == 0
     assert sizes == [160]
+
+
+@pytest.mark.parametrize("command", ["classify", "check-pd"])
+def test_divisor_requests_build_no_induced_poset(monkeypatch, command):
+    # The tree test reads the parent's masks cut to the closure, so neither
+    # closure restricts the parent; each built its induced poset before.
+    original = poset._closure_result
+    results = []
+
+    def kept(s, members, kind):
+        results.append(original(s, members, kind))
+        return results[-1]
+
+    monkeypatch.setattr(poset, "_closure_result", kept)
+    divisors = ",".join(str(d) for d in range(1, 2521) if 2520 % d == 0)
+    for family in ("power-gcd", "reciprocal-power-lcm"):
+        results.clear()
+        code, _ = run(RunConfig(command=command, set_text=divisors, family=family))
+        assert code == 0
+        assert sorted(r.kind for r in results) == ["join", "meet"]
+        assert all("closed" not in vars(r) for r in results)
 
 
 def test_float_check_pd_past_float_range():

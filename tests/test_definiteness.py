@@ -275,9 +275,7 @@ def test_superset_sufficient_checks_a_hand_built_closure():
     s = lat.subset_of([6, 10, 15])
     f = PosetFunction.from_callable(lat.poset, Fraction)
     fake = lat.subset_of([2, 6, 10, 15])  # gcd(6, 15) = 3 is missing
-    hand_built = ClosureResult(
-        subset=fake, closed=fake.restrict(), embed=(1, 2, 3), kind="meet"
-    )
+    hand_built = ClosureResult(subset=fake, embed=(1, 2, 3), kind="meet")
     with pytest.raises(NotClosedError):
         pd_superset_sufficient(s, hand_built, f)
     with pytest.raises(NotClosedError):
@@ -346,6 +344,10 @@ def test_monotonicity_from_pd_preconditions():
     g = PosetFunction(q, (1, 2, 2, 3))
     with pytest.raises(PreconditionError):
         monotonicity_from_pd(Subset.whole(q), g)
+    # inside the diamond, a side chain and its two ends are trees; the ends
+    # cover each other in the set, though not in the diamond
+    for labels in ([1, 2, 4], [1, 4]):
+        assert monotonicity_from_pd(Subset.of_labels(q, labels), g) is True
     # not positive definite
     chain = total_order_poset((1, 2, 3))
     bad = PosetFunction(chain, (2, 1, 3))

@@ -65,6 +65,9 @@ REQUESTS = {
     "classify-gcd-closure": _set("classify", "6,10,15", "power-gcd",
                                  ambient="closure"),
     "classify-lcm": _set("classify", "4,6,9", "reciprocal-power-lcm"),
+    "classify-lcm-12-primes-closure": _set(
+        "classify", "2,3,5,7,11,13,17,19,23,29,31,37", "reciprocal-power-lcm",
+        ambient="closure"),
     "closure-gcd-canonical": _set("closure", "6,10,15", "power-gcd"),
     "closure-gcd-closure": _set("closure", "6,10,15", "power-gcd",
                                 ambient="closure"),
@@ -141,6 +144,7 @@ DIGESTS = {
     "classify-gcd-canonical": [0, "a13d0f950a682f3b986ced7d15883c12477d1a92e58a55facd31ed91dfb2b99e"],
     "classify-gcd-closure": [0, "dce8a48fbaf71478acc438d31b65bd5da295f2ecf4efbe542e782c75f6b57600"],
     "classify-lcm": [0, "44b70ecaf6f30e7da8e8e1d07c2472376372823053dc19f9363607cb2a25e0bf"],
+    "classify-lcm-12-primes-closure": [0, "671111abe7def3a49b229fffbf43bd626fdd45c036a68abccce321e6ae77fe8e"],
     "classify-poset-no-meet": [0, "6a85484933d7fe2bb205c1ee06fa0acfa607b649d65b71b94051a6c1c7b60584"],
     "classify-poset-tree": [0, "6d46cec4d9a3c659fb75e007165ca61c724460a3f4040661b40681bdbb30c77a"],
     "closure-gcd-canonical": [0, "a9c10ab6d258ba8566c845bfb5031cf9c2035a3452a08c97591afff1d7f06062"],

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 import random
@@ -49,6 +48,7 @@ from support import (
     random_tree_poset,
     rescan_closure,
     scan_bounded_pairs_comparable,
+    scan_cover_edges,
     scan_covers_at_most_one,
     spine_meet_tree,
 )
@@ -352,6 +352,31 @@ def test_cover_graph_of_divisor_lattice_of_30():
         assert ratio in (2, 3, 5)
 
 
+def test_cover_walk_matches_the_interval_scan():
+    # The walk takes one step per cover edge; the reference tests the
+    # interval of every comparable pair.  Whole posets, their duals and
+    # restricted subsets, which hold pairs with no cover between them.  Cut
+    # to a member mask, the walk gives the induced order's covers in parent
+    # indices; numbered by place among the members, they are the cover
+    # graph of the restriction.
+    rng = random.Random(1811)
+    for k in range(200):
+        if k % 3:
+            p = random_poset(rng)
+        else:
+            p = random_relation_poset(rng, rng.randint(2, 12))
+        s = random_subset(rng, p)
+        for q in (p, p.dual(), s.restrict(), s.dual().restrict()):
+            assert cover_graph(q).edges == scan_cover_edges(q)
+        for d in (s, s.dual()):
+            place = {m: r for r, m in enumerate(d.members)}
+            walked = sorted(
+                (place[i], place[j])
+                for i, j in poset_module._cover_edges(d.parent, d.member_mask())
+            )
+            assert tuple(walked) == cover_graph(d.restrict()).edges
+
+
 def test_chain_detection():
     p = total_order_poset((3, 7, 9))
     assert is_chain(Subset.whole(p))
@@ -381,7 +406,9 @@ def test_tree_mask_checks_match_the_pair_scans():
     # count list and the index-pair scan in support.py are the references.
     # Whole posets (lattices and not), their duals, meet closures and the
     # duals of join closures; closures without all meets are skipped.  On
-    # any finite order the two hold together: both say it is a forest.
+    # any finite order the two hold together: both say it is a forest.  The
+    # checks read the parent's masks cut to the closure, so the references
+    # run on the closure's induced order.
     rng = random.Random(1507)
     outcomes = set()
     for k in range(300):
@@ -390,17 +417,20 @@ def test_tree_mask_checks_match_the_pair_scans():
         else:
             p = random_relation_poset(rng, rng.randint(2, 12))
         s = random_subset(rng, p)
-        orders = [p, p.dual()]
+        orders = [Subset.whole(p), Subset.whole(p.dual())]
         try:
-            orders.append(meet_closure(s).closed)
+            orders.append(meet_closure(s).subset)
         except NoMeetError:
             pass
         try:
-            orders.append(join_closure(s).closed.dual())
+            orders.append(join_closure(s).subset.dual())
         except NoJoinError:
             pass
-        for q in orders:
-            _, covers, _, bounded = poset_module._tree_characterizations(q)
+        for d in orders:
+            q = d.restrict()
+            _, covers, _, bounded = poset_module._tree_characterizations(
+                d.parent, d.member_mask()
+            )
             assert covers == scan_covers_at_most_one(q)
             assert bounded == scan_bounded_pairs_comparable(q)
             outcomes.add((covers, bounded))
@@ -522,7 +552,9 @@ def test_posets_pickle_and_deepcopy():
         assert clone.labels == r.labels
         assert clone == r
     closure = meet_closure(Subset.whole(r))
-    assert dataclasses.asdict(closure)["closed"] == closure.closed
+    closed = closure.closed
+    copied = copy.deepcopy(closure)
+    assert copied.closed == closed and copied.closed is not closed
     report = classify_and_test(whole, PosetFunction(p, (1, 2, 3)))
     assert pickle.loads(pickle.dumps(report)) == report
 

@@ -19,7 +19,8 @@ from fractions import Fraction
 import click
 
 from .definiteness import classify_and_test, structure_flags
-from .errors import DeskScaleError, DuplicateError, MeetJoinError
+from .errors import (DeskScaleError, DuplicateError, ExactArithmeticError,
+                     MeetJoinError, NoJoinError, NoMeetError)
 from .matrices import _float_pivots, det_general
 from .mobius import PosetFunction, _coerce, _masses
 from .numtheory import (
@@ -296,7 +297,7 @@ def _closure_vector(model: MatrixModel, certificate: dict) -> dict | None:
             values = certificate["masses"]
         else:
             values = _masses(closed, f, model.kind).values
-    except MeetJoinError:
+    except (NoMeetError, NoJoinError, ExactArithmeticError):
         return None
     return {str(lb): _encode(v) for lb, v in zip(labels, values)}
 

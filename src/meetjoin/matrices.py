@@ -1,11 +1,12 @@
 """Meet and join matrices, incidence factorizations, determinants.
 
 The meet matrix of a listed set has ``f(x_i meet x_j)`` at entry ``(i, j)``,
-with the meet taken in the ambient poset; the join matrix is the dual, and
-is assembled by the meet code run on the order dual of the poset and of
-``f``, with the members kept in their listing.  Both factor through 0/1
-incidence matrices against any superset containing the relevant meets or
-joins, with the mass vectors on the diagonal, and on closed sets the
+with the meet taken in the ambient poset; the join matrix is the dual.  One
+helper assembles both, from the pair bounds :func:`meet` or :func:`join`
+gives in the listing, and one covering check serves both factored forms.
+Both factor through 0/1 incidence matrices against any superset containing
+the relevant meets or joins, with the mass vectors on the diagonal, read
+off the down masks for meets and the up masks for joins; on closed sets the
 determinant collapses to the product of the masses.
 """
 
@@ -18,10 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotClosedError, NotSupersetError
-from .mobius import (PosetFunction, _check_same_parent, _masses, _number,
-                     phi, psi)
-from .poset import (FinitePoset, Subset, _as_join, _bits, _is_closed, _kind,
-                    _mirror, _pair_meets)
+from .mobius import PosetFunction, _check_same_parent, _masses, _number
+from .poset import (FinitePoset, Subset, _bits, _is_closed, _kind, _op,
+                    _pair_meets, _side, join, meet)
 
 
 @dataclass(frozen=True)
@@ -92,27 +92,27 @@ class DiagMatrix:
     diagonal: tuple
 
 
-def _meet_entries(p: FinitePoset, ms, values) -> SymMatrix:
+def _entries(s: Subset, f: PosetFunction, op) -> SymMatrix:
+    """The matrix with ``f`` of ``op``, meet or join, of each member pair."""
+    _check_same_parent(s, f)
+    ms, values = s.members, f.values
     n = len(ms)
-    rows = [[values[m]] * n for m in ms]  # the diagonal: meet(x, x) = x
-    meets = _pair_meets(p, ms)
+    rows = [[values[m]] * n for m in ms]  # the diagonal: x op x = x
+    bounds = _pair_meets(s.parent, ms, op)
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = values[next(meets)]
+            rows[i][j] = rows[j][i] = values[next(bounds)]
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 
 def meet_matrix(s: Subset, f: PosetFunction) -> SymMatrix:
     """The matrix with ``f`` of the pairwise meets of ``s`` as entries."""
-    _check_same_parent(s, f)
-    return _meet_entries(s.parent, s.members, f.values)
+    return _entries(s, f, meet)
 
 
 def join_matrix(s: Subset, f: PosetFunction) -> SymMatrix:
     """The matrix with ``f`` of the pairwise joins of ``s`` as entries."""
-    _check_same_parent(s, f)
-    with _as_join():
-        return _meet_entries(s.parent.dual(), _mirror(s), f.dual().values)
+    return _entries(s, f, join)
 
 
 def _matrix(s: Subset, f: PosetFunction, kind: str) -> SymMatrix:
@@ -125,17 +125,17 @@ def incidence_matrix(s: Subset, d: Subset, kind: str = "meet") -> IncMatrix:
     For ``kind="meet"`` entry ``(i, j)`` marks ``d_j`` below ``x_i``; for
     ``kind="join"`` it marks ``d_j`` above ``x_i``.
     """
-    related = s.parent.down_mask if _kind(kind) == "meet" else s.parent.up_mask
+    toward = _side(s.parent, kind)[0]
     if s.parent != d.parent:
         raise ValueError("both subsets must share one ambient poset")
-    masks = map(related, s.members)
+    masks = map(toward.__getitem__, s.members)
     bits = tuple(tuple(mask >> dj & 1 for dj in d.members) for mask in masks)
     return IncMatrix(len(s.members), len(d.members), bits)
 
 
-def _require_covering(p: FinitePoset, xs, dmask: int, word: str) -> None:
+def _require_covering(p: FinitePoset, xs, dmask: int, op, word: str) -> None:
     missing = [p.labels[m] for m in xs if not (dmask >> m) & 1]
-    for v in _pair_meets(p, xs):
+    for v in _pair_meets(p, xs, op):
         if not (dmask >> v) & 1 and p.labels[v] not in missing:
             missing.append(p.labels[v])
     if missing:
@@ -145,13 +145,18 @@ def _require_covering(p: FinitePoset, xs, dmask: int, word: str) -> None:
         )
 
 
-def _factored(s: Subset, vec, mask) -> SymMatrix:
-    """E diag(masses) E^T: entry (i, j) sums the masses over the members
-    of their set that the ``mask`` of both ``x_i`` and ``x_j`` holds."""
-    d = vec.subset
+def _factored(s: Subset, d: Subset, f: PosetFunction, kind: str) -> SymMatrix:
+    """E diag(masses over d) E^T, once ``d`` is checked to hold the members
+    and their pair bounds: entry (i, j) sums the masses over the members of
+    ``d`` that the masks toward the bound of both ``x_i`` and ``x_j`` hold."""
+    _check_same_parent(s, f)
+    p = s.parent
     keep = d.member_mask()
+    _require_covering(p, s.members, keep, _op(kind), f"{kind}s")
+    vec = _masses(d, f, kind)
     mass = dict(zip(d.members, vec.values))
-    row_masks = [mask(x) & keep for x in s.members]
+    toward = _side(p, kind)[0]
+    row_masks = [toward[x] & keep for x in s.members]
     n = len(row_masks)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -168,18 +173,12 @@ def factored_meet_matrix(s: Subset, d: Subset, f: PosetFunction) -> SymMatrix:
     does not need to be meet closed.  The result equals
     :func:`meet_matrix` entrywise, in exact arithmetic.
     """
-    _check_same_parent(s, f)
-    _require_covering(s.parent, s.members, d.member_mask(), "meets")
-    return _factored(s, psi(d, f), s.parent.down_mask)
+    return _factored(s, d, f, "meet")
 
 
 def factored_join_matrix(s: Subset, b: Subset, f: PosetFunction) -> SymMatrix:
-    """Dual of :func:`factored_meet_matrix`, with phi masses over ``b``; the
-    covering check is the meet one in the order dual."""
-    _check_same_parent(s, f)
-    with _as_join():
-        _require_covering(s.parent.dual(), _mirror(s), b.dual().member_mask(), "joins")
-    return _factored(s, phi(b, f), s.parent.up_mask)
+    """Dual of :func:`factored_meet_matrix`, with phi masses over ``b``."""
+    return _factored(s, b, f, "join")
 
 
 def mass_diagonal(d: Subset, f: PosetFunction, kind: str = "meet") -> DiagMatrix:

@@ -4,13 +4,13 @@
 adds on top of everything strictly below it inside the set; summing masses
 over a principal down-set recovers the function.  ``phi`` is the top-down
 dual.  ``psi`` walks the set's down masks in listing order, ``phi`` its up
-masks in reverse: the order dual, with no dual built.  Each result is
-checked by summing it back along the other mask, which holds only for the
-right masses as zeta is invertible, and catches a wrong mask too, since
-every poset builds its up masks apart from its down masks.  A failed check
-raises :class:`CharacterizationMismatch`, also under ``python -O``.
-Everything here runs in exact rational arithmetic; supplying floats raises
-:class:`ExactArithmeticError`.
+masks in reverse: the order dual, with no dual built, as the order tests
+of a function do.  Each result is checked by summing it back along the
+other mask, which holds only for the right masses as zeta is invertible,
+and catches a wrong mask too, since every poset builds its up masks apart
+from its down masks.  A failed check raises :class:`CharacterizationMismatch`,
+also under ``python -O``.  Everything here runs in exact rational arithmetic;
+supplying floats raises :class:`ExactArithmeticError`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     ExactArithmeticError,
     MissingValueError,
 )
-from .poset import FinitePoset, Subset, _bits, _kind
+from .poset import FinitePoset, Subset, _bits, _kind, _side
 
 
 def _number(value):
@@ -125,26 +125,25 @@ class PosetFunction:
 
     def is_order_preserving(self, strict: bool = False, within: Subset | None = None) -> bool:
         """x below y implies f(x) <= f(y); ``strict`` demands <."""
+        return self._monotone("meet", strict, within)
+
+    def is_order_reversing(self, strict: bool = False, within: Subset | None = None) -> bool:
+        """x below y implies f(x) >= f(y); ``strict`` demands >."""
+        return self._monotone("join", strict, within)
+
+    def _monotone(self, kind: str, strict: bool = False, within: Subset | None = None) -> bool:
+        """Order-preserving for a meet matrix, order-reversing for a join one:
+        no element of the domain below (above) another has a larger value,
+        nor with ``strict`` an equal one."""
+        toward = _side(self.poset, kind)[0]
         idx = self._domain(within)
         domain = sum(1 << i for i in idx)
         for b in idx:
             fb = self.values[b]
-            for a in _bits(self.poset.down_mask(b) & domain & ~(1 << b)):
+            for a in _bits(toward[b] & domain & ~(1 << b)):
                 if self.values[a] > fb or (strict and self.values[a] == fb):
                     return False
         return True
-
-    def is_order_reversing(self, strict: bool = False, within: Subset | None = None) -> bool:
-        """x below y implies f(x) >= f(y); ``strict`` demands >.  That is,
-        ``f`` preserves the order dual."""
-        dual_within = None if within is None else within.dual()
-        return self.dual().is_order_preserving(strict, dual_within)
-
-    def _monotone(self, kind: str, strict: bool = False, within: Subset | None = None) -> bool:
-        """Order-preserving for a meet matrix, order-reversing for a join one."""
-        if _kind(kind) == "meet":
-            return self.is_order_preserving(strict, within)
-        return self.is_order_reversing(strict, within)
 
     def is_positive(self, within: Subset | None = None) -> bool:
         return all(self.values[i] > 0 for i in self._domain(within))

@@ -11,28 +11,27 @@ off a valid poset, unpickling and copying restore one, ``build_poset`` (so
 ``total_order_poset`` too) closes checked input along the extension it
 finds, and ``numtheory`` builds divisibility orders from exponent vectors.
 
-The relation is kept as one down-set bitmask per element, which keeps meets,
-covers and chain tests cheap at desk scale.  Each job is written for meets;
-the join side runs it on the cached order dual.  ``_kind`` is the one check
-of a meet/join switch, and ``_closure`` and ``_is_closed`` pick a side's
-routine, as ``mobius._masses`` and ``matrices._matrix`` do.  One kernel,
-``_close``, builds every closure, of poset indices here and of integers in
-``numtheory``: one ascending pass adds each new element's meets with those
-held, then the element, and as meets associate the set stays closed.  It
-checks a cap after each element (:class:`DeskScaleError`), and a missing
-meet names the first pair of the pass without one.  ``_pair_meets`` yields
-the meets of member pairs to every classifier and matrix; the tree and
-monotonicity tests read masks, not index pairs.  ``_cover_edges`` walks the
-lower covers of a member mask on the parent's masks, one step per edge, so
-the tree tests never build a closure's induced poset.  All types are
-immutable apart from their caches of duals, closures, induced posets and
-tree-set answers, and all functions are pure, so everything is safe to share
-between threads.
+The relation is kept as one down-set and one up-set bitmask per element,
+which keeps meets, joins, covers and chain tests cheap at desk scale.  The
+join side reads the up masks where the meet side reads the down masks, so
+no request builds an order dual: each shared kernel takes the operation,
+:func:`meet` or its mirror :func:`join`, or the masks ``_side`` picks.
+``_kind`` is the one check of a meet/join switch, and ``_closure`` and
+``_is_closed`` pick a side's routine, as ``mobius._masses`` and
+``matrices._matrix`` do.  One kernel, ``_close``, builds every closure, of
+poset indices here and of integers in ``numtheory``: one ascending pass adds
+each new element's meets (joins) with those held, then the element, and as
+they associate the set stays closed.  It checks a cap after each element
+(:class:`DeskScaleError`), and a missing bound names the first pair of the
+pass without one.  ``_cover_edges`` walks the covers of a member mask on the
+parent's masks, one step per edge, so the tree tests never build a closure's
+induced poset.  All types are immutable apart from their caches of duals,
+closures, induced posets and tree-set answers, and all functions are pure,
+so everything is safe to share between threads.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from operator import or_
@@ -412,34 +411,45 @@ def meet(p: FinitePoset, i: int, j: int) -> int:
     )
 
 
-def _pair_meets(p: FinitePoset, members: Sequence[int]) -> Iterator[int]:
-    """``meet(p, x_a, x_b)`` for each pair a < b, in listing order, lazily."""
-    return (meet(p, x, y) for a, x in enumerate(members) for y in members[a + 1:])
-
-
-@contextmanager
-def _as_join():
-    """Run meet code on the order dual as join code: a missing meet there is
-    raised as the missing join it stands for, in the words of :func:`join`."""
-    try:
-        yield
-    except NoMeetError as exc:
-        pair, _, missing = str(exc).rpartition(" have no ")
-        missing = missing.replace("greatest", "least").replace("lower", "upper")
-        raise NoJoinError(f"{pair} have no {missing}") from None
-
-
-def _mirror(s: Subset) -> tuple[int, ...]:
-    """The members as indices of the order dual, in the listing of ``s``."""
-    return s.dual().members[::-1]
-
-
 def join(p: FinitePoset, i: int, j: int) -> int:
-    """Index of the least common upper bound of ``x_i`` and ``x_j``: their
-    meet in the order dual."""
-    n = p.n
-    with _as_join():
-        return n - 1 - meet(p.dual(), n - 1 - i, n - 1 - j)
+    """Index of the least common upper bound of ``x_i`` and ``x_j``: the
+    mirror of :func:`meet` on the up masks, with the lowest index."""
+    cub = p._up[i] & p._up[j]
+    if cub == 0:
+        raise NoJoinError(
+            f"{p.labels[i]!r} and {p.labels[j]!r} have no common upper bound"
+        )
+    bottom = (cub & -cub).bit_length() - 1
+    if p._up[bottom] == cub:
+        return bottom
+    raise NoJoinError(
+        f"{p.labels[i]!r} and {p.labels[j]!r} have no least common upper bound"
+    )
+
+
+def _pair_meets(p: FinitePoset, members: Sequence[int], op) -> Iterator[int]:
+    """``op(p, x_a, x_b)`` for each pair a < b, in listing order, lazily."""
+    return (op(p, x, y) for a, x in enumerate(members) for y in members[a + 1:])
+
+
+def _kind(kind: str) -> str:
+    """The one check of a meet/join switch: ``kind`` itself, or ValueError."""
+    if kind not in ("meet", "join"):
+        raise ValueError("kind must be 'meet' or 'join'")
+    return kind
+
+
+def _op(kind: str):
+    return meet if _kind(kind) == "meet" else join
+
+
+def _side(p: FinitePoset, kind: str):
+    """How the meet (join) side reads ``p``: the masks toward the bound
+    (down, or up), those away from it, and the pick of a mask's last index
+    along the side's extension: the index order, or its reverse."""
+    if _kind(kind) == "meet":
+        return p._down, p._up, lambda mask: mask.bit_length() - 1
+    return p._up, p._down, lambda mask: (mask & -mask).bit_length() - 1
 
 
 def _close(elements: Iterable[int], op, cap: int) -> tuple[int, ...]:
@@ -448,7 +458,7 @@ def _close(elements: Iterable[int], op, cap: int) -> tuple[int, ...]:
     order; each ``x`` the closed set ``C`` lacks brings in ``op(c, x)`` for
     every ``c`` in ``C``, in the order ``C`` gained them, then ``x``.  As
     ``op(op(c, x), op(d, x)) = op(op(c, d), x)``, that set is closed, and no
-    pair is combined twice.  A missing meet fails at the first pair of the
+    pair is combined twice.  A missing bound fails at the first pair of the
     pass without one, which exists exactly when the generated set has one.
     The size is checked after each ``x``: past ``cap`` elements it raises
     :class:`DeskScaleError`."""
@@ -463,8 +473,8 @@ def _close(elements: Iterable[int], op, cap: int) -> tuple[int, ...]:
 
 
 def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureResult:
-    """The closure with ascending ``members``, kept on ``s`` like its dual,
-    so every route of a request reads the same one."""
+    """The closure with ascending ``members``, kept on ``s``, so every route
+    of a request reads the same one."""
     pos = {m: k for k, m in enumerate(members)}
     embed = tuple(pos[m] for m in s.members)
     result = ClosureResult(subset=Subset(s.parent, members), embed=embed, kind=kind)
@@ -472,98 +482,85 @@ def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureRe
     return result
 
 
+def _kept_closure(s: Subset, kind: str) -> ClosureResult:
+    if (kept := s.__dict__.get(f"_{kind}_closure")) is None:
+        members = _close(s.members, partial(_op(kind), s.parent), s.parent.n)
+        kept = _closure_result(s, members, kind)
+    return kept
+
+
 def meet_closure(s: Subset) -> ClosureResult:
     """Smallest superset of ``s`` closed under pairwise meets."""
-    if (kept := s.__dict__.get("_meet_closure")) is None:
-        p = s.parent
-        kept = _closure_result(s, _close(s.members, partial(meet, p), p.n), "meet")
-    return kept
+    return _kept_closure(s, "meet")
 
 
 def join_closure(s: Subset) -> ClosureResult:
-    """Smallest superset of ``s`` closed under pairwise joins, each join
-    taken as a meet in the order dual."""
-    if (kept := s.__dict__.get("_join_closure")) is None:
-        q = s.parent.dual()
-        last = q.n - 1
-        with _as_join():
-            members = _close(
-                s.members, lambda i, j: last - meet(q, last - i, last - j), q.n
-            )
-        kept = _closure_result(s, members, "join")
-    return kept
-
-
-def _kind(kind: str) -> str:
-    """The one check of a meet/join switch: ``kind`` itself, or ValueError."""
-    if kind not in ("meet", "join"):
-        raise ValueError("kind must be 'meet' or 'join'")
-    return kind
+    """Smallest superset of ``s`` closed under pairwise joins."""
+    return _kept_closure(s, "join")
 
 
 def _closure(s: Subset, kind: str) -> ClosureResult:
     return meet_closure(s) if _kind(kind) == "meet" else join_closure(s)
 
 
-def _meets_inside(p: FinitePoset, members: Sequence[int]) -> bool:
-    mask = sum(1 << m for m in members)
-    return all((mask >> z) & 1 for z in _pair_meets(p, members))
+def _closed_under(s: Subset, op) -> bool:
+    keep = s.member_mask()
+    return all((keep >> z) & 1 for z in _pair_meets(s.parent, s.members, op))
 
 
 def is_meet_closed(s: Subset) -> bool:
     """True when every pairwise meet of members is itself a member."""
-    return _meets_inside(s.parent, s.members)
+    return _closed_under(s, meet)
 
 
 def is_join_closed(s: Subset) -> bool:
     """True when every pairwise join of members is itself a member."""
-    with _as_join():
-        return _meets_inside(s.parent.dual(), _mirror(s))
+    return _closed_under(s, join)
 
 
 def _is_closed(s: Subset, kind: str) -> bool:
     return is_meet_closed(s) if _kind(kind) == "meet" else is_join_closed(s)
 
 
+def _reach(s: Subset, masks: Sequence[int]) -> Subset:
+    return Subset(s.parent, tuple(_bits(reduce(or_, map(masks.__getitem__, s.members)))))
+
+
 def down_set(s: Subset) -> Subset:
     """All ambient elements lying below some member."""
-    mask = 0
-    for m in s.members:
-        mask |= s.parent.down_mask(m)
-    return Subset(s.parent, tuple(_bits(mask)))
+    return _reach(s, s.parent._down)
 
 
 def up_set(s: Subset) -> Subset:
-    """All ambient elements lying above some member: the down-set in the
-    order dual."""
-    return down_set(s.dual()).dual()
+    """All ambient elements lying above some member."""
+    return _reach(s, s.parent._up)
 
 
-def _cover_edges(p: FinitePoset, keep: int) -> Iterator[tuple[int, int]]:
-    """The cover edges ``(i, j)`` of the order ``p`` induces on the bits of
-    ``keep``, in parent indices.  Below each ``j``, the highest index left
-    is maximal there, so a lower cover; its down-set, which holds no other
-    cover, is then cleared.  The work is one step per cover edge, not one
-    per comparable pair."""
-    down = p._down
+def _cover_edges(side, keep: int) -> Iterator[tuple[int, int]]:
+    """The cover edges ``(i, j)`` of the order induced on the bits of
+    ``keep``, in parent indices, ``i`` below ``j`` for meets and above it
+    for joins.  Toward the bound from ``j``, the last index left is a cover;
+    its own mask toward the bound, which holds no other cover, is cleared.
+    The work is one step per cover edge, not one per comparable pair."""
+    toward, _, last = side
     for j in _bits(keep):
-        below = (down[j] & keep) ^ (1 << j)
-        while below:
-            i = below.bit_length() - 1
+        rest = (toward[j] & keep) ^ (1 << j)
+        while rest:
+            i = last(rest)
             yield i, j
-            below &= ~down[i]
+            rest &= ~toward[i]
 
 
 def cover_graph(p: FinitePoset) -> CoverGraph:
     """The transitive reduction of the strict order."""
-    return CoverGraph(p.n, tuple(sorted(_cover_edges(p, (1 << p.n) - 1))))
+    return CoverGraph(p.n, tuple(sorted(_cover_edges(_side(p, "meet"), (1 << p.n) - 1))))
 
 
-def _induced_cover_graph(p: FinitePoset, keep: int) -> CoverGraph:
-    """The cover graph of the order ``p`` induces on the bits of ``keep``,
-    each kept index numbered by its place among them, in walk order."""
+def _induced_cover_graph(side, keep: int) -> CoverGraph:
+    """The cover graph of the order induced on the bits of ``keep``, each
+    kept index numbered by its place among them, in walk order."""
     pos = {m: k for k, m in enumerate(_bits(keep))}
-    edges = tuple((pos[i], pos[j]) for i, j in _cover_edges(p, keep))
+    edges = tuple((pos[i], pos[j]) for i, j in _cover_edges(side, keep))
     return CoverGraph(len(pos), edges)
 
 
@@ -578,35 +575,37 @@ def is_chain(s: Subset) -> bool:
     return _indices_form_chain(s.parent, s.members)
 
 
-def _tree_characterizations(p: FinitePoset, keep: int) -> tuple[bool, bool, bool, bool]:
+def _tree_characterizations(p: FinitePoset, side, keep: int) -> tuple[bool, bool, bool, bool]:
     """The four tree characterizations of the order ``p`` induces on the
-    bits of ``keep``, each read off the parent's masks cut to ``keep``."""
-    cg = _induced_cover_graph(p, keep)
+    bits of ``keep``, each read off the masks of ``side`` cut to ``keep``;
+    a chain is a chain on either side."""
+    toward, away, _ = side
+    cg = _induced_cover_graph(side, keep)
     as_tree = cg.is_tree()
 
     uppers = [upper for _, upper in cg.edges]
     covers_at_most_one = len(set(uppers)) == len(uppers)
 
     down_sets_chains = all(
-        _indices_form_chain(p, list(_bits(p.down_mask(x) & keep))) for x in _bits(keep)
+        _indices_form_chain(p, list(_bits(toward[x] & keep))) for x in _bits(keep)
     )
 
     # The elements sharing an upper bound with x are the down-sets of its
-    # up-set; each must lie below or above x.
+    # up-set (for joins, swap up and down); each must lie below or above x.
     bounded_pairs_comparable = all(
-        reduce(or_, map(p.down_mask, _bits(p.up_mask(x) & keep)))
-        & keep & ~(p.down_mask(x) | p.up_mask(x)) == 0
+        reduce(or_, map(toward.__getitem__, _bits(away[x] & keep)))
+        & keep & ~(toward[x] | away[x]) == 0
         for x in _bits(keep)
     )
     return as_tree, covers_at_most_one, down_sets_chains, bounded_pairs_comparable
 
 
 def _is_tree(c: ClosureResult) -> bool:
-    """The characterizations on a meet closure, or on the dual of a join
-    closure; the answer is kept on ``c``, so they run once per closure."""
+    """The characterizations on a closure, read on its own side; the answer
+    is kept on ``c``, so they run once per closure."""
     if (kept := c.__dict__.get("_tree")) is None:
-        d = c.subset if c.kind == "meet" else c.subset.dual()
-        answers = _tree_characterizations(d.parent, d.member_mask())
+        p, keep = c.subset.parent, c.subset.member_mask()
+        answers = _tree_characterizations(p, _side(p, c.kind), keep)
         if len(set(answers)) != 1:
             raise CharacterizationMismatch(
                 f"{c.kind}-tree characterizations disagree: {answers}"
@@ -629,8 +628,8 @@ def is_wedge_tree_set(s: Subset) -> bool:
 
 
 def is_vee_tree_set(s: Subset) -> bool:
-    """Dual of :func:`is_wedge_tree_set`: the same four characterizations,
-    evaluated on the order dual of the join closure."""
+    """Dual of :func:`is_wedge_tree_set`: the same four characterizations
+    on the join closure, with up and down swapped."""
     return _is_tree(join_closure(s))
 
 
@@ -641,4 +640,4 @@ def is_A_set(s: Subset) -> bool:
     members themselves.  Singletons qualify vacuously.
     """
     p = s.parent
-    return _indices_form_chain(p, set(_pair_meets(p, s.members)))
+    return _indices_form_chain(p, set(_pair_meets(p, s.members, meet)))

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from meetjoin import cli, det_general, eigen_sym, matrices, numtheory, poset
+from meetjoin import (CharacterizationMismatch, FinitePoset, PosetFunction, Subset,
+                      cli, det_general, eigen_sym, matrices, numtheory, poset)
 from meetjoin.cli import RunConfig, _encode, _resolve, main, run
 
 WORKED_POSET = {"generated_by": [6, 10, 15], "set": [6, 10, 15]}
@@ -164,9 +165,9 @@ def test_check_pd_runs_the_tree_characterizations_once(monkeypatch):
     original = poset._tree_characterizations
     sizes = []
 
-    def counted(p, keep):
+    def counted(p, side, keep):
         sizes.append(keep.bit_count())
-        return original(p, keep)
+        return original(p, side, keep)
 
     monkeypatch.setattr(poset, "_tree_characterizations", counted)
     members = random.Random(0).sample(range(1, 3000), 100)
@@ -522,8 +523,8 @@ def test_closure_ambient_closes_the_set_once(monkeypatch):
 def test_large_lcm_closure_takes_a_call_per_member_and_element(monkeypatch, ambient):
     # The lcm closure of the first 13 primes has 8191 elements.  Combining
     # each pair of it took C(8191, 2) = 33542145 calls, of math.lcm under
-    # the closure ambient (15.5 s a request) and of the poset meet on the
-    # dual under the canonical one (31.5 s).
+    # the closure ambient (15.5 s a request) and of the poset bound under
+    # the canonical one (31.5 s), which is the join on the up masks.
     calls = 0
 
     def counted(original):
@@ -535,7 +536,7 @@ def test_large_lcm_closure_takes_a_call_per_member_and_element(monkeypatch, ambi
 
     lcm = counted(math.lcm)
     monkeypatch.setattr(math, "lcm", lcm)
-    monkeypatch.setattr(poset, "meet", counted(poset.meet))
+    monkeypatch.setattr(poset, "join", counted(poset.join))
     kind, tag, _, unitary, universe = numtheory._INTEGER_FAMILIES["power_lcm_reciprocal"]
     monkeypatch.setitem(numtheory._INTEGER_FAMILIES, "power_lcm_reciprocal",
                         (kind, tag, lcm, unitary, universe))
@@ -778,3 +779,71 @@ def test_ambient_choice_changes_universe():
     canonical = invoke(["closure", "--set", "4,6", "--family", "power-gcd",
                         "--ambient", "canonical"])
     assert json.loads(canonical.output)["members"] == [2, 4, 6]
+
+
+def test_a_failed_mass_cross_check_ends_check_pd(tmp_path, monkeypatch):
+    # No closed superset decides here, so the reply computes psi over the
+    # closure again.  A failed re-sum check there dropped the psi key and
+    # exited 0; only a missing bound or float values leave psi out.
+    write_json(tmp_path / "p.json", {"divisors_of": 12, "set": [2, 3]})
+    write_json(tmp_path / "f.json",
+               {"1": 1, "2": -1, "3": 2, "4": 5, "6": "1/2", "12": 7})
+    config = RunConfig(command="check-pd", poset_path=str(tmp_path / "p.json"),
+                       values_path=str(tmp_path / "f.json"))
+    code, text = run(config)
+    assert code == 0
+    body = json.loads(text)
+    assert body["method"] == "oracle" and "psi" in body
+
+    def fails(*args):
+        raise CharacterizationMismatch("psi masses do not re-sum to f")
+
+    monkeypatch.setattr(cli, "_masses", fails)
+    code, text = run(config)
+    assert code == 2
+    assert json.loads(text)["error"] == {
+        "type": "CharacterizationMismatch",
+        "message": "psi masses do not re-sum to f",
+    }
+
+
+def test_no_request_builds_an_order_dual(tmp_path, monkeypatch):
+    # The join side reads the up masks; before, join closures, join tests
+    # and join matrices ran the meet code on duals of the poset, the set
+    # and the function.
+    calls = Counter()
+
+    def counted(cls):
+        original = cls.dual
+
+        def dual(self):
+            calls[cls.__name__] += 1
+            return original(self)
+        monkeypatch.setattr(cls, "dual", dual)
+
+    for cls in (FinitePoset, Subset, PosetFunction):
+        counted(cls)
+    write_json(tmp_path / "div.json", {"divisors_of": 12, "set": [2, 3, 4]})
+    # x1 and x2 lie below a, x1 below b, x2 below c: b and c have no meet,
+    # and x1 and x2 no join.
+    write_json(tmp_path / "fork.json", {
+        "n": 5, "relation": [[1, 3], [2, 3], [1, 4], [2, 5]],
+        "labels": ["x1", "x2", "a", "b", "c"],
+    })
+    write_json(tmp_path / "fork_f.json", {"x1": 1, "x2": 2, "a": 3, "b": 4, "c": 5})
+    requests = [dict(set_text="6,10,15,4", family="power-gcd"),
+                dict(set_text="4,6,9,10", family="reciprocal-power-lcm")]
+    for kind in ("meet", "join"):
+        requests += [
+            dict(poset_path=str(tmp_path / "div.json"), kind=kind,
+                 function_tag="identity"),
+            dict(poset_path=str(tmp_path / "fork.json"), kind=kind,
+                 values_path=str(tmp_path / "fork_f.json")),
+        ]
+    codes = Counter()
+    for command in ("build", "check-pd", "bounds", "classify", "closure"):
+        for request in requests:
+            code, _ = run(RunConfig(command=command, **request))
+            codes[code] += 1
+    assert set(codes) <= {0, 2} and codes[0] >= 20
+    assert calls == Counter()

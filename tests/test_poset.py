@@ -1,12 +1,17 @@
 import copy
 import math
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import meetjoin
 import meetjoin.poset as poset_module
 from meetjoin import (
     CharacterizationMismatch,
@@ -33,6 +38,7 @@ from meetjoin import (
     join_closure,
     meet,
     meet_closure,
+    structure_flags,
     total_order_poset,
     up_set,
 )
@@ -171,6 +177,30 @@ def test_from_leq_refuses_rows_of_the_wrong_length():
                  [[True], [False, True]]):
         with pytest.raises(ValueError, match="entries, not 2"):
             FinitePoset.from_leq(rows)
+
+
+@pytest.mark.parametrize("down, labels, error, message", [
+    ((), None, ValueError, "a poset needs at least one element"),
+    ((1, 8), None, ValueError, "down mask 1 out of range"),
+    ((1, -1), None, ValueError, "down mask 1 out of range"),
+    ((1, "3"), None, ValueError, "down mask 1 out of range"),
+    ((1, 1), None, ValueError, "relation is not reflexive at index 1"),
+    ((3, 2), None, ValueError,
+     "indexing violates the linear-extension convention at index 0"),
+    ((1, 3, 6), None, ValueError, "relation is not transitive at (1, 2)"),
+    ((1, 3), ("a",), ValueError, "labels length must match element count"),
+    ((1, 3), ("a", "a"), DuplicateError, "labels must be unique"),
+])
+def test_constructor_refuses_malformed_input(down, labels, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        FinitePoset(down, labels)
+
+
+def test_from_leq_refuses_a_relation_that_is_not_transitive():
+    # 0 <= 1 and 1 <= 2, but not 0 <= 2.
+    rows = [[True, True, False], [False, True, True], [False, False, True]]
+    with pytest.raises(ValueError, match=r"^relation is not transitive at \(1, 2\)$"):
+        FinitePoset.from_leq(rows)
 
 
 def test_meet_join_match_gcd_lcm():
@@ -358,7 +388,8 @@ def test_cover_walk_matches_the_interval_scan():
     # restricted subsets, which hold pairs with no cover between them.  Cut
     # to a member mask, the walk gives the induced order's covers in parent
     # indices; numbered by place among the members, they are the cover
-    # graph of the restriction.
+    # graph of the restriction.  The join side walks the up masks, each
+    # edge from the upper end, and finds the same covers.
     rng = random.Random(1811)
     for k in range(200):
         if k % 3:
@@ -368,13 +399,14 @@ def test_cover_walk_matches_the_interval_scan():
         s = random_subset(rng, p)
         for q in (p, p.dual(), s.restrict(), s.dual().restrict()):
             assert cover_graph(q).edges == scan_cover_edges(q)
-        for d in (s, s.dual()):
-            place = {m: r for r, m in enumerate(d.members)}
+        place = {m: r for r, m in enumerate(s.members)}
+        for kind in ("meet", "join"):
+            side = poset_module._side(p, kind)
             walked = sorted(
-                (place[i], place[j])
-                for i, j in poset_module._cover_edges(d.parent, d.member_mask())
+                (place[i], place[j]) if kind == "meet" else (place[j], place[i])
+                for i, j in poset_module._cover_edges(side, s.member_mask())
             )
-            assert tuple(walked) == cover_graph(d.restrict()).edges
+            assert tuple(walked) == cover_graph(s.restrict()).edges
 
 
 def test_chain_detection():
@@ -404,11 +436,12 @@ def test_tree_characterizations_never_disagree():
 def test_tree_mask_checks_match_the_pair_scans():
     # "Covers at most one" and "bounded pairs are comparable" read masks; the
     # count list and the index-pair scan in support.py are the references.
-    # Whole posets (lattices and not), their duals, meet closures and the
-    # duals of join closures; closures without all meets are skipped.  On
-    # any finite order the two hold together: both say it is a forest.  The
-    # checks read the parent's masks cut to the closure, so the references
-    # run on the closure's induced order.
+    # Whole posets (lattices and not) and meet closures on the meet side,
+    # the same posets and join closures on the join side; closures without
+    # all bounds are skipped.  On any finite order the two hold together:
+    # both say it is a forest.  The checks read the parent's masks cut to
+    # the closure, so the references run on the closure's induced order, or
+    # on its order dual for the join side.
     rng = random.Random(1507)
     outcomes = set()
     for k in range(300):
@@ -417,24 +450,85 @@ def test_tree_mask_checks_match_the_pair_scans():
         else:
             p = random_relation_poset(rng, rng.randint(2, 12))
         s = random_subset(rng, p)
-        orders = [Subset.whole(p), Subset.whole(p.dual())]
+        cases = [(Subset.whole(p), "meet", p), (Subset.whole(p), "join", p.dual())]
         try:
-            orders.append(meet_closure(s).subset)
+            d = meet_closure(s).subset
+            cases.append((d, "meet", d.restrict()))
         except NoMeetError:
             pass
         try:
-            orders.append(join_closure(s).subset.dual())
+            d = join_closure(s).subset
+            cases.append((d, "join", d.restrict().dual()))
         except NoJoinError:
             pass
-        for d in orders:
-            q = d.restrict()
+        for d, kind, q in cases:
             _, covers, _, bounded = poset_module._tree_characterizations(
-                d.parent, d.member_mask()
+                d.parent, poset_module._side(d.parent, kind), d.member_mask()
             )
             assert covers == scan_covers_at_most_one(q)
             assert bounded == scan_bounded_pairs_comparable(q)
             outcomes.add((covers, bounded))
     assert outcomes == {(False, False), (True, True)}
+
+
+def test_tree_cross_check_raises_under_optimize():
+    # The chain 2 | 4 | 12 is the meet closure of itself in divisors(12).
+    # Its four characterizations agree on each side; a poset whose up(2)
+    # lacks 4 splits them on the meet side, where the check of bounded
+    # pairs reads the up masks, and one whose down(12) lacks 4 splits them
+    # on the join side, whose walk reads the masks swapped.  The check must
+    # raise with asserts stripped by -O too.
+    script = textwrap.dedent("""
+        from meetjoin import (
+            CharacterizationMismatch, Subset, divisibility_poset, divisors,
+            is_vee_tree_set, is_wedge_tree_set, meet_closure,
+        )
+        from meetjoin.poset import _restore_poset
+        s = Subset.of_labels(divisibility_poset(divisors(12)), [2, 4, 12])
+        closed = meet_closure(s).closed
+        print(is_wedge_tree_set(s), is_vee_tree_set(s))
+        down, up = list(closed._down), list(closed._up)
+        up[0] &= ~(1 << 1)
+        down[2] &= ~(1 << 1)
+        for name, lie, test in (
+            ("up", _restore_poset(closed.labels, None, closed._down, tuple(up)),
+             is_wedge_tree_set),
+            ("down", _restore_poset(closed.labels, None, tuple(down), closed._up),
+             is_vee_tree_set),
+        ):
+            try:
+                test(Subset.whole(lie))
+            except CharacterizationMismatch as exc:
+                print(name, test.__name__, exc)
+    """)
+    src = os.path.dirname(os.path.dirname(meetjoin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "True True",
+            "up is_wedge_tree_set meet-tree characterizations disagree: "
+            "(True, True, True, False)",
+            "down is_vee_tree_set join-tree characterizations disagree: "
+            "(True, True, False, False)",
+        ]
+
+
+def test_a_set_is_undefined_when_a_member_pair_has_no_meet():
+    # a lies above x1 and x2, b above x1 and c above x2.  The meets of a
+    # with b and c, x1 and x2, are incomparable, but b and c have no meet:
+    # the test is undefined, not False.  Stopping at the first incomparable
+    # pair of meets would answer False.
+    p = build_poset(5, [(1, 3), (2, 3), (1, 4), (2, 5)],
+                    labels=["x1", "x2", "a", "b", "c"])
+    s = Subset.of_labels(p, ["a", "b", "c"])
+    with pytest.raises(NoMeetError, match="^'b' and 'c' have no common lower bound$"):
+        is_A_set(s)
+    assert structure_flags(s)["a_set"] is None
 
 
 def test_pair_meets_follow_the_listing():
@@ -443,7 +537,7 @@ def test_pair_meets_follow_the_listing():
     # the first pair has no meet.  Dually for joins, with 1 above 2 and 3.
     p = build_poset(4, [(1, 2), (1, 3)])
     two, three, four = (p.index_of(lb) for lb in (2, 3, 4))
-    pairs = poset_module._pair_meets(p, (two, three, four))
+    pairs = poset_module._pair_meets(p, (two, three, four), meet)
     assert next(pairs) == p.index_of(1)
     with pytest.raises(NoMeetError, match="^2 and 4 have no common lower bound$"):
         next(pairs)
@@ -452,6 +546,10 @@ def test_pair_meets_follow_the_listing():
         is_meet_closed(Subset(p, (four, two, three)))
     q = build_poset(4, [(2, 1), (3, 1)])
     two, three, four = (q.index_of(lb) for lb in (2, 3, 4))
+    pairs = poset_module._pair_meets(q, (two, three, four), join)
+    assert next(pairs) == q.index_of(1)
+    with pytest.raises(NoJoinError, match="^2 and 4 have no common upper bound$"):
+        next(pairs)
     assert is_join_closed(Subset(q, (two, three, four))) is False
     with pytest.raises(NoJoinError, match="^4 and 2 have no common upper bound$"):
         is_join_closed(Subset(q, (four, two, three)))

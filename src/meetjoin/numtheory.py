@@ -421,7 +421,22 @@ class NamedFunction:
         return value if self.tag == "power" else 1.0 / value
 
     def bind(self, poset: FinitePoset) -> PosetFunction:
-        return PosetFunction.from_callable(poset, self.evaluate)
+        """The function on the poset's labels.  A label where it has no real
+        value (text that is no number, 0 under a negative power, a negative
+        label under a non-integral one) raises ValueError naming the tag and
+        the label."""
+        return PosetFunction.from_callable(poset, self._at_label)
+
+    def _at_label(self, label):
+        try:
+            value = self.evaluate(label)
+            if isinstance(value, complex):
+                raise ValueError
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise ValueError(
+                f"function {self.tag!r} is not defined at label {label!r}"
+            ) from None
+        return value
 
 
 FAMILIES = ("power_gcd", "power_lcm_reciprocal", "gcud_power", "min", "max")

@@ -25,9 +25,9 @@ they associate the set stays closed.  It checks a cap after each element
 (:class:`DeskScaleError`), and a missing bound names the first pair of the
 pass without one.  ``_cover_edges`` walks the covers of a member mask on the
 parent's masks, one step per edge, so the tree tests never build a closure's
-induced poset.  All types are immutable apart from their caches of duals,
-closures, induced posets and tree-set answers, and all functions are pure,
-so everything is safe to share between threads.
+induced poset.  All types are immutable apart from their caches of closures,
+induced posets and tree-set answers, and all functions are pure, so
+everything is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class FinitePoset:
     transitivity and the index convention itself.
     """
 
-    __slots__ = ("n", "labels", "source_order", "_down", "_up", "_dual")
+    __slots__ = ("n", "labels", "source_order", "_down", "_up")
 
     def __init__(self, down: Sequence[int], labels=None, source_order=None):
         down = tuple(down)
@@ -103,7 +103,7 @@ class FinitePoset:
                 raise ValueError("labels length must match element count")
             if len(set(labels)) != n:
                 raise DuplicateError("labels must be unique")
-        self._fill(n, labels, source_order, down, _up_masks(down), None)
+        self._fill(n, labels, source_order, down, _up_masks(down))
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -113,7 +113,7 @@ class FinitePoset:
         raise AttributeError("FinitePoset is immutable")
 
     def __reduce__(self):
-        # Pickle and copy rebuild through _fill: no validation, no dual cache.
+        # Pickle and copy rebuild through _fill, with no validation.
         return _restore_poset, (self.labels, self.source_order, self._down, self._up)
 
     @classmethod
@@ -148,16 +148,13 @@ class FinitePoset:
 
     def dual(self) -> "FinitePoset":
         """The order-dual, re-indexed by ``k -> n - 1 - k`` so the convention
-        still holds.  Read off the stored masks without validating again,
-        built once and cached both ways: ``p.dual().dual() is p``."""
-        if self._dual is None:
-            n = self.n
-            down = tuple(_reverse_mask(mask, n) for mask in reversed(self._up))
-            up = tuple(_reverse_mask(mask, n) for mask in reversed(self._down))
-            dual = _restore_poset(self.labels[::-1], None, down, up)
-            object.__setattr__(dual, "_dual", self)
-            object.__setattr__(self, "_dual", dual)
-        return self._dual
+        still holds, and so are the labels and input positions.  Read off
+        the stored masks on each call, without validating again; nothing is
+        kept, so ``p.dual().dual() == p``."""
+        n, order = self.n, self.source_order
+        down = tuple(_reverse_mask(mask, n) for mask in reversed(self._up))
+        up = tuple(_reverse_mask(mask, n) for mask in reversed(self._down))
+        return _restore_poset(self.labels[::-1], order and order[::-1], down, up)
 
     def __eq__(self, other):
         return (
@@ -187,7 +184,7 @@ def _up_masks(down: Sequence[int]) -> tuple[int, ...]:
 def _restore_poset(labels, source_order, down, up) -> FinitePoset:
     """A poset from masks that are valid by construction, with no checks."""
     p = object.__new__(FinitePoset)
-    p._fill(len(down), labels, source_order, down, up, None)
+    p._fill(len(down), labels, source_order, down, up)
     return p
 
 
@@ -329,19 +326,14 @@ class Subset:
         return _restore_poset(self.labels, None, down, _up_masks(down))
 
     def dual(self) -> "Subset":
-        """The members in the order dual, listed in reverse; cached both ways
-        (outside the dataclass fields, so equality and ``repr`` ignore it)."""
-        dual = getattr(self, "_dual", None)
-        if dual is None:
-            n = self.parent.n
-            members = tuple(n - 1 - m for m in reversed(self.members))
-            dual = Subset(self.parent.dual(), members)
-            object.__setattr__(dual, "_dual", self)
-            object.__setattr__(self, "_dual", dual)
-        return dual
+        """The members in the order dual, listed in reverse; built on each
+        call."""
+        n = self.parent.n
+        members = tuple(n - 1 - m for m in reversed(self.members))
+        return Subset(self.parent.dual(), members)
 
     def __getstate__(self):
-        # Copies leave the dual and closure caches behind; they rebuild them.
+        # Copies leave the closure caches behind; they rebuild them.
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def __len__(self):

@@ -450,6 +450,102 @@ def test_function_tag_binds_by_label(tmp_path):
     assert body["flags"]["meet_closed"] is True
 
 
+FORK = {"n": 5, "relation": [[1, 3], [2, 3], [1, 4], [2, 5]],
+        "labels": ["x1", "x2", "a", "b", "c"]}
+
+
+def bottom_and_two(labels):
+    """The poset file of a bottom element below two others."""
+    return {"n": 3, "relation": [[1, 2], [1, 3]], "labels": labels}
+
+
+@pytest.mark.parametrize("data, tag, alpha, label", [
+    # 0 under a negative power raised ZeroDivisionError out of run.
+    (bottom_and_two([0, 2, 3]), "reciprocal-power", "1", "0"),
+    (bottom_and_two([0, 2, 3]), "power", "-1", "0"),
+    (bottom_and_two([0, 2, 3]), "reciprocal-power", "1.5", "0"),
+    # A negative label under a non-integral exponent gave a complex value,
+    # refused as "unsupported value (-1.46...e-15-8j)".
+    (bottom_and_two([-4, 2, 3]), "power", "1.5", "-4"),
+    # Text labels were refused as "Invalid literal for Fraction: 'x1'".
+    (FORK, "identity", "1", "'x1'"),
+    (FORK, "power", "1.5", "'x1'"),
+])
+def test_named_function_refuses_a_label_it_is_undefined_at(
+        tmp_path, data, tag, alpha, label):
+    write_json(tmp_path / "p.json", data)
+    code, text = run(RunConfig(command="check-pd", poset_path=str(tmp_path / "p.json"),
+                               function_tag=tag, alpha=alpha))
+    assert code == 1
+    name = tag.replace("-", "_")
+    assert json.loads(text)["error"] == {
+        "type": "ValueError",
+        "message": f"function {name!r} is not defined at label {label}",
+    }
+
+
+@pytest.mark.parametrize("labels, tag, alpha, method", [
+    ([0, 2, 3], "identity", "1", "T3.1"),
+    ([0, 2, 3], "power", "1.5", "oracle"),
+    ([0, 2, 3], "reciprocal-power", "-1", "T3.1"),
+    ([-4, 2, 3], "power", "2", "T3.1"),
+    ([-4, 2, 3], "power", "-2", "T3.1"),
+])
+def test_named_function_on_zero_and_negative_labels(
+        tmp_path, labels, tag, alpha, method):
+    # Where the function is defined, 0 and negative labels still bind.
+    write_json(tmp_path / "p.json", bottom_and_two(labels))
+    code, text = run(RunConfig(command="check-pd", poset_path=str(tmp_path / "p.json"),
+                               function_tag=tag, alpha=alpha))
+    assert code == 0
+    assert json.loads(text)["method"] == method
+
+
+@pytest.mark.parametrize("files, flags, code, expected", [
+    ({"p.json": [1, 2]}, {}, 1, "{p}: poset file must be a JSON object"),
+    ({"p.json": {"relation": []}}, {}, 1,
+     "{p}: need exactly one of n, divisors_of, generated_by"),
+    ({"p.json": {"n": 2, "divisors_of": 6}}, {}, 1,
+     "{p}: need exactly one of n, divisors_of, generated_by"),
+    ({"p.json": {"divisors_of": 0}}, {}, 1,
+     "{p}: divisors_of must be a positive integer"),
+    ({"p.json": {"generated_by": []}}, {}, 1,
+     "{p}: generated_by must be a nonempty list"),
+    ({"p.json": {"n": 2, "relation": {"1": 2}}}, {}, 1,
+     "{p}: relation must be a list of pairs"),
+    ({"p.json": {"n": 2, "set": []}}, {}, 1,
+     "{p}: set must be a nonempty list of labels"),
+    ({"p.json": WORKED_POSET, "f.json": [1, 2]}, {"command": "check-pd"}, 1,
+     "{f}: function table must be a JSON object"),
+    ({"p.json": WORKED_POSET, "f.json": WORKED_VALUES},
+     {"command": "check-pd", "function_tag": "identity"}, 1,
+     "give --values or --function, not both"),
+    ({}, {"set_text": " , "}, 1, "the set shorthand is empty"),
+    # A table wrapped as {"values": {...}} is read as the inner table.
+    ({"p.json": WORKED_POSET, "f.json": {"values": WORKED_VALUES}},
+     {"command": "check-pd", "fmt": "csv"}, 0, "psi.2,-1"),
+    # A list field is one CSV line, its items joined by ";".
+    ({}, {"set_text": "6,10,15", "fmt": "csv"}, 0, "labels,6;10;15"),
+])
+def test_cli_refusals_and_accepted_shapes(tmp_path, files, flags, code, expected):
+    paths = {}
+    for name, data in files.items():
+        write_json(tmp_path / name, data)
+        paths[name[0]] = str(tmp_path / name)
+    config = {"command": "classify"}
+    if "p" in paths:
+        config["poset_path"] = paths["p"]
+    if "f" in paths:
+        config["values_path"] = paths["f"]
+    got, text = run(RunConfig(**{**config, **flags}))
+    assert got == code
+    expected = expected.format(**paths)
+    if code == 0:
+        assert expected in text.splitlines()
+    else:
+        assert json.loads(text)["error"] == {"type": "ValueError", "message": expected}
+
+
 def test_reports_are_deterministic():
     args = ["check-pd", "--set", "6,10,15", "--family", "power-gcd"]
     first = invoke(args)

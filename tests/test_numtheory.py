@@ -524,6 +524,6 @@ def test_divisibility_orders_match_the_pair_scan(tmp_path):
         assert p._down == want._down and p._up == want._up, p
         assert p == want and hash(p) == hash(want)
         assert p.dual() == want.dual() and p.dual()._up == want.dual()._up
-        assert p.dual().dual() is p
+        assert p.dual().dual() == p and p.dual().dual()._up == p._up
         for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
             assert clone == p and clone._up == p._up

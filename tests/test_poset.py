@@ -599,12 +599,12 @@ def test_dual_roundtrip_and_tree_duality():
     rng = random.Random(409)
     for _ in range(50):
         p = random_poset(rng)
-        assert p.dual().dual() is p
+        assert p.dual().dual() == p and p.dual().dual()._up == p._up
         for i in range(p.n):
             for j in range(p.n):
                 assert p.dual().leq(p.n - 1 - j, p.n - 1 - i) == p.leq(i, j)
         s = random_subset(rng, p)
-        assert s.dual().dual() is s
+        assert s.dual().dual() == s and s.dual().dual().parent._up == s.parent._up
         assert s.dual().labels == s.labels[::-1]
         try:
             left = is_wedge_tree_set(s)
@@ -627,8 +627,20 @@ def test_down_set_and_up_set():
 def test_dual_keeps_source_order():
     p = build_poset(3, [(3, 1), (3, 2)])
     assert p.source_order == (2, 0, 1)
-    assert p.dual().dual() is p
+    assert p.dual().dual() == p and p.dual().dual()._up == p._up
     assert p.dual().dual().source_order == (2, 0, 1)
+
+
+def test_duals_are_built_on_each_call():
+    # Duals of a poset and of a subset were cached on them and linked back
+    # both ways; no request reads a dual, so nothing is kept now.
+    p = build_poset(3, [(3, 1), (3, 2)])
+    s = Subset.whole(p)
+    assert "_dual" not in FinitePoset.__slots__
+    assert p.dual() is not p.dual() and p.dual() == p.dual()
+    assert p.dual().source_order == (1, 0, 2)
+    assert s.dual() is not s.dual() and s.dual() == s.dual()
+    assert "_dual" not in vars(s)
 
 
 def test_posets_pickle_and_deepcopy():
@@ -637,12 +649,13 @@ def test_posets_pickle_and_deepcopy():
     q = pickle.loads(pickle.dumps(p))
     assert q == p and q is not p
     assert q.labels == (1, 2, 3)
-    assert q.dual().dual() is q
+    assert q.dual().dual() == q and q.dual().dual()._up == q._up
     whole = Subset.whole(p)
     whole.dual()
     copied = copy.deepcopy(whole)
     assert copied == whole and copied.parent is not p
-    assert copied.dual().parent is copied.parent.dual()
+    assert copied.dual().parent == copied.parent.dual()
+    assert copied.dual().parent._up == copied.parent.dual()._up
     # source_order and labels survive both routes
     r = build_poset(3, [(3, 1), (3, 2)], labels=("a", "b", "c"))
     for clone in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):

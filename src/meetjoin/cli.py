@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,9 @@ EXPONENT_DIGITS = 1000
 # Decimal exponent of the largest value ``x**|alpha|`` a float exponent may
 # give: past 10**308 a float overflows.
 FLOAT_EXPONENT = 308
+
+# The decimal exponent at the end of a numeric label such as "1e400".
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
 
 
 @dataclass(frozen=True)
@@ -211,26 +215,47 @@ def _encode(value):
     return value
 
 
+def _label_logs(labels):
+    """``log10 |p| + log10 q`` of each nonzero label that reads as a
+    rational ``p/q`` in lowest terms: an int as it is, text through
+    :class:`Fraction` as an exact exponent reads it.  Text that is no
+    number is left to the function, which refuses it.  Text whose decimal
+    exponent is past ``EXPONENT_DIGITS`` counts as that many digits, so no
+    huge power of 10 is built just to be refused."""
+    for x in labels:
+        if isinstance(x, str):
+            exponent = _DECIMAL_EXPONENT.search(x)
+            if exponent and abs(int(exponent[1])) > EXPONENT_DIGITS:
+                yield float(abs(int(exponent[1])))
+                continue
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                continue
+        if x:
+            yield math.log10(abs(x.numerator)) + math.log10(x.denominator)
+
+
 def _check_exponent(alpha, labels) -> None:
     """Refuse an exponent that makes the values outgrow desk scale, before
     any value is built.  For an exact exponent beyond 1,
-    ``|alpha| * sum(log10 x)`` over the positive integer labels is the
-    number of digits of the product of their values ``x**|alpha|``.  Over
-    the members of a set, that product bounds ``|det|`` of a positive
-    definite power matrix (Hadamard's inequality) and no single value has
-    more digits.  For a float exponent, ``|alpha| * max(log10 x)`` is the
-    decimal exponent of the largest value, which must stay in float range."""
+    ``|alpha| * sum(log10 |p| + log10 q)`` over the nonzero labels ``p/q``
+    is the number of digits of the product of their values ``x**|alpha|``,
+    numerators and denominators alike.  Over the members of a set, that
+    product bounds ``|det|`` of a positive definite power matrix
+    (Hadamard's inequality) and no single value has more digits.  For a
+    float exponent, ``|alpha|`` times the largest such sum bounds the
+    decimal exponent of every value, which must stay in float range."""
     a = _normalize_alpha(alpha)
-    logs = [math.log10(x) for x in labels if isinstance(x, int) and x > 0]
     if isinstance(a, float):
-        largest = abs(a) * max(logs, default=0.0)
+        largest = abs(a) * max(_label_logs(labels), default=0.0)
         if largest > FLOAT_EXPONENT:
             raise DeskScaleError(
                 f"exponent {a} gives values near 1e{largest:.0f}, past the "
                 f"float range of 1e{FLOAT_EXPONENT}"
             )
     elif abs(a) > 1:
-        digits = abs(a) * sum(logs)
+        digits = abs(a) * sum(_label_logs(labels))
         if digits > EXPONENT_DIGITS:
             raise DeskScaleError(
                 f"exponent {a} gives values with about {digits:.0f} digits on "

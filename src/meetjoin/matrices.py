@@ -201,20 +201,53 @@ def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
 def leading_minors(m: SymMatrix, swap: bool = False):
     """Yield the leading principal minors of an exact ``m`` by Bareiss
     elimination, each before the step that needs it, so a caller that stops
-    early saves the rest.  Rows are cleared of denominators once and
-    eliminated over Python ints with exact ``//``; each minor is divided
-    back to a :class:`Fraction`.  With ``swap`` a zero pivot takes the first
-    lower row with a nonzero entry in its column, and the minors carry the
-    sign of the swaps, so the last is the determinant; a column without such
-    a row yields 0 and ends the elimination.
+    early saves the rest.  Each row is cleared of denominators once, by the
+    lcm ``s_i`` of its own, and eliminated over Python ints with exact
+    ``//``; each minor is divided back to a :class:`Fraction`.
+
+    After ``k`` steps, entry ``(i, j)`` of the trailing block is ``s_i``
+    times the scales of the pivot rows times the minor of ``m`` on rows
+    ``0..k-1, i`` and columns ``0..k-1, j``, which is symmetric in ``i``
+    and ``j``.  So row ``i`` keeps only its columns ``j >= i``, and a step
+    updates only those.  The lead entry below pivot ``k`` is read off row
+    ``k`` as ``r_ki * s_i // s_k``, exact since it is ``r_ik``; every
+    integer is the one a whole-row update gives.
+
+    With ``swap`` a zero pivot takes the first lower row with a nonzero
+    entry in its column, and the minors carry the sign of the swaps, so the
+    last is the determinant; a column without such a row yields 0 and ends
+    the elimination.  No symmetric swap mends ``[[0, 1], [1, 0]]``, so the
+    first zero pivot mirrors the remaining block into full rows, and the
+    steps from there on swap and update whole rows.
     """
     n = m.n
     scales = [math.lcm(*(v.denominator for v in row)) for row in m.entries]
-    rows = [[v.numerator * (d // v.denominator) for v in row]
-            for row, d in zip(m.entries, scales)]
-    sign = prev = scale = 1
+    rows = [[v.numerator * (d // v.denominator) for v in row[i:]]
+            for i, (row, d) in enumerate(zip(m.entries, scales))]
+    prev = scale = 1
     for k in range(n):
-        if swap and rows[k][k] == 0:
+        top = rows[k]
+        pivot = top[0]
+        if swap and pivot == 0:
+            break
+        s = scales[k]
+        scale *= s
+        yield Fraction(pivot, scale)
+        for i in range(k + 1, n):
+            t = scales[i]
+            lead = top[i - k] if t == s else top[i - k] * t // s
+            rows[i] = [(a * pivot - lead * b) // prev
+                       for a, b in zip(rows[i], top[i - k:])]
+        prev = pivot
+    else:
+        return
+    scales = scales[k:]
+    rows = [[rows[j][i - j] * t // scales[j - k] for j in range(k, i)]
+            + rows[i] for i, t in zip(range(k, n), scales)]
+    n -= k
+    sign = 1
+    for k in range(n):
+        if rows[k][k] == 0:
             for r in range(k + 1, n):
                 if rows[r][k] != 0:
                     rows[k], rows[r] = rows[r], rows[k]
@@ -224,7 +257,7 @@ def leading_minors(m: SymMatrix, swap: bool = False):
         pivot = rows[k][k]
         scale *= scales[k]
         yield sign * Fraction(pivot, scale)
-        if swap and pivot == 0:
+        if pivot == 0:
             return
         tail = rows[k][k + 1:]
         for i in range(k + 1, n):

@@ -318,6 +318,37 @@ def cofactor_det(rows):
     return total
 
 
+def full_row_minors(m, swap=False):
+    """Reference ``leading_minors``: Bareiss elimination that scales each
+    row by the lcm of its denominators and updates whole rows, swapping
+    rows at a zero pivot under ``swap``."""
+    n = m.n
+    scales = [math.lcm(*(v.denominator for v in row)) for row in m.entries]
+    rows = [[v.numerator * (d // v.denominator) for v in row]
+            for row, d in zip(m.entries, scales)]
+    sign = prev = scale = 1
+    for k in range(n):
+        if swap and rows[k][k] == 0:
+            for r in range(k + 1, n):
+                if rows[r][k] != 0:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    scales[k], scales[r] = scales[r], scales[k]
+                    sign = -sign
+                    break
+        pivot = rows[k][k]
+        scale *= scales[k]
+        yield sign * Fraction(pivot, scale)
+        if swap and pivot == 0:
+            return
+        tail = rows[k][k + 1:]
+        for i in range(k + 1, n):
+            row = rows[i]
+            lead = row[k]
+            row[k + 1:] = [(a * pivot - lead * b) // prev
+                           for a, b in zip(row[k + 1:], tail)]
+        prev = pivot
+
+
 def leading_minors_positive(matrix) -> bool:
     """Sylvester-style oracle via cofactor determinants of leading blocks."""
     n = matrix.n

@@ -693,6 +693,55 @@ def test_float_exponent_past_float_range_exits_two(tmp_path):
     assert json.loads(result.output)["error"]["type"] == "DeskScaleError"
 
 
+def test_exponent_cap_reads_every_numeric_label(tmp_path, monkeypatch):
+    # The cap counted only positive int labels: the text and the negative
+    # labels below ran the whole decision on ~19000-digit values and were
+    # refused only while rendering ("a rational of about 19432 digits").
+    # Now each gets the up-front error of the int labels, before any value
+    # is bound.
+    path = tmp_path / "p.json"
+
+    def refused(labels, alpha):
+        write_json(path, {"n": 2, "relation": [[1, 2]], "labels": labels})
+        code, text = run(RunConfig(command="check-pd", poset_path=str(path),
+                                   function_tag="power", alpha=alpha))
+        assert code == 2, labels
+        error = json.loads(text)["error"]
+        assert error["type"] == "DeskScaleError"
+        return error["message"]
+
+    def bind(self, poset):
+        raise AssertionError("a refused exponent bound its values")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numtheory.NamedFunction, "bind", bind)
+        for labels in ([2999999, 5999998], ["2999999", "5999998"],
+                       [-2999999, -5999998], ["1/2999999", "-5999998"]):
+            assert refused(labels, "3000") == (
+                "exponent 3000 gives values with about 39766 digits on the "
+                "diagonal, over the cap of 1000"
+            )
+        # a label past float range, which float() read as inf or 0.0
+        assert refused(["2", "1e-400"], "1.5") == (
+            "exponent 1.5 gives values near 1e600, past the float range of 1e308"
+        )
+        # a decimal exponent is counted, not expanded into a 10**9-digit int
+        assert refused(["2", "1e999999999"], "1.5") == (
+            "exponent 1.5 gives values near 1e1499999998, past the float "
+            "range of 1e308"
+        )
+    # 0 and text that is no number are left to the function, which refuses
+    # the text
+    write_json(path, {"n": 2, "relation": [[1, 2]], "labels": [0, "x1"]})
+    code, text = run(RunConfig(command="check-pd", poset_path=str(path),
+                               function_tag="power", alpha="3000"))
+    assert code == 1
+    assert json.loads(text)["error"] == {
+        "type": "ValueError",
+        "message": "function 'power' is not defined at label 'x1'",
+    }
+
+
 def test_float_overflow_exits_two():
     # An exact exponent under the digit cap whose values still pass 1e308 as
     # floats: bounds raised "integer division result too large for a float".

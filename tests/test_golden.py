@@ -11,9 +11,11 @@ the reply echoes the path.
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from meetjoin import divisors
 from meetjoin.cli import RunConfig, run
 
 POSETS = {
@@ -23,6 +25,7 @@ POSETS = {
     "wedge.json": {"n": 4, "relation": [[1, 2], [1, 3], [3, 4]], "set": [2, 4]},
     "bowtie.json": {"n": 4, "relation": [[1, 3], [1, 4], [2, 3], [2, 4]]},
     "nofn.json": {"n": 2, "relation": [[1, 2]]},
+    "div12swap.json": {"divisors_of": 12, "set": [2, 3, 4, 6]},
     "bad.json": '{"n": }',
 }
 VALUES = {
@@ -30,6 +33,9 @@ VALUES = {
     "v_div12neg.json": {"1": 1, "2": -1, "3": 2, "4": 5, "6": "1/2", "12": 7},
     "v_worked.json": {"1": 0, "2": -1, "3": 3, "5": -2, "6": 5, "10": 2, "15": 3},
     "v_wedge.json": {"1": 1, "2": 2, "3": "5/2", "4": 4},
+    # The second leading minor is 0, so det_general swaps rows past step 0,
+    # in a block whose rows have denominators 2, 1 and 2.
+    "v_div12swap.json": {"1": -1, "2": 2, "3": "1/2", "4": 3, "6": 3, "12": -1},
 }
 
 
@@ -39,6 +45,18 @@ def _set(command, members, family, **kw):
 
 def _poset(command, path, **kw):
     return dict(command=command, poset_path=path, **kw)
+
+
+def _text(members):
+    return ",".join(map(str, members))
+
+
+# The first check-pd of the seed-0 gcd-exact bench pool: C3.4, with det
+# from an 80x80 integer elimination.
+GCD_EXACT_80 = _text(random.Random(0).sample(range(1, 3000), 80))
+# C3.6 on 40 divisors of 720720, with det from a 40x40 elimination of
+# entries 1/lcm(x_i, x_j), whose denominators differ along each row.
+LCM_720720_40 = _text(random.Random(0).sample(divisors(720720), 40))
 
 
 REQUESTS = {
@@ -61,6 +79,9 @@ REQUESTS = {
     "check-pd-gcd-negative-alpha": _set("check-pd", "2,4,8", "power-gcd",
                                         alpha="-1"),
     "check-pd-max-csv": _set("check-pd", "1,2,3", "max", fmt="csv"),
+    "check-pd-gcd-exact-80": _set("check-pd", GCD_EXACT_80, "power-gcd"),
+    "check-pd-lcm-720720-40": _set("check-pd", LCM_720720_40,
+                                   "reciprocal-power-lcm"),
     "classify-gcd-canonical": _set("classify", "6,10,15", "power-gcd"),
     "classify-gcd-closure": _set("classify", "6,10,15", "power-gcd",
                                  ambient="closure"),
@@ -96,6 +117,8 @@ REQUESTS = {
                                        values_path="v_wedge.json", kind="meet"),
     "check-pd-poset-tree-join": _poset("check-pd", "wedge.json",
                                        values_path="v_wedge.json", kind="join"),
+    "check-pd-poset-values-swap": _poset("check-pd", "div12swap.json",
+                                         values_path="v_div12swap.json"),
     "check-pd-poset-no-meet": _poset("check-pd", "bowtie.json",
                                      function_tag="identity", kind="meet"),
     "classify-poset-no-meet": _poset("classify", "bowtie.json"),
@@ -126,8 +149,10 @@ DIGESTS = {
     "build-poset-values-meet": [0, "80fd769b362fb4497acbdfc71ae57d90d73e2d1694e674d47c43391c0fda9439"],
     "check-pd-gcd-canonical": [0, "cd19db00a36d4edeb4a67bc63d68771d4566414b25fda211c8f7710f74e33bf4"],
     "check-pd-gcd-closed": [0, "bc271e5c26a040a5b4a677b67815ece3f401e58b7a7bbafbc9e7c55fd1eb7344"],
+    "check-pd-gcd-exact-80": [0, "6f4f30bb9250df5f83abaf93dd48ad70d3a1c7bf550e447a30bf3c2e8cdb0f6b"],
     "check-pd-gcd-closure": [0, "8fb9b0b0b57ee527ea74fef3fcc4cbbb5b3c77328f9830b9d38f2cae2754c1d4"],
     "check-pd-gcd-negative-alpha": [0, "0da0cfc6da56a6fa3dd96cdc2f714f027ddf0ed012cc1e7ac9e758db0212bd86"],
+    "check-pd-lcm-720720-40": [0, "0b61f6baa83984dfc33b1e64e79e00d983f2c9b80640b41c74f471a6f100fead"],
     "check-pd-lcm-canonical": [0, "137594d2a08731ed0510b6f6a90f1f6a243e8c9cc1add00166ca2d082dcc203a"],
     "check-pd-lcm-closed": [0, "b68a873307851d385f4fb7d4a7765f72bf996e0f1ef69abab542de4af841d30a"],
     "check-pd-lcm-closure": [0, "d9b633bad0c9d4d0642dbc2e84af7ed469574bec42ac0b9fa3ab547fd7cfda37"],
@@ -140,6 +165,7 @@ DIGESTS = {
     "check-pd-poset-tree-meet": [0, "1a2025b1232659bf8eb3617ca149f7ad1fdcfe7f0f73e8edd7e41f81cd38423c"],
     "check-pd-poset-values-join-refuted": [0, "c650686099d51ff5d3baf1e739afb7a758dce65502a51feea55c593e84f54b79"],
     "check-pd-poset-values-meet-refuted": [0, "bd4777e0bac8a92ffb7cb976c2cc1be338730eb8fa45ef961d7e457d8b6cc7fc"],
+    "check-pd-poset-values-swap": [0, "014f10c8c8756d6fd86a868405e1bfab9f98d47b494a96039b69137e6f9f2a7c"],
     "check-pd-poset-values-oracle": [0, "0be0719a35a2ece5a3ea1a0562c4b4bc88197a3482a7d9b6ca0633b6cb0eba65"],
     "classify-gcd-canonical": [0, "a13d0f950a682f3b986ced7d15883c12477d1a92e58a55facd31ed91dfb2b99e"],
     "classify-gcd-closure": [0, "dce8a48fbaf71478acc438d31b65bd5da295f2ecf4efbe542e782c75f6b57600"],

@@ -34,6 +34,7 @@ from meetjoin.matrices import _float_pivots, leading_minors
 from support import (
     brute_join,
     cofactor_det,
+    full_row_minors,
     random_function,
     random_join_closed_subset,
     random_linear_extension,
@@ -241,6 +242,16 @@ def test_worked_matrix_minors_and_det():
     assert det_general(m) == 1
 
 
+# Zero leading pivots that need a row swap, and a singular matrix, with
+# their determinants.
+SWAP_CASES = (
+    (((0, 1), (1, 0)), -1),
+    (((0, 0, 1), (0, 1, 0), (1, 0, 0)), -1),
+    (((0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 3))), Fraction(-1, 4)),
+    (((0, 0), (0, 1)), 0),
+)
+
+
 def test_det_general_matches_cofactor_oracle():
     rng = random.Random(605)
     for _ in range(60):
@@ -258,13 +269,7 @@ def test_det_general_matches_cofactor_oracle():
         rows = [list(row) for row in m.entries]
         assert len({v.denominator for row in rows for v in row}) > 3
         assert det_general(m) == cofactor_det(rows)
-    # zero leading pivots that need a row swap, and a singular matrix
-    for entries, det in (
-        (((0, 1), (1, 0)), -1),
-        (((0, 0, 1), (0, 1, 0), (1, 0, 0)), -1),
-        (((0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 3))), Fraction(-1, 4)),
-        (((0, 0), (0, 1)), 0),
-    ):
+    for entries, det in SWAP_CASES:
         m = SymMatrix(entries)
         assert det_general(m) == det == cofactor_det([list(r) for r in m.entries])
         assert isinstance(det_general(m), Fraction)
@@ -330,6 +335,61 @@ def test_float_pivots_are_ratios_of_exact_minors():
             previous = minor
             compared += 1
     assert compared > 1000
+
+
+def _until_zero(minors):
+    """The minors up to the first zero, past which an elimination without
+    row swaps cannot go."""
+    out = []
+    for minor in minors:
+        out.append(minor)
+        if minor == 0:
+            break
+    return out
+
+
+def _assert_matches_full_rows(m):
+    assert _until_zero(leading_minors(m)) == _until_zero(full_row_minors(m))
+    swapped = list(full_row_minors(m, swap=True))
+    assert list(leading_minors(m, swap=True)) == swapped
+    assert det_general(m) == swapped[-1]
+
+
+def test_one_triangle_minors_match_full_rows():
+    for m in _random_exact_matrices(random.Random(610)):
+        _assert_matches_full_rows(m)
+
+
+def test_one_triangle_minors_match_full_rows_past_a_late_zero_pivot():
+    # Many zeros put a zero pivot past step 0, where the swap path mirrors
+    # the remaining block into full rows; denominators 1-6 give the rows of
+    # that block different scales, so a mirrored entry and a lead entry
+    # are rescaled by s_i / s_k != 1.
+    rng = random.Random(611)
+    late_zero = mixed_scales = 0
+    for _ in range(1500):
+        n = rng.randint(2, 7)
+        zeros = rng.random()
+        upper = [[Fraction(0) if rng.random() < zeros
+                  else Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                  for _ in range(n)] for _ in range(n)]
+        m = SymMatrix(tuple(
+            tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
+        ))
+        _assert_matches_full_rows(m)
+        minors = _until_zero(leading_minors(m))
+        k = len(minors) - 1
+        if minors[-1] == 0 and 0 < k < n - 1:
+            late_zero += 1
+            scales = {math.lcm(*(v.denominator for v in row))
+                      for row in m.entries[k:]}
+            mixed_scales += len(scales) > 1
+    assert late_zero > 150 and mixed_scales > 100
+
+
+def test_one_triangle_minors_match_full_rows_on_swap_cases():
+    for entries, _ in SWAP_CASES:
+        _assert_matches_full_rows(SymMatrix(entries))
 
 
 def test_float_det_with_row_swaps_matches_exact():

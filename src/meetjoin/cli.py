@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,8 @@ from .definiteness import classify_and_test, structure_flags
 from .errors import (DeskScaleError, DuplicateError, ExactArithmeticError,
                      MeetJoinError, NoJoinError, NoMeetError)
 from .matrices import _float_pivots, det_general
-from .mobius import PosetFunction, _coerce, _masses
+from .mobius import (EXPONENT_DIGITS, PosetFunction, _coerce, _decimal_exponent,
+                     _masses, _rational)
 from .numtheory import (
     DEFAULT_CAP,
     MatrixModel,
@@ -36,18 +36,9 @@ from .numtheory import (
 from .poset import FinitePoset, Subset, _closure, build_poset
 from .spectral import eigen_sym, join_bounds, meet_bounds
 
-# Digits allowed in the product of the diagonal entries ``x**|alpha|`` once an
-# exact exponent beyond 1 grows the values.  Measured: check-pd on 80 random
-# integers below 3000 takes ~1 s at alpha 4 (~980 digits), 7 s at alpha 12
-# and 15.7 s at alpha 20, where its det no longer renders.
-EXPONENT_DIGITS = 1000
-
 # Decimal exponent of the largest value ``x**|alpha|`` a float exponent may
 # give: past 10**308 a float overflows.
 FLOAT_EXPONENT = 308
-
-# The decimal exponent at the end of a numeric label such as "1e400".
-_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,15 @@ def _parse_int_set(text: str) -> list[int]:
     return [int(piece) for piece in items]
 
 
+# Report values that encode as themselves, tested by exact type: a float
+# fails ``isinstance(value, Fraction)`` only through the slow abstract-class
+# check.
+_PLAIN = frozenset({float, int, str, bool, type(None)})
+
+
 def _encode(value):
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Fraction):
         try:
             return str(value)
@@ -215,22 +214,30 @@ def _encode(value):
     return value
 
 
+def _encode_rows(entries) -> list[list]:
+    """The encoded rows of a matrix, each distinct entry object encoded
+    once: a meet or join matrix holds at most one per universe element."""
+    codes = {}  # the id of an entry object, while the matrix holds it
+    return [[codes[key] if (key := id(v)) in codes
+             else codes.setdefault(key, _encode(v)) for v in row]
+            for row in entries]
+
+
 def _label_logs(labels):
     """``log10 |p| + log10 q`` of each nonzero label that reads as a
-    rational ``p/q`` in lowest terms: an int as it is, text through
-    :class:`Fraction` as an exact exponent reads it.  Text that is no
+    rational ``p/q`` in lowest terms: an int as it is, text as
+    :func:`mobius._rational` reads it for the function.  Text that is no
     number is left to the function, which refuses it.  Text whose decimal
     exponent is past ``EXPONENT_DIGITS`` counts as that many digits, so no
     huge power of 10 is built just to be refused."""
     for x in labels:
         if isinstance(x, str):
-            exponent = _DECIMAL_EXPONENT.search(x)
-            if exponent and abs(int(exponent[1])) > EXPONENT_DIGITS:
-                yield float(abs(int(exponent[1])))
-                continue
             try:
-                x = Fraction(x)
-            except (ValueError, ZeroDivisionError):
+                x = _rational(x)
+            except DeskScaleError:
+                yield float(abs(_decimal_exponent(x)))
+                continue
+            except ValueError:
                 continue
         if x:
             yield math.log10(abs(x.numerator)) + math.log10(x.denominator)
@@ -333,7 +340,11 @@ def _det_fields(report, matrix) -> dict:
     On a closed set (T3.1/T3.2) it is the product of the masses; an exact
     oracle run that reached the last minor holds it as that minor.  Any
     other exact route pays for one elimination.  A float determinant is the
-    product of the pivots of the elimination :func:`det_general` runs; where
+    product of the pivots of the elimination :func:`det_general` runs, with
+    partial pivoting.  Where the swap-free oracle ran on the matrix, reached
+    its last column and would have picked each diagonal entry, those are
+    its own pivots, the same bits, and no second elimination runs; where
+    any column would swap rows, det eliminates again.  Where
     that product leaves the float range (a zero pivot aside), ``det`` is
     null and ``det_log10``, the sum of log10 |pivot|, and ``det_sign``
     carry it.
@@ -363,13 +374,11 @@ def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
 
     if config.command == "build":
         matrix = model.matrix
-        rows = [[_encode(matrix.entry(i, j)) for j in range(matrix.n)]
-                for i in range(matrix.n)]
         return 0, {
             "labels": _encode(list(model.subset.labels)),
             "kind": model.kind,
             "exact": matrix.is_exact,
-            "matrix": rows,
+            "matrix": _encode_rows(matrix.entries),
         }
 
     if config.command == "classify":

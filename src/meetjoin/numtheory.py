@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DeskScaleError, DuplicateError
 from .matrices import SymMatrix, _matrix
-from .mobius import PosetFunction
+from .mobius import PosetFunction, _rational
 from .poset import (
     FinitePoset,
     Subset,
@@ -412,6 +412,10 @@ class NamedFunction:
         return isinstance(self.alpha, int)
 
     def evaluate(self, m: int):
+        """The value at ``m``; numeric text such as "1/2" is read as the
+        rational it spells, under every exponent."""
+        if isinstance(m, str):
+            m = _rational(m)
         if self.tag == "identity":
             return Fraction(m)
         if isinstance(self.alpha, int):

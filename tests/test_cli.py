@@ -220,6 +220,44 @@ def test_float_check_pd_past_float_range():
         assert math.isclose(body["det_log10"], log_det, rel_tol=1e-9)
 
 
+def count_to_float(monkeypatch) -> list:
+    """Count the float copies of a matrix, one per float elimination."""
+    calls = []
+    original = matrices.SymMatrix.to_float
+
+    def counted(self):
+        calls.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(matrices.SymMatrix, "to_float", counted)
+    return calls
+
+
+def test_float_check_pd_eliminates_once(monkeypatch, tmp_path):
+    # Partial pivoting picks every diagonal on this power-gcd matrix, so
+    # det reuses the oracle's pivots and the reply is the same.
+    members = random.Random(0).sample(range(1, 3000), 80)
+    config = RunConfig(command="check-pd", set_text=",".join(map(str, members)),
+                       family="power-gcd", alpha="1.5")
+    expected = run(config)
+    calls = count_to_float(monkeypatch)
+    assert run(config) == expected
+    assert calls == [80]
+    assert json.loads(expected[1])["method"] == "oracle"
+    # Here the pick at column 0 is row 1, so det eliminates again, swapping.
+    write_json(tmp_path / "p.json", {"n": 3, "relation": [[1, 2], [1, 3]],
+                                     "labels": ["z", "x", "y"], "set": ["x", "y"]})
+    write_json(tmp_path / "f.json", {"z": 2.0, "x": 1.0, "y": 5.0})
+    calls.clear()
+    code, text = run(RunConfig(command="check-pd", poset_path=str(tmp_path / "p.json"),
+                               values_path=str(tmp_path / "f.json")))
+    assert code == 0
+    body = json.loads(text)
+    assert (body["method"], body["certificate"]["pivots"], body["det"]) == (
+        "oracle", [1.0, 1.0], 1.0)
+    assert calls == [2, 2]
+
+
 def test_mixed_values_gate_exactness_per_support(tmp_path):
     # 7.5 lies outside the closure of every set below, so the exact routes
     # still decide although the function as a whole is not exact.
@@ -264,6 +302,22 @@ def test_build_json_roundtrip():
         [Fraction(2), Fraction(10), Fraction(5)],
         [Fraction(3), Fraction(5), Fraction(15)],
     ]
+
+
+def test_build_encodes_each_entry_as_alone(tmp_path):
+    # Each distinct entry object is encoded once; a float 1.0 and an exact 1,
+    # equal and of one hash, still encode apart.
+    write_json(tmp_path / "p.json", {"divisors_of": 12})
+    write_json(tmp_path / "f.json", {"1": 1.0, "2": 1, "3": "3/2", "4": 2.5,
+                                     "6": -1, "12": 0})
+    config = RunConfig(command="build", poset_path=str(tmp_path / "p.json"),
+                       values_path=str(tmp_path / "f.json"))
+    matrix = _resolve(config).matrix
+    code, text = run(config)
+    assert code == 0
+    rows = json.loads(text)["matrix"]
+    assert rows == [[_encode(v) for v in row] for row in matrix.entries]
+    assert {type(v) for row in rows for v in row} == {float, str}
 
 
 def test_build_csv_min_matrix():
@@ -740,6 +794,58 @@ def test_exponent_cap_reads_every_numeric_label(tmp_path, monkeypatch):
         "type": "ValueError",
         "message": "function 'power' is not defined at label 'x1'",
     }
+
+
+def test_huge_decimal_exponent_in_value_text_is_refused_at_once(tmp_path):
+    # Fraction expanded "1e10000000" into a 10000001-digit int (7.9 s, 48 MB)
+    # that was refused only while rendering; now the text is refused before.
+    write_json(tmp_path / "p.json", {"divisors_of": 4})
+    write_json(tmp_path / "f.json", {"1": 1, "2": "1e10000000", "4": 3})
+    write_json(tmp_path / "l.json", {"n": 2, "relation": [[1, 2]],
+                                     "labels": ["2", "1e10000000"]})
+    configs = [
+        RunConfig(command="check-pd", poset_path=str(tmp_path / "p.json"),
+                  values_path=str(tmp_path / "f.json")),
+        RunConfig(command="check-pd", poset_path=str(tmp_path / "l.json"),
+                  function_tag="identity"),
+    ]
+    for config in configs:
+        start = time.perf_counter()
+        code, text = run(config)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert json.loads(text)["error"] == {
+            "type": "DeskScaleError",
+            "message": "'1e10000000' has the decimal exponent 10000000, past "
+                       "the cap of 1000 digits",
+        }
+
+
+@pytest.mark.parametrize("alpha, value", [
+    ("2", "1/4"), ("1.5", 0.5 ** 1.5), ("-1.5", 0.5 ** -1.5)])
+def test_a_fraction_label_binds_under_every_exponent(tmp_path, alpha, value):
+    # "1/2" bound as 1/4 under --alpha 2 but was refused under --alpha 1.5:
+    # the float exponent read the label through float().
+    write_json(tmp_path / "p.json", bottom_and_two(["1/2", 2, 3]))
+    code, text = run(RunConfig(command="build", poset_path=str(tmp_path / "p.json"),
+                               function_tag="power", alpha=alpha))
+    assert code == 0
+    assert json.loads(text)["matrix"][0][0] == value
+
+
+def test_a_label_ending_like_an_exponent_is_no_number(tmp_path):
+    # The cap read "node2000" as a decimal exponent of 2000 and refused it as
+    # 4002 digits; it is text the function is not defined at.
+    write_json(tmp_path / "p.json", bottom_and_two(["node2000", 2, 3]))
+    for alpha in ("2", "1.5"):
+        code, text = run(RunConfig(command="check-pd",
+                                   poset_path=str(tmp_path / "p.json"),
+                                   function_tag="power", alpha=alpha))
+        assert code == 1
+        assert json.loads(text)["error"] == {
+            "type": "ValueError",
+            "message": "function 'power' is not defined at label 'node2000'",
+        }
 
 
 def test_float_overflow_exits_two():

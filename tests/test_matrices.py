@@ -27,6 +27,7 @@ from meetjoin import (
     mass_diagonal,
     meet_closure,
     meet_matrix,
+    pd_oracle,
     phi,
     up_set,
 )
@@ -420,3 +421,121 @@ def test_permuted_preserves_determinant():
     q = m.permuted(tuple(perm))
     assert det_general(q) == det_general(m)
     assert q.trace() == m.trace()
+
+
+def _hex(pivots):
+    return [float.hex(p) for p in pivots]
+
+
+def _replayed(m):
+    """The swap pivots of ``m`` after a whole swap-free run, and whether
+    that run kept its pivots for them."""
+    list(_float_pivots(m))
+    kept = "_unswapped_pivots" in m.__dict__
+    return list(_float_pivots(m, swap=True)), kept
+
+
+def _fresh(m):
+    """The swap pivots of an equal matrix no run has touched."""
+    return list(_float_pivots(SymMatrix(m.entries), swap=True))
+
+
+def _spd_matrices(rng):
+    """Float positive definite matrices: power-gcd at alpha 1.5 on random
+    integer sets, and B B^T + c I for random B."""
+    for _ in range(12):
+        members = rng.sample(range(1, 400), rng.randint(1, 30))
+        yield build_named_matrix("power_gcd", members, alpha=1.5).matrix
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        b = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+        c = rng.choice((1e-3, 0.5, float(n)))
+        yield SymMatrix(tuple(
+            tuple(math.fsum(b[i][k] * b[j][k] for k in range(n)) + (c if i == j else 0.0)
+                  for j in range(n))
+            for i in range(n)
+        ))
+
+
+def test_replayed_pivots_equal_a_fresh_swap_run():
+    # A swap-free run that finishes with every pick on the diagonal keeps
+    # its pivots, and det's swap run yields them: the same bits as the
+    # elimination with partial pivoting on a fresh copy.
+    replayed = swapped = 0
+    for m in _spd_matrices(random.Random(612)):
+        pivots, kept = _replayed(m)
+        assert _hex(pivots) == _hex(_fresh(m))
+        replayed += kept
+        swapped += not kept
+    assert replayed > 10 and swapped > 10
+
+
+def _with_block(n, k):
+    """The n x n identity with the SPD block [[1, 2], [2, 5]] at rows and
+    columns k, k + 1: partial pivoting swaps at column k, and nowhere else."""
+    rows = [[float(i == j) for j in range(n)] for i in range(n)]
+    rows[k][k], rows[k][k + 1], rows[k + 1][k], rows[k + 1][k + 1] = 1.0, 2.0, 2.0, 5.0
+    return SymMatrix(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_a_swap_at_any_column_keeps_no_pivots(k):
+    # Column 0, mid-way, and the last column with a row below it.
+    m = _with_block(8, k)
+    assert list(_float_pivots(m)) == [1.0] * 8  # positive definite
+    pivots, kept = _replayed(m)
+    assert not kept
+    assert _hex(pivots) == _hex(_fresh(m))
+    assert pivots[k] == -2.0 and math.prod(pivots) == 1.0
+    assert det_general(m) == 1.0
+
+
+def test_random_symmetric_replays_equal_fresh_swap_runs():
+    # Indefinite matrices too, where the swap-free run may stop at a zero
+    # pivot; a kept run and a fresh one agree bit for bit wherever it ends.
+    rng = random.Random(613)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        upper = [[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        m = SymMatrix(tuple(
+            tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
+        ))
+        try:
+            list(_float_pivots(m))
+        except ZeroDivisionError:
+            assert "_unswapped_pivots" not in m.__dict__
+        assert _hex(_float_pivots(m, swap=True)) == _hex(_fresh(m))
+
+
+def test_an_oracle_that_stops_early_keeps_no_pivots():
+    # Not positive definite: the oracle stops at pivot 2 of 3.
+    m = SymMatrix(((4.0, 1.0, 0.0), (1.0, -2.0, 0.0), (0.0, 0.0, 1.0)))
+    assert pd_oracle(m).certificate["minor_index"] == 2
+    assert "_unswapped_pivots" not in m.__dict__
+    assert _hex(_float_pivots(m, swap=True)) == _hex(_fresh(m))
+    # Positive definite, but a tol above the last pivot stops it there.
+    m = SymMatrix(((4.0, 1.0), (1.0, 2.0)))
+    assert pd_oracle(m, tol=3.0).certificate["minor_index"] == 2
+    assert "_unswapped_pivots" not in m.__dict__
+    assert pd_oracle(m).is_positive_definite
+    assert m.__dict__["_unswapped_pivots"] == (4.0, 1.75)
+    assert det_general(m) == 7.0
+
+
+def test_zero_pivots_and_replay():
+    # A zero pivot before the last column ends the swap-free run, which
+    # cannot divide by it, so nothing is kept and det swaps past it.
+    m = SymMatrix(((0.0, 1.0), (1.0, 0.0)))
+    steps = _float_pivots(m)
+    assert next(steps) == 0.0
+    with pytest.raises(ZeroDivisionError):
+        next(steps)
+    assert "_unswapped_pivots" not in m.__dict__
+    assert list(_float_pivots(m, swap=True)) == [-1.0, 1.0]
+    assert det_general(m) == -1.0
+    # A zero last pivot ends both runs alike; the swap run replays it.
+    m = SymMatrix(((1.0, 1.0), (1.0, 1.0)))
+    assert list(_float_pivots(m)) == [1.0, 0.0]
+    assert m.__dict__["_unswapped_pivots"] == (1.0, 0.0)
+    assert _hex(_float_pivots(m, swap=True)) == _hex(_fresh(m)) == _hex([1.0, 0.0])
+    assert det_general(m) == 0.0

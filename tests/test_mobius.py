@@ -10,6 +10,7 @@ import pytest
 
 import meetjoin
 from meetjoin import (
+    DeskScaleError,
     DuplicateError,
     ExactArithmeticError,
     MissingValueError,
@@ -32,6 +33,7 @@ from meetjoin import (
     total_order_poset,
     up_set,
 )
+from meetjoin.mobius import _number, _rational
 from support import (
     random_function,
     random_linear_extension,
@@ -368,3 +370,50 @@ def test_restrict_matches_parent_values():
     g = f.restrict(s)
     for t, m in enumerate(s.members):
         assert g.values[t] == f.values[m]
+
+
+def test_number_edge_cases():
+    # The exact-type shortcut for Fraction and finite float must not let
+    # through what the isinstance chain refuses, nor change what it returns.
+    with pytest.raises(TypeError, match="boolean"):
+        _number(True)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            _number(bad)
+
+    class Real(float):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    class Whole(int):
+        pass
+
+    for value in (Real(2.5), Ratio(2, 3), Fraction(2, 3), 2.5, -0.0):
+        assert _number(value) is value
+    for value in (Whole(7), 7):
+        out = _number(value)
+        assert type(out) is Fraction and out == 7
+    with pytest.raises(ValueError, match="must be finite"):
+        _number(Real("inf"))
+    with pytest.raises(TypeError, match="unsupported value"):
+        _number("1")
+
+
+def test_numeric_text_is_read_by_one_reader():
+    assert _rational(" -1/2 ") == Fraction(-1, 2)
+    assert _rational("2.5e-3") == Fraction(1, 400)
+    assert _rational("1_0e1_0") == 10 ** 11
+    for text in ("1e1000", "1e-1000"):
+        assert _rational(text) in (10 ** 1000, Fraction(1, 10 ** 1000))
+    # a decimal exponent past the cap is refused before 10**k is built
+    for text in ("1e1001", "-2.5E-1001", " 0e10000000000 "):
+        with pytest.raises(DeskScaleError, match="decimal exponent"):
+            _rational(text)
+    # text that only ends like an exponent is no number
+    for text in ("node2000", "e2000", "1e5e2000", "1/2e2000", "inf", "nan", "x1"):
+        with pytest.raises(ValueError):
+            _rational(text)
+    with pytest.raises(ValueError, match="divides by zero"):
+        _rational("1/0")

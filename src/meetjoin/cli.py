@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain, islice
 
 import click
 
@@ -214,15 +216,6 @@ def _encode(value):
     return value
 
 
-def _encode_rows(entries) -> list[list]:
-    """The encoded rows of a matrix, each distinct entry object encoded
-    once: a meet or join matrix holds at most one per universe element."""
-    codes = {}  # the id of an entry object, while the matrix holds it
-    return [[codes[key] if (key := id(v)) in codes
-             else codes.setdefault(key, _encode(v)) for v in row]
-            for row in entries]
-
-
 def _label_logs(labels):
     """``log10 |p| + log10 q`` of each nonzero label that reads as a
     rational ``p/q`` in lowest terms: an int as it is, text as
@@ -378,7 +371,7 @@ def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
             "labels": _encode(list(model.subset.labels)),
             "kind": model.kind,
             "exact": matrix.is_exact,
-            "matrix": _encode_rows(matrix.entries),
+            "matrix": matrix.entries,
         }
 
     if config.command == "classify":
@@ -441,6 +434,7 @@ def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
 
 def _render_csv(config: RunConfig, payload: dict) -> str:
     def cell(v):
+        v = _encode(v)  # the build matrix holds raw entries
         if isinstance(v, bool):
             return "true" if v else "false"
         return str(v)
@@ -468,12 +462,94 @@ def _render_csv(config: RunConfig, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@cache
+def _encoder(pad: str) -> json.JSONEncoder:
+    """The C encoder writing one item to a line at ``pad``.  With ``indent``
+    set, json runs its pure-Python encoder, but the C encoder takes any
+    separators, and a newline and ``pad`` after each comma is that layout."""
+    return json.JSONEncoder(separators=(",\n" + pad, ": "), allow_nan=False)
+
+
+def _c_encode(encoder: json.JSONEncoder, value: list | dict) -> str:
+    """``encoder.encode(value)``.  A float out of range gets the message of
+    the pure-Python encoder, which names the value; the C one may not."""
+    try:
+        return encoder.encode(value)
+    except ValueError as err:
+        if not str(err).startswith("Out of range float values"):
+            raise
+        items = chain.from_iterable(value.items()) if isinstance(value, dict) else value
+        bad = next(x for x in items if isinstance(x, float) and not math.isfinite(x))
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {bad!r}"
+        ) from None
+
+
+def _block(body: str, brackets: str, pad: str) -> str:
+    """``body``, items joined by the separator of ``_encoder(pad + "  ")``,
+    between ``brackets`` on lines of their own at ``pad``."""
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}"
+
+
+def _matrix_json(rows, pad: str) -> str | None:
+    """A list of rows holding no container, each distinct entry object
+    encoded once: a meet or join matrix holds at most one per universe
+    element.  Entries pass through :func:`_encode`, so a Fraction is
+    ``"p/q"`` text.  None when an entry is a container."""
+    cells = list(chain.from_iterable(rows))
+    ids = list(map(id, cells))  # ``cells`` keeps each id's object alive
+    distinct = dict(zip(ids, cells))
+    values = [_encode(v) for v in distinct.values()]
+    if any(isinstance(v, _CONTAINERS) for v in values):
+        return None
+    inner = pad + "  "
+    encoder = _encoder(inner + "  ")
+    # No entry's text holds a newline, so the separator splits them apart.
+    texts = _c_encode(encoder, values)[1:-1].split(encoder.item_separator)
+    cell_texts = map(dict(zip(distinct, texts)).__getitem__, ids)
+    return _block(_encoder(inner).item_separator.join(
+        _block(encoder.item_separator.join(islice(cell_texts, len(row))), "[]", inner)
+        for row in rows
+    ), "[]", pad)
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` for a list or dict
+    at the indent ``pad``, byte for byte.  One that holds no container is
+    one call of the C encoder; only nested containers recurse.  A list of
+    such lists goes to :func:`_matrix_json`."""
+    encoder = _encoder(pad + "  ")
+    nested = [isinstance(v, _CONTAINERS)
+              for v in (value.values() if isinstance(value, dict) else value)]
+    if not any(nested):
+        text = _c_encode(encoder, value)
+        return _block(text[1:-1], text[0] + text[-1], pad)
+    if isinstance(value, dict):
+        # The one-item dicts write each key as json does, "k": at its head.
+        parts = [_c_encode(encoder, {k: None})[1:-5] + _json(v, pad + "  ")
+                 if inside else _c_encode(encoder, {k: v})[1:-1]
+                 for (k, v), inside in zip(value.items(), nested)]
+        return _block(encoder.item_separator.join(parts), "{}", pad)
+    if all(isinstance(v, (list, tuple)) for v in value):
+        text = _matrix_json(value, pad)
+        if text is not None:
+            return text
+    parts = [_json(v, pad + "  ") if inside else _c_encode(encoder, [v])[1:-1]
+             for v, inside in zip(value, nested)]
+    return _block(encoder.item_separator.join(parts), "[]", pad)
+
+
 def _render(config: RunConfig, payload: dict) -> str:
     if config.fmt == "csv":
         return _render_csv(config, payload)
     body = {"config": config.echo()}
     body.update(payload)
-    return json.dumps(body, indent=2, allow_nan=False) + "\n"
+    return _json(body) + "\n"
 
 
 def _render_error(config: RunConfig, err: Exception) -> str:
@@ -481,7 +557,7 @@ def _render_error(config: RunConfig, err: Exception) -> str:
         "config": config.echo(),
         "error": {"type": type(err).__name__, "message": str(err)},
     }
-    return json.dumps(body, indent=2, allow_nan=False) + "\n"
+    return _json(body) + "\n"
 
 
 def run(config: RunConfig) -> tuple[int, str]:

@@ -421,7 +421,24 @@ class NamedFunction:
         if isinstance(self.alpha, int):
             exponent = self.alpha if self.tag == "power" else -self.alpha
             return Fraction(m) ** exponent
-        value = float(m) ** float(self.alpha)
+        try:
+            x = float(m)
+        except OverflowError:
+            x = math.inf
+        if x in (0.0, math.inf) and m:
+            # m is past the float range, or nonzero below it, while its
+            # power may be inside.  With m = r * 2**k, r in [1/2, 2), and
+            # alpha * k = e + frac exactly, m**alpha is
+            # r**alpha * 2**frac * 2**e; only a power past the range, in
+            # ldexp, is refused.
+            m = Fraction(m)
+            k = m.numerator.bit_length() - m.denominator.bit_length()
+            shift = Fraction(self.alpha) * k
+            e = math.floor(shift)
+            r = float(m / Fraction(2) ** k)
+            value = math.ldexp(r ** float(self.alpha) * 2.0 ** float(shift - e), e)
+        else:
+            value = x ** float(self.alpha)
         return value if self.tag == "power" else 1.0 / value
 
     def bind(self, poset: FinitePoset) -> PosetFunction:

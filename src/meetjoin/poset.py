@@ -629,7 +629,20 @@ def is_A_set(s: Subset) -> bool:
     """True when the meets of distinct members form a chain.
 
     Meets are taken in the ambient poset; the resulting set may overlap the
-    members themselves.  Singletons qualify vacuously.
+    members themselves.  Singletons qualify vacuously.  The test stops at
+    the first meet incomparable with those before it when the meet closure
+    is kept on ``s``, so that every member pair has a meet; else it meets
+    every pair, as one without a meet makes the test undefined
+    (:class:`NoMeetError`), not False.
     """
     p = s.parent
-    return _indices_form_chain(p, set(_pair_meets(p, s.members, meet)))
+    meets = _pair_meets(p, s.members, meet)
+    found = 0  # the meets so far, a chain
+    for z in meets:
+        if found & ~(p._down[z] | p._up[z]):
+            if s.__dict__.get("_meet_closure") is None:
+                for _ in meets:
+                    pass
+            return False
+        found |= 1 << z
+    return True

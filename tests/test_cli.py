@@ -524,6 +524,8 @@ def bottom_and_two(labels):
     # Text labels were refused as "Invalid literal for Fraction: 'x1'".
     (FORK, "identity", "1", "'x1'"),
     (FORK, "power", "1.5", "'x1'"),
+    # A negative label past the float range, under the same exponent.
+    (bottom_and_two(["-1e400", 2, 3]), "power", "0.25", "'-1e400'"),
 ])
 def test_named_function_refuses_a_label_it_is_undefined_at(
         tmp_path, data, tag, alpha, label):
@@ -848,6 +850,25 @@ def test_a_label_ending_like_an_exponent_is_no_number(tmp_path):
         }
 
 
+@pytest.mark.parametrize("label, tag, value", [
+    ("1e400", "power", 1e100), ("1e400", "reciprocal-power", 1e-100),
+    ("1e-400", "power", 1e-100), ("1e-400", "reciprocal-power", 1e100)])
+def test_a_label_past_the_float_range_binds_where_its_power_is_inside(
+        tmp_path, label, tag, value):
+    # float("1e400") overflowed, so the request exited 2 as out of float
+    # range; float("1e-400") is 0.0, so the reply showed 0.0.  The labels
+    # inside the range keep the bits of their float power.
+    write_json(tmp_path / "p.json", {"n": 2, "relation": [[1, 2]],
+                                     "labels": ["3", label]})
+    code, text = run(RunConfig(command="build", poset_path=str(tmp_path / "p.json"),
+                               function_tag=tag, alpha="0.25"))
+    assert code == 0
+    low = 3.0 ** 0.25 if tag == "power" else 1.0 / 3.0 ** 0.25
+    matrix = json.loads(text)["matrix"]
+    assert matrix[:1] == [[low, low]] and matrix[1][0] == low
+    assert matrix[1][1] == pytest.approx(value, rel=1e-15, abs=0)
+
+
 def test_float_overflow_exits_two():
     # An exact exponent under the digit cap whose values still pass 1e308 as
     # floats: bounds raised "integer division result too large for a float".
@@ -874,6 +895,47 @@ def test_non_finite_numbers_give_an_error_reply(monkeypatch):
         body = strict(text)
         assert body["config"]["tol"] == str(tol)
         assert body["error"]["message"] == "tolerances must be positive and finite"
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[], {}, ()], ((1, (2.5, ())), ()),
+    {"label": "naïve ∧ ☃", "yes": True, "no": False, "none": None, 1: -0.0},
+    {"matrix": ((1.0, 2 ** 70), (2 ** 70, "\n")), "rows": [[], [[1]]]},
+    [{"a": [1, {"b": []}]}, 1e-320, [None, [True]]],
+])
+def test_writer_is_the_indented_json_layout(value):
+    assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+def test_writer_reads_text_labels_as_they_are(tmp_path):
+    write_json(tmp_path / "p.json", bottom_and_two(["⊥", "naïve", "\u00e9\n"]))
+    code, text = run(RunConfig(command="classify", poset_path=str(tmp_path / "p.json")))
+    assert code == 0
+    assert json.loads(text)["labels"] == ["⊥", "naïve", "\u00e9\n"]
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {"x": math.nan}, {"matrix": ((1.0, -math.inf), (-math.inf, 1.0))},
+    {"a": [1, [math.inf]], "b": math.nan}, [2.0, {math.nan: 1}],
+])
+def test_writer_names_a_non_finite_float_as_json_does(value):
+    # The C encoder leaves the value out of its message.
+    with pytest.raises(ValueError) as expected:
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._json(value)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+
+
+def test_an_int_over_the_digit_limit_is_a_value_error(monkeypatch):
+    big = 10 ** sys.get_int_max_str_digits()
+    for payload in ({"x": big}, {"matrix": ((1, big), (big, 1))}):
+        monkeypatch.setattr(cli, "_execute", lambda config, model: (0, payload))
+        code, text = run(RunConfig(command="build", set_text="6", family="min"))
+        assert code == 1
+        assert json.loads(text)["error"]["type"] == "ValueError"
 
 
 def test_malformed_inputs_give_an_error_reply(tmp_path):
@@ -1000,6 +1062,24 @@ def test_number_over_the_digit_limit_exits_two(tmp_path):
     assert error["type"] == "DeskScaleError"
     assert f"over the limit of {limit} digits" in error["message"]
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_build_entry_over_the_digit_limit_exits_two(fmt):
+    # build hands its raw entries to the writer, which keeps the guard.
+    # 2999**200 has 696 digits, under the exponent cap and over the
+    # lowest limit the interpreter takes.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, text = run(RunConfig(command="build", set_text="2999,2", alpha="200",
+                                   fmt=fmt))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error["type"] == "DeskScaleError"
+    assert "over the limit of 640 digits" in error["message"]
 
 
 def test_poset_file_over_cap_exits_two(tmp_path):

@@ -136,6 +136,16 @@ REQUESTS = {
     "error-no-function": _poset("check-pd", "nofn.json"),
 }
 
+# Float replies whose digests may differ between interpreter versions,
+# while their layout does not.
+GCD_FLOAT_100 = _text(random.Random(0).sample(range(1, 3000), 100))
+LAYOUT_ONLY = {
+    "build-gcd-float-100": _set("build", GCD_FLOAT_100, "power-gcd", alpha="1.5"),
+    "check-pd-gcd-float-100": _set("check-pd", GCD_FLOAT_100, "power-gcd",
+                                   alpha="1.5"),
+    "bounds-lcm-720720-40": _set("bounds", LCM_720720_40, "reciprocal-power-lcm"),
+}
+
 # The exit code and the sha256 of the reply, per request.
 DIGESTS = {
     "build-gcd-canonical": [0, "06134c96b8979b0ba6085764a3fc1ddd7a4c4a7eec376ee5b047546fc440253d"],
@@ -205,3 +215,14 @@ def test_reply_is_byte_identical(name, tmp_path, monkeypatch):
     write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert list(digest(REQUESTS[name])) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, request in {**REQUESTS, **LAYOUT_ONLY}.items()
+    if request.get("fmt") != "csv"))
+def test_reply_is_the_indented_json_layout(name, tmp_path, monkeypatch):
+    # The writer lays replies out as json.dumps(indent=2) would, byte for byte.
+    write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _, text = run(RunConfig(**{**REQUESTS, **LAYOUT_ONLY}[name]))
+    assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"

@@ -375,6 +375,13 @@ def test_named_function_evaluation():
     assert abs(h.evaluate(4) - 2.0) < 1e-12
     ident = NamedFunction("identity")
     assert ident.evaluate(7) == Fraction(7)
+    # Past the float range, only a power that is itself past it is refused.
+    huge = NamedFunction("power", alpha=0.75).evaluate(10 ** 400)
+    assert huge == pytest.approx(1e300, rel=1e-15)
+    tiny = NamedFunction("power", alpha=0.5).evaluate(Fraction(1, 10 ** 600))
+    assert tiny == pytest.approx(1e-300, rel=1e-15, abs=0)
+    with pytest.raises(OverflowError):
+        NamedFunction("power", alpha=0.8).evaluate(10 ** 400)
 
 
 def test_build_min_matrix_example():

@@ -531,6 +531,32 @@ def test_a_set_is_undefined_when_a_member_pair_has_no_meet():
     assert structure_flags(s)["a_set"] is None
 
 
+def test_a_set_stops_at_the_first_incomparable_meet(monkeypatch):
+    # is_A_set met all C(120, 2) = 7140 pairs of a 120-subset of
+    # divisors(720720) before it tested the meets for a chain.  With the
+    # meet closure kept on the set, every pair has a meet, and the first
+    # meet incomparable with one before it decides.
+    universe = divisors(720720)
+    p = divisibility_poset(universe)
+    members = random.Random(0).sample(universe, 120)
+    found = []
+
+    def counted(q, i, j):
+        found.append(meet(q, i, j))
+        return found[-1]
+
+    monkeypatch.setattr(poset_module, "meet", counted)
+    assert is_A_set(Subset.of_labels(p, members)) is False
+    assert len(found) == 7140
+    first = next(k for k, z in enumerate(found)
+                 if any(not (p.leq(y, z) or p.leq(z, y)) for y in found[:k]))
+    kept = Subset.of_labels(p, members)
+    meet_closure(kept)
+    found.clear()
+    assert is_A_set(kept) is False
+    assert len(found) == first + 1 < 300
+
+
 def test_pair_meets_follow_the_listing():
     # 1 lies below 2 and 3, and 4 has no lower bound in common with them.
     # Listed 2, 3, 4 the first pair meets outside the set; listed 4, 2, 3

@@ -330,35 +330,31 @@ def _closure_vector(model: MatrixModel, certificate: dict) -> dict | None:
 def _det_fields(report, matrix) -> dict:
     """The determinant, read off the decision where it already holds it.
 
-    On a closed set (T3.1/T3.2) it is the product of the masses; an exact
-    oracle run that reached the last minor holds it as that minor.  Any
-    other exact route pays for one elimination.  A float determinant is the
-    product of the pivots of the elimination :func:`det_general` runs, with
-    partial pivoting.  Where the swap-free oracle ran on the matrix, reached
-    its last column and would have picked each diagonal entry, those are
-    its own pivots, the same bits, and no second elimination runs; where
-    any column would swap rows, det eliminates again.  Where
-    that product leaves the float range (a zero pivot aside), ``det`` is
-    null and ``det_log10``, the sum of log10 |pivot|, and ``det_sign``
-    carry it.
+    On a closed set (T3.1/T3.2) it is the product of the masses.  An oracle
+    run that reached the last column holds it too: on exact values as its
+    last minor, on floats as the product of its LDL^T pivots, which is
+    positive whenever it found the matrix positive definite.  Any other
+    route pays for one elimination with partial pivoting, as in
+    :func:`det_general`.  Where a float product leaves the float range (a
+    zero pivot aside), ``det`` is null and ``det_log10``, the sum of log10
+    |pivot|, and ``det_sign`` carry it, read from the same pivots.
     """
+    certificate = report.certificate
     if report.method in ("T3.1", "T3.2"):
-        return {"det": math.prod(report.certificate["masses"], start=Fraction(1))}
-    if not matrix.is_exact:
-        pivots = tuple(_float_pivots(matrix, swap=True))
-        det = math.prod(pivots)
-        if math.isfinite(det) and (det != 0 or 0 in pivots):
-            return {"det": det}
-        return {
-            "det": None,
-            "det_log10": math.fsum(math.log10(abs(p)) for p in pivots),
-            "det_sign": -1 if sum(p < 0 for p in pivots) % 2 else 1,
-        }
-    if report.method == "oracle":
-        minors = report.certificate["minors"]
-        if len(minors) == matrix.n:
-            return {"det": minors[-1]}
-    return {"det": det_general(matrix)}
+        return {"det": math.prod(certificate["masses"], start=Fraction(1))}
+    steps = certificate.get("minors" if matrix.is_exact else "pivots", ())
+    reached = report.method == "oracle" and len(steps) == matrix.n
+    if matrix.is_exact:
+        return {"det": steps[-1] if reached else det_general(matrix)}
+    pivots = steps if reached else tuple(_float_pivots(matrix, swap=True))
+    det = math.prod(pivots)
+    if math.isfinite(det) and (det != 0 or 0 in pivots):
+        return {"det": det}
+    return {
+        "det": None,
+        "det_log10": math.fsum(math.log10(abs(p)) for p in pivots),
+        "det_sign": -1 if sum(p < 0 for p in pivots) % 2 else 1,
+    }
 
 
 def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
@@ -432,12 +428,15 @@ def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
     raise ValueError(f"unknown command {config.command!r}")
 
 
+def _csv_text(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
 def _render_csv(config: RunConfig, payload: dict) -> str:
     def cell(v):
-        v = _encode(v)  # the build matrix holds raw entries
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return str(v)
+        return _csv_text(_encode(v))
 
     if config.command == "bounds":
         lines = ["k,lambda,bound,ok"]
@@ -447,9 +446,8 @@ def _render_csv(config: RunConfig, payload: dict) -> str:
             )
         return "\n".join(lines) + "\n"
     if config.command == "build":
-        return "\n".join(
-            ",".join(cell(v) for v in row) for row in payload["matrix"]
-        ) + "\n"
+        rows = _cell_texts(payload["matrix"], lambda values: map(_csv_text, values))
+        return "\n".join(map(",".join, rows)) + "\n"
     lines = []
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -496,25 +494,39 @@ def _block(body: str, brackets: str, pad: str) -> str:
     return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}"
 
 
-def _matrix_json(rows, pad: str) -> str | None:
-    """A list of rows holding no container, each distinct entry object
-    encoded once: a meet or join matrix holds at most one per universe
-    element.  Entries pass through :func:`_encode`, so a Fraction is
-    ``"p/q"`` text.  None when an entry is a container."""
+def _cell_texts(rows, write):
+    """The texts of the cells of ``rows``, one iterator per row, each
+    distinct entry object written once: a meet or join matrix holds at most
+    one per universe element.  Those objects, keyed by ``id``, pass through
+    :func:`_encode`, so a Fraction is ``"p/q"`` text, and ``write`` maps
+    their list to their texts.  None when ``write`` returns None."""
     cells = list(chain.from_iterable(rows))
     ids = list(map(id, cells))  # ``cells`` keeps each id's object alive
     distinct = dict(zip(ids, cells))
-    values = [_encode(v) for v in distinct.values()]
-    if any(isinstance(v, _CONTAINERS) for v in values):
+    texts = write([_encode(v) for v in distinct.values()])
+    if texts is None:
         return None
+    cell_texts = map(dict(zip(distinct, texts)).__getitem__, ids)
+    return (islice(cell_texts, len(row)) for row in rows)
+
+
+def _matrix_json(rows, pad: str) -> str | None:
+    """A list of rows holding no container, written by :func:`_cell_texts`.
+    None when an entry is a container."""
     inner = pad + "  "
     encoder = _encoder(inner + "  ")
-    # No entry's text holds a newline, so the separator splits them apart.
-    texts = _c_encode(encoder, values)[1:-1].split(encoder.item_separator)
-    cell_texts = map(dict(zip(distinct, texts)).__getitem__, ids)
+
+    def write(values):
+        if any(isinstance(v, _CONTAINERS) for v in values):
+            return None
+        # No entry's text holds a newline, so the separator splits them apart.
+        return _c_encode(encoder, values)[1:-1].split(encoder.item_separator)
+
+    texts = _cell_texts(rows, write)
+    if texts is None:
+        return None
     return _block(_encoder(inner).item_separator.join(
-        _block(encoder.item_separator.join(islice(cell_texts, len(row))), "[]", inner)
-        for row in rows
+        _block(encoder.item_separator.join(row), "[]", inner) for row in texts
     ), "[]", pad)
 
 

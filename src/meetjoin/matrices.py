@@ -279,30 +279,15 @@ def _float_pivots(m: SymMatrix, swap: bool = False):
     ``swap`` each column pivots on its largest entry on or below the
     diagonal, a pivot swapped in is negated so the product of the pivots is
     the determinant, and a zero column yields 0 and ends the elimination.
-
-    A run without ``swap`` also makes the pick of each column.  When it
-    finishes all ``n`` columns and every pick was the diagonal, a run with
-    ``swap`` would do the same float operations in the same order, so the
-    pivots are kept on ``m`` and a later run with ``swap`` yields them.
     """
-    if swap and "_unswapped_pivots" in m.__dict__:
-        yield from m.__dict__["_unswapped_pivots"]
-        return
     rows = m.to_float()
     n = len(rows)
     lower = [[] for _ in range(n)]  # the rows of L, left of column j
-    kept = None if swap else []  # the pivots while each pick is the diagonal
     for j in range(n):
         col = []  # column j of U above the diagonal, then pivot candidates
         for i in range(n):
             col.append(rows[i][j] - sum(map(operator.mul, lower[i], col)))
-        r = j
-        if swap or kept is not None:
-            pick = max(range(j, n), key=lambda i: abs(col[i]))
-            if swap:
-                r = pick
-            elif pick != j:
-                kept = None
+        r = max(range(j, n), key=lambda i: abs(col[i])) if swap else j
         col[j], col[r] = col[r], col[j]
         rows[j], rows[r] = rows[r], rows[j]
         lower[j], lower[r] = lower[r], lower[j]
@@ -310,12 +295,8 @@ def _float_pivots(m: SymMatrix, swap: bool = False):
         yield pivot if r == j else -pivot
         if swap and pivot == 0:
             return
-        if kept is not None:
-            kept.append(pivot)
         for i in range(j + 1, n):
             lower[i].append(col[i] / pivot)
-    if kept is not None:
-        m.__dict__["_unswapped_pivots"] = tuple(kept)
 
 
 def det_general(m: SymMatrix):

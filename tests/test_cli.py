@@ -11,7 +11,10 @@ from click.testing import CliRunner
 
 from meetjoin import (CharacterizationMismatch, FinitePoset, PosetFunction, Subset,
                       cli, det_general, eigen_sym, matrices, numtheory, poset)
-from meetjoin.cli import RunConfig, _encode, _resolve, main, run
+from meetjoin.cli import RunConfig, _det_fields, _encode, _resolve, main, run
+from meetjoin.definiteness import pd_oracle
+from meetjoin.matrices import SymMatrix
+from replies import ANY_MATRIX, write_any_matrix
 
 WORKED_POSET = {"generated_by": [6, 10, 15], "set": [6, 10, 15]}
 WORKED_VALUES = {"1": 0, "2": -1, "3": 3, "5": -2, "6": 5, "10": 2, "15": 3}
@@ -234,8 +237,8 @@ def count_to_float(monkeypatch) -> list:
 
 
 def test_float_check_pd_eliminates_once(monkeypatch, tmp_path):
-    # Partial pivoting picks every diagonal on this power-gcd matrix, so
-    # det reuses the oracle's pivots and the reply is the same.
+    # The oracle reaches the last column of this power-gcd matrix, so det
+    # is the product of its pivots and no second elimination runs.
     members = random.Random(0).sample(range(1, 3000), 80)
     config = RunConfig(command="check-pd", set_text=",".join(map(str, members)),
                        family="power-gcd", alpha="1.5")
@@ -244,7 +247,8 @@ def test_float_check_pd_eliminates_once(monkeypatch, tmp_path):
     assert run(config) == expected
     assert calls == [80]
     assert json.loads(expected[1])["method"] == "oracle"
-    # Here the pick at column 0 is row 1, so det eliminates again, swapping.
+    # Partial pivoting would swap at column 0 here; det still reads the
+    # oracle's pivots.
     write_json(tmp_path / "p.json", {"n": 3, "relation": [[1, 2], [1, 3]],
                                      "labels": ["z", "x", "y"], "set": ["x", "y"]})
     write_json(tmp_path / "f.json", {"z": 2.0, "x": 1.0, "y": 5.0})
@@ -255,7 +259,71 @@ def test_float_check_pd_eliminates_once(monkeypatch, tmp_path):
     body = json.loads(text)
     assert (body["method"], body["certificate"]["pivots"], body["det"]) == (
         "oracle", [1.0, 1.0], 1.0)
-    assert calls == [2, 2]
+    assert calls == [2]
+
+
+def test_float_oracle_det_is_the_product_of_its_pivots(tmp_path):
+    # Elimination with partial pivoting gave det -4.89e-17 here, against a
+    # positive definite verdict from five positive pivots.
+    poset_path, values_path = write_any_matrix(ANY_MATRIX, tmp_path)
+    config = RunConfig(command="check-pd", poset_path=poset_path,
+                       values_path=values_path)
+    assert _resolve(config).matrix.entries == ANY_MATRIX
+    code, text = run(config)
+    assert code == 0
+    body = json.loads(text)
+    assert (body["verdict"], body["method"]) == ("positive-definite", "oracle")
+    pivots = body["certificate"]["pivots"]
+    assert body["det"] > 0
+    assert body["det"] == math.prod(pivots) == 1.4933635399982417e-17
+
+
+def _near_singular(rng, count):
+    """B B^T + c I with B of rank below n and c near the rounding of 1."""
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        r = rng.randint(1, n - 1)
+        c = rng.choice((1e-17, 1e-16, 1e-15, 1e-14))
+        b = [[rng.uniform(-1, 1) for _ in range(r)] for _ in range(n)]
+        yield SymMatrix(tuple(
+            tuple(math.fsum(b[i][k] * b[j][k] for k in range(r)) + (c if i == j else 0.0)
+                  for j in range(n))
+            for i in range(n)
+        ))
+
+
+def test_float_oracle_det_agrees_with_its_verdict_near_singularity():
+    # Where the oracle finds a matrix positive definite, det is the product
+    # of its pivots and positive; partial pivoting gives some of these
+    # matrices a det <= 0.
+    decided = pivoted_nonpositive = 0
+    for m in _near_singular(random.Random(624), 3000):
+        report = pd_oracle(m)
+        if not report.is_positive_definite:
+            continue
+        decided += 1
+        det = math.prod(report.certificate["pivots"])
+        assert _det_fields(report, m) == {"det": det} and det > 0
+        pivoted_nonpositive += det_general(m) <= 0
+    assert decided > 1000 and pivoted_nonpositive > 20
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_float_check_pd_at_the_target_size_eliminates_once(monkeypatch, n):
+    # Partial pivoting swaps rows on both matrices; det is read off the
+    # oracle's pivots, past the float range as their log10 sum.
+    members = random.Random(0).sample(range(1, 3000), n)
+    config = RunConfig(command="check-pd", set_text=",".join(map(str, members)),
+                       family="power-gcd", alpha="1.5")
+    calls = count_to_float(monkeypatch)
+    code, text = run(config)
+    assert code == 0 and calls == [n]
+    body = json.loads(text)
+    assert (body["verdict"], body["method"]) == ("positive-definite", "oracle")
+    pivots = body["certificate"]["pivots"]
+    assert len(pivots) == n
+    assert body["det"] is None and body["det_sign"] == 1
+    assert body["det_log10"] == math.fsum(math.log10(abs(p)) for p in pivots)
 
 
 def test_mixed_values_gate_exactness_per_support(tmp_path):
@@ -318,6 +386,21 @@ def test_build_encodes_each_entry_as_alone(tmp_path):
     rows = json.loads(text)["matrix"]
     assert rows == [[_encode(v) for v in row] for row in matrix.entries]
     assert {type(v) for row in rows for v in row} == {float, str}
+
+
+@pytest.mark.parametrize("alpha", ["1", "1.5"])
+def test_build_csv_is_each_cell_rendered_alone(alpha):
+    # Each distinct entry is rendered once and laid out by reference; the
+    # text is the one rendering every cell on its own gives.
+    members = random.Random(3).sample(range(1, 3000), 40)
+    config = RunConfig(command="build", set_text=",".join(map(str, members)),
+                       family="power-gcd", alpha=alpha, fmt="csv")
+    matrix = _resolve(config).matrix
+    assert matrix.is_exact == (alpha == "1")
+    code, text = run(config)
+    assert code == 0
+    assert text == "".join(",".join(str(_encode(v)) for v in row) + "\n"
+                           for row in matrix.entries)
 
 
 def test_build_csv_min_matrix():

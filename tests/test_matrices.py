@@ -427,14 +427,6 @@ def _hex(pivots):
     return [float.hex(p) for p in pivots]
 
 
-def _replayed(m):
-    """The swap pivots of ``m`` after a whole swap-free run, and whether
-    that run kept its pivots for them."""
-    list(_float_pivots(m))
-    kept = "_unswapped_pivots" in m.__dict__
-    return list(_float_pivots(m, swap=True)), kept
-
-
 def _fresh(m):
     """The swap pivots of an equal matrix no run has touched."""
     return list(_float_pivots(SymMatrix(m.entries), swap=True))
@@ -458,16 +450,19 @@ def _spd_matrices(rng):
 
 
 def test_replayed_pivots_equal_a_fresh_swap_run():
-    # A swap-free run that finishes with every pick on the diagonal keeps
-    # its pivots, and det's swap run yields them: the same bits as the
-    # elimination with partial pivoting on a fresh copy.
-    replayed = swapped = 0
+    # A swap run after a whole swap-free run gives the bits of one on a
+    # fresh copy, and neither run writes onto the matrix.  Where partial
+    # pivoting picks every diagonal, the two runs yield the same pivots.
+    diagonal = swapped = 0
     for m in _spd_matrices(random.Random(612)):
-        pivots, kept = _replayed(m)
-        assert _hex(pivots) == _hex(_fresh(m))
-        replayed += kept
-        swapped += not kept
-    assert replayed > 10 and swapped > 10
+        names = set(vars(m))
+        plain = _hex(_float_pivots(m))
+        pivots = _hex(_float_pivots(m, swap=True))
+        assert pivots == _hex(_fresh(m))
+        assert set(vars(m)) == names
+        diagonal += pivots == plain
+        swapped += pivots != plain
+    assert diagonal > 10 and swapped > 10
 
 
 def _with_block(n, k):
@@ -483,8 +478,7 @@ def test_a_swap_at_any_column_keeps_no_pivots(k):
     # Column 0, mid-way, and the last column with a row below it.
     m = _with_block(8, k)
     assert list(_float_pivots(m)) == [1.0] * 8  # positive definite
-    pivots, kept = _replayed(m)
-    assert not kept
+    pivots = list(_float_pivots(m, swap=True))
     assert _hex(pivots) == _hex(_fresh(m))
     assert pivots[k] == -2.0 and math.prod(pivots) == 1.0
     assert det_general(m) == 1.0
@@ -492,7 +486,8 @@ def test_a_swap_at_any_column_keeps_no_pivots(k):
 
 def test_random_symmetric_replays_equal_fresh_swap_runs():
     # Indefinite matrices too, where the swap-free run may stop at a zero
-    # pivot; a kept run and a fresh one agree bit for bit wherever it ends.
+    # pivot; a swap run after it and a fresh one agree bit for bit wherever
+    # it ends, and it leaves nothing on the matrix.
     rng = random.Random(613)
     for _ in range(300):
         n = rng.randint(1, 8)
@@ -500,10 +495,12 @@ def test_random_symmetric_replays_equal_fresh_swap_runs():
         m = SymMatrix(tuple(
             tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
         ))
+        names = set(vars(m))
         try:
             list(_float_pivots(m))
         except ZeroDivisionError:
-            assert "_unswapped_pivots" not in m.__dict__
+            pass
+        assert set(vars(m)) == names
         assert _hex(_float_pivots(m, swap=True)) == _hex(_fresh(m))
 
 
@@ -511,31 +508,26 @@ def test_an_oracle_that_stops_early_keeps_no_pivots():
     # Not positive definite: the oracle stops at pivot 2 of 3.
     m = SymMatrix(((4.0, 1.0, 0.0), (1.0, -2.0, 0.0), (0.0, 0.0, 1.0)))
     assert pd_oracle(m).certificate["minor_index"] == 2
-    assert "_unswapped_pivots" not in m.__dict__
     assert _hex(_float_pivots(m, swap=True)) == _hex(_fresh(m))
     # Positive definite, but a tol above the last pivot stops it there.
     m = SymMatrix(((4.0, 1.0), (1.0, 2.0)))
     assert pd_oracle(m, tol=3.0).certificate["minor_index"] == 2
-    assert "_unswapped_pivots" not in m.__dict__
     assert pd_oracle(m).is_positive_definite
-    assert m.__dict__["_unswapped_pivots"] == (4.0, 1.75)
     assert det_general(m) == 7.0
 
 
 def test_zero_pivots_and_replay():
     # A zero pivot before the last column ends the swap-free run, which
-    # cannot divide by it, so nothing is kept and det swaps past it.
+    # cannot divide by it; det swaps past it.
     m = SymMatrix(((0.0, 1.0), (1.0, 0.0)))
     steps = _float_pivots(m)
     assert next(steps) == 0.0
     with pytest.raises(ZeroDivisionError):
         next(steps)
-    assert "_unswapped_pivots" not in m.__dict__
     assert list(_float_pivots(m, swap=True)) == [-1.0, 1.0]
     assert det_general(m) == -1.0
-    # A zero last pivot ends both runs alike; the swap run replays it.
+    # A zero last pivot ends both runs alike.
     m = SymMatrix(((1.0, 1.0), (1.0, 1.0)))
     assert list(_float_pivots(m)) == [1.0, 0.0]
-    assert m.__dict__["_unswapped_pivots"] == (1.0, 0.0)
     assert _hex(_float_pivots(m, swap=True)) == _hex(_fresh(m)) == _hex([1.0, 0.0])
     assert det_general(m) == 0.0

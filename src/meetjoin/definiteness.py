@@ -65,6 +65,7 @@ def pd_oracle(m: SymMatrix, tol=0) -> PDReport:
     float ones the ``pivots`` of ``m = L D L^T``, ratios of consecutive
     minors that stay in range where the minors overflow.  The certificate
     lists what was yielded; rounding near singularity is the caller's risk.
+    A float pivot that is not finite raises :class:`DeskScaleError`.
     A ``tol`` that is negative or not finite raises :class:`ValueError`:
     below zero the elimination would run past a zero pivot.
     """

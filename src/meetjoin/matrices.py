@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 
-from .errors import NotClosedError, NotSupersetError
+from .errors import DeskScaleError, NotClosedError, NotSupersetError
 from .mobius import PosetFunction, _check_same_parent, _masses, _number
 from .poset import (FinitePoset, Subset, _bits, _is_closed, _kind, _op,
                     _pair_meets, _side, join, meet)
@@ -26,12 +26,24 @@ from .poset import (FinitePoset, Subset, _bits, _is_closed, _kind, _op,
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """An immutable symmetric matrix with rational or float entries."""
+    """An immutable symmetric matrix with rational or float entries;
+    ``is_exact`` says that every entry is a :class:`Fraction`."""
 
     entries: tuple[tuple, ...]
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(_number(v) for v in row) for row in self.entries)
+        rows = tuple(map(tuple, self.entries))
+        # One pass reads the entry types.  Only an int, a bool, another type
+        # or a float that is not finite sends the entries through
+        # ``_number``, which converts or refuses each.
+        cells = chain.from_iterable
+        kinds = set(map(type, cells(rows)))
+        plain = kinds <= {Fraction, float} and (float not in kinds or all(
+            map(math.isfinite, filter(float.__instancecheck__, cells(rows)))))
+        if not plain:
+            rows = tuple(tuple(map(_number, row)) for row in rows)
+            kinds = set(map(type, cells(rows)))
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -42,20 +54,17 @@ class SymMatrix:
                 j = next(j for j in range(i + 1, n) if row[j] != col[j])
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "is_exact", all(issubclass(k, Fraction) for k in kinds))
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
-    @cached_property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for row in self.entries for v in row)
-
     def entry(self, i: int, j: int):
         return self.entries[i][j]
 
     def to_float(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.entries]
+        return [list(map(float, row)) for row in self.entries]
 
     def trace(self):
         return sum((self.entries[i][i] for i in range(self.n)), Fraction(0)) \
@@ -270,30 +279,61 @@ def leading_minors(m: SymMatrix, swap: bool = False):
 
 def _float_pivots(m: SymMatrix, swap: bool = False):
     """Yield the pivots of Gaussian elimination on ``m.to_float()``, column
-    by column in Doolittle's order, each entry one dot product.
+    by column, each before the next column is eliminated.
 
     Without ``swap`` they are the D of ``m = L D L^T``, each leading minor
     over the one before: all positive iff ``m`` is positive definite, they
     do not grow like the minors, and the elimination is backward stable
-    when ``m`` is (Higham, *Accuracy and Stability*, 2nd ed., ch. 10).  With
-    ``swap`` each column pivots on its largest entry on or below the
-    diagonal, a pivot swapped in is negated so the product of the pivots is
-    the determinant, and a zero column yields 0 and ends the elimination.
+    when ``m`` is (Higham, *Accuracy and Stability*, 2nd ed., ch. 10).  A
+    pivot that is not finite raises :class:`DeskScaleError`, so no verdict
+    is read off ``inf`` or ``nan``.  With ``swap`` each column pivots on its
+    largest entry on or below the diagonal, a pivot swapped in is negated
+    so the product of the pivots is the determinant, and a zero column
+    yields 0 and ends the elimination.
     """
     rows = m.to_float()
+    return _partial_pivots(rows) if swap else _ldl_pivots(rows)
+
+
+def _ldl_pivots(rows):
+    """Symmetric LDL^T over the lower triangle (Golub and Van Loan, Alg.
+    4.1.2).  Column j takes ``v_i = d_i L_ji`` for i < j off row j of L,
+    the pivot ``d_j = a_jj - L_j . v`` and, below it, ``L_kj = (a_kj - L_k
+    . v) / d_j``, with ``a_kj`` read as ``a_jk``: n^3/6 multiply-adds.  An
+    ``inf`` in L reaches the pivot of its row, so the pivots are all that
+    need a finiteness check."""
+    mul = operator.mul
+    lower = [[] for _ in rows]  # the rows of L, left of column j
+    pivots = []
+    for j, row in enumerate(rows):
+        v = list(map(mul, pivots, lower[j]))
+        pivot = row[j] - sum(map(mul, lower[j], v))
+        if not math.isfinite(pivot):
+            raise DeskScaleError(
+                f"the LDL^T pivot of column {j} is {pivot!r}: the float "
+                "elimination left the float range"
+            )
+        yield pivot
+        pivots.append(pivot)
+        for a, ell in zip(row[j + 1:], lower[j + 1:]):
+            ell.append((a - sum(map(mul, ell, v))) / pivot)
+
+
+def _partial_pivots(rows):
+    """Doolittle's order with partial pivoting, each entry one dot product."""
     n = len(rows)
     lower = [[] for _ in range(n)]  # the rows of L, left of column j
     for j in range(n):
         col = []  # column j of U above the diagonal, then pivot candidates
         for i in range(n):
             col.append(rows[i][j] - sum(map(operator.mul, lower[i], col)))
-        r = max(range(j, n), key=lambda i: abs(col[i])) if swap else j
+        r = max(range(j, n), key=lambda i: abs(col[i]))
         col[j], col[r] = col[r], col[j]
         rows[j], rows[r] = rows[r], rows[j]
         lower[j], lower[r] = lower[r], lower[j]
         pivot = col[j]
         yield pivot if r == j else -pivot
-        if swap and pivot == 0:
+        if pivot == 0:
             return
         for i in range(j + 1, n):
             lower[i].append(col[i] / pivot)

@@ -21,7 +21,9 @@ no request builds an order dual: each shared kernel takes the operation,
 ``matrices._matrix`` do.  One kernel, ``_close``, builds every closure, of
 poset indices here and of integers in ``numtheory``: one ascending pass adds
 each new element's meets (joins) with those held, then the element, and as
-they associate the set stays closed.  It checks a cap after each element
+they associate the set stays closed.  On poset indices, where most held
+elements are comparable to the new one, it skips those, as the bound of
+such a pair is one of the two.  It checks a cap after each element
 (:class:`DeskScaleError`), and a missing bound names the first pair of the
 pass without one.  ``_cover_edges`` walks the covers of a member mask on the
 parent's masks, one step per edge, so the tree tests never build a closure's
@@ -444,7 +446,7 @@ def _side(p: FinitePoset, kind: str):
     return p._up, p._down, lambda mask: (mask & -mask).bit_length() - 1
 
 
-def _close(elements: Iterable[int], op, cap: int) -> tuple[int, ...]:
+def _close(elements: Iterable[int], op, cap: int, related=None) -> tuple[int, ...]:
     """The smallest superset of ``elements`` closed under the symmetric,
     associative ``op``, ascending.  One pass takes the elements in ascending
     order; each ``x`` the closed set ``C`` lacks brings in ``op(c, x)`` for
@@ -453,11 +455,29 @@ def _close(elements: Iterable[int], op, cap: int) -> tuple[int, ...]:
     pair is combined twice.  A missing bound fails at the first pair of the
     pass without one, which exists exactly when the generated set has one.
     The size is checked after each ``x``: past ``cap`` elements it raises
-    :class:`DeskScaleError`."""
+    :class:`DeskScaleError`.
+
+    On poset indices, ``related(x)`` is the mask of the elements comparable
+    to ``x``.  The bound of such a pair is one of the two, and never
+    missing, so when most of ``C`` is comparable to ``x``, ``x`` meets only
+    the rest, still in the order ``C`` gained them: a chain closes with no
+    call of ``op``.  Picking those out costs about half a call of ``op``
+    per element of ``C``, so where fewer are comparable ``x`` meets all.
+    The mask of ``C`` is brought up to date only for an ``x`` comparable
+    to more elements of the poset than half the size of ``C``."""
     closed: dict[int, None] = {}
+    held = 0  # the mask of the first elements of ``closed``, one bit each
     for x in sorted(set(elements)):
         if x not in closed:
-            closed.update(dict.fromkeys([op(c, x) for c in closed]))
+            others = closed
+            if related is not None and (mask := related(x)).bit_count() * 2 > len(closed):
+                for c in list(closed)[held.bit_count():]:
+                    held |= 1 << c
+                near = held & mask
+                if near.bit_count() * 2 > len(closed):
+                    apart = held ^ near
+                    others = [c for c in closed if apart >> c & 1] if apart else ()
+            closed.update(dict.fromkeys([op(c, x) for c in others]))
             closed[x] = None
             if len(closed) > cap:
                 raise DeskScaleError(f"closure grew past the cap of {cap} elements")
@@ -476,7 +496,9 @@ def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureRe
 
 def _kept_closure(s: Subset, kind: str) -> ClosureResult:
     if (kept := s.__dict__.get(f"_{kind}_closure")) is None:
-        members = _close(s.members, partial(_op(kind), s.parent), s.parent.n)
+        p = s.parent
+        members = _close(s.members, partial(_op(kind), p), p.n,
+                         lambda x: p._down[x] | p._up[x])
         kept = _closure_result(s, members, kind)
     return kept
 

@@ -16,7 +16,8 @@ The corpus:
   ``build`` of them once more with ``--format csv``;
 - float ``check-pd`` on ``random.Random(0).sample(range(1, 3000), n)``
   with power-gcd at alpha 1.5, for n = 200 and 300;
-- ``check-pd`` on the any-matrix poset of :data:`ANY_MATRIX`.
+- ``check-pd`` on the any-matrix posets of :data:`ANY_MATRIX` and
+  :data:`NON_FINITE`.
 
 Float replies may differ between Python versions, so compare digests made
 by one interpreter.  A run takes about 15 s on a 2-core Xeon.
@@ -53,15 +54,20 @@ ANY_MATRIX = (
      0.11443251913377686, 1.5097369938206653),
 )
 
+# Finite entries whose LDL^T pivot at column 2 is 1 - (1e300 / 1e-300) *
+# 1e300 = -inf: the reply is a DeskScaleError, not a verdict read off it.
+NON_FINITE = ((1.0, 0.0, 0.0), (0.0, 1e-300, 1e300), (0.0, 1e300, 1.0))
 
-def write_any_matrix(rows, directory) -> tuple[str, str]:
+
+def write_any_matrix(rows, directory, name="any-matrix") -> tuple[str, str]:
     """Write a poset file and a values file whose meet matrix on the set
     x0..x(n-1) is ``rows``; return their paths.
 
     The poset has one element z_ij below exactly x_i and x_j for each pair
     i < j, so meet(x_i, x_j) = z_ij, and f(x_i) = rows[i][i], f(z_ij) =
     rows[i][j].  For n >= 3 two z's have no meet, so the set has no
-    closure and only the oracle decides."""
+    closure and only the oracle decides.  The files are ``name.json`` and
+    ``name-values.json``."""
     n = len(rows)
     labels = [f"x{i}" for i in range(n)]
     values = {f"x{i}": rows[i][i] for i in range(n)}
@@ -70,8 +76,8 @@ def write_any_matrix(rows, directory) -> tuple[str, str]:
         labels.append(f"z{i}_{j}")
         values[labels[-1]] = rows[i][j]
         relation += [[len(labels), i + 1], [len(labels), j + 1]]
-    poset_path = Path(directory) / "any-matrix.json"
-    values_path = Path(directory) / "any-matrix-values.json"
+    poset_path = Path(directory) / f"{name}.json"
+    values_path = Path(directory) / f"{name}-values.json"
     poset_path.write_text(json.dumps({"n": len(labels), "relation": relation,
                                       "labels": labels, "set": labels[:n]}))
     values_path.write_text(json.dumps(values))
@@ -95,9 +101,10 @@ def _corpus(RunConfig):
         yield f"target/float-check-pd-{n}", RunConfig(
             command="check-pd", set_text=",".join(map(str, members)),
             family="power-gcd", alpha="1.5")
-    poset_path, values_path = write_any_matrix(ANY_MATRIX, "")
-    yield "any-matrix/check-pd", RunConfig(
-        command="check-pd", poset_path=poset_path, values_path=values_path)
+    for name, rows in (("any-matrix", ANY_MATRIX), ("non-finite", NON_FINITE)):
+        poset_path, values_path = write_any_matrix(rows, "", name)
+        yield f"{name}/check-pd", RunConfig(
+            command="check-pd", poset_path=poset_path, values_path=values_path)
 
 
 def digests(src: Path):

@@ -8,6 +8,7 @@ trees read as orders with the root at the bottom.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from meetjoin import (
     FinitePoset,
     PosetFunction,
     Subset,
+    SymMatrix,
     build_poset,
     divisibility_poset,
     divisors,
@@ -347,6 +349,48 @@ def full_row_minors(m, swap=False):
             row[k + 1:] = [(a * pivot - lead * b) // prev
                            for a, b in zip(row[k + 1:], tail)]
         prev = pivot
+
+
+def doolittle_pivots(m):
+    """Reference swap-free ``_float_pivots``: Gaussian elimination on
+    ``m.to_float()`` in Doolittle's order, column by column, each entry of U
+    above the diagonal and of L below it one dot product: n^3/3
+    multiply-adds, where LDL^T over one triangle takes n^3/6."""
+    rows = m.to_float()
+    n = len(rows)
+    lower = [[] for _ in range(n)]  # the rows of L, left of column j
+    for j in range(n):
+        col = []  # column j of U above the diagonal, then the pivot and below
+        for i in range(n):
+            col.append(rows[i][j] - sum(map(operator.mul, lower[i], col)))
+        pivot = col[j]
+        yield pivot
+        for i in range(j + 1, n):
+            lower[i].append(col[i] / pivot)
+
+
+def doolittle_verdict(m):
+    """``(is positive definite, minor_index)`` as ``pd_oracle`` reads them
+    off :func:`doolittle_pivots`: the 1-based index of the first pivot that
+    is not positive, None when every pivot is."""
+    for k, pivot in enumerate(doolittle_pivots(m), 1):
+        if not pivot > 0:
+            return False, k
+    return True, None
+
+
+def near_singular_matrices(rng: random.Random, count: int):
+    """B B^T + c I with B of rank below n and c near the rounding of 1."""
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        r = rng.randint(1, n - 1)
+        c = rng.choice((1e-17, 1e-16, 1e-15, 1e-14))
+        b = [[rng.uniform(-1, 1) for _ in range(r)] for _ in range(n)]
+        yield SymMatrix(tuple(
+            tuple(math.fsum(b[i][k] * b[j][k] for k in range(r)) + (c if i == j else 0.0)
+                  for j in range(n))
+            for i in range(n)
+        ))
 
 
 def leading_minors_positive(matrix) -> bool:

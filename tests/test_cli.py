@@ -14,7 +14,8 @@ from meetjoin import (CharacterizationMismatch, FinitePoset, PosetFunction, Subs
 from meetjoin.cli import RunConfig, _det_fields, _encode, _resolve, main, run
 from meetjoin.definiteness import pd_oracle
 from meetjoin.matrices import SymMatrix
-from replies import ANY_MATRIX, write_any_matrix
+from replies import ANY_MATRIX, NON_FINITE, write_any_matrix
+from support import near_singular_matrices
 
 WORKED_POSET = {"generated_by": [6, 10, 15], "set": [6, 10, 15]}
 WORKED_VALUES = {"1": 0, "2": -1, "3": 3, "5": -2, "6": 5, "10": 2, "15": 3}
@@ -264,7 +265,9 @@ def test_float_check_pd_eliminates_once(monkeypatch, tmp_path):
 
 def test_float_oracle_det_is_the_product_of_its_pivots(tmp_path):
     # Elimination with partial pivoting gave det -4.89e-17 here, against a
-    # positive definite verdict from five positive pivots.
+    # positive definite verdict from five positive pivots.  The exact det
+    # of these float entries is 5.55e-17: both values are at rounding level,
+    # and the product of the LDL^T pivots keeps the sign of the verdict.
     poset_path, values_path = write_any_matrix(ANY_MATRIX, tmp_path)
     config = RunConfig(command="check-pd", poset_path=poset_path,
                        values_path=values_path)
@@ -275,21 +278,21 @@ def test_float_oracle_det_is_the_product_of_its_pivots(tmp_path):
     assert (body["verdict"], body["method"]) == ("positive-definite", "oracle")
     pivots = body["certificate"]["pivots"]
     assert body["det"] > 0
-    assert body["det"] == math.prod(pivots) == 1.4933635399982417e-17
+    assert body["det"] == math.prod(pivots) == 1.0666882428558869e-17
 
 
-def _near_singular(rng, count):
-    """B B^T + c I with B of rank below n and c near the rounding of 1."""
-    for _ in range(count):
-        n = rng.randint(2, 8)
-        r = rng.randint(1, n - 1)
-        c = rng.choice((1e-17, 1e-16, 1e-15, 1e-14))
-        b = [[rng.uniform(-1, 1) for _ in range(r)] for _ in range(n)]
-        yield SymMatrix(tuple(
-            tuple(math.fsum(b[i][k] * b[j][k] for k in range(r)) + (c if i == j else 0.0)
-                  for j in range(n))
-            for i in range(n)
-        ))
+def test_a_non_finite_float_pivot_is_refused(tmp_path):
+    # The last LDL^T pivot is 1 - (1e300 / 1e-300) * 1e300 = -inf; it went
+    # into the certificate, and the reply was refused with exit 1 as "Out
+    # of range float values are not JSON compliant: -inf".
+    poset_path, values_path = write_any_matrix(NON_FINITE, tmp_path)
+    code, text = run(RunConfig(command="check-pd", poset_path=poset_path,
+                               values_path=values_path))
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error == {"type": "DeskScaleError", "message": (
+        "the LDL^T pivot of column 2 is -inf: the float elimination left "
+        "the float range")}
 
 
 def test_float_oracle_det_agrees_with_its_verdict_near_singularity():
@@ -297,7 +300,7 @@ def test_float_oracle_det_agrees_with_its_verdict_near_singularity():
     # of its pivots and positive; partial pivoting gives some of these
     # matrices a det <= 0.
     decided = pivoted_nonpositive = 0
-    for m in _near_singular(random.Random(624), 3000):
+    for m in near_singular_matrices(random.Random(624), 3000):
         report = pd_oracle(m)
         if not report.is_positive_definite:
             continue

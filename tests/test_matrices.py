@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from meetjoin import (
+    DeskScaleError,
     NoJoinError,
     NoMeetError,
     NotClosedError,
@@ -35,7 +37,10 @@ from meetjoin.matrices import _float_pivots, leading_minors
 from support import (
     brute_join,
     cofactor_det,
+    doolittle_pivots,
+    doolittle_verdict,
     full_row_minors,
+    near_singular_matrices,
     random_function,
     random_join_closed_subset,
     random_linear_extension,
@@ -126,6 +131,47 @@ def test_symmetry_error_names_the_first_pair_in_row_major_order():
         SymMatrix(((1, 2), (2,)))
     m = SymMatrix(((1, 0.5), (0.5, 2)))
     assert not m.is_exact and "is_exact" in m.__dict__
+
+
+def test_sym_matrix_entry_types():
+    # One pass over the entry types; only what it cannot pass as it is
+    # goes through the per-entry check, with that check's errors.
+    half = Fraction(1, 2)
+    with pytest.raises(TypeError, match="^boolean is not a number$"):
+        SymMatrix(((half, True), (True, half)))
+    with pytest.raises(TypeError, match="^unsupported value '1'$"):
+        SymMatrix((("1",),))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^values must be finite, not {bad!r}$"):
+            SymMatrix(((1.0, bad), (bad, 1.0)))
+        with pytest.raises(ValueError, match=f"^values must be finite, not {bad!r}$"):
+            SymMatrix(((half, bad), (bad, half)))
+    m = SymMatrix(((2, half), (half, 3)))
+    assert m.entries == ((2, half), (half, 3)) and m.is_exact
+    assert all(type(v) is Fraction for row in m.entries for v in row)
+    assert not SymMatrix(((half, 0.5), (0.5, half))).is_exact
+    assert not SymMatrix(((2, 0.5), (0.5, 3))).is_exact
+    assert SymMatrix(((1.0, 2.0), (2.0, 1.0))).entries == ((1.0, 2.0), (2.0, 1.0))
+    empty = SymMatrix(())
+    assert empty.n == 0 and empty.is_exact and empty.entries == ()
+    assert SymMatrix([[1, 2], [2, 1]]).entries == ((1, 2), (2, 1))
+
+
+def test_is_exact_says_every_entry_is_a_fraction():
+    rng = random.Random(614)
+    matrices = _random_exact_matrices(rng)
+    matrices += [_as_float(m) for m in matrices[::3]] + list(_spd_matrices(rng))
+    matrices += [SymMatrix(tuple(tuple(float(v) if (i + j) % 2 else v
+                                       for j, v in enumerate(row))
+                                 for i, row in enumerate(m.entries)))
+                 for m in matrices[:60]]
+    kinds = set()
+    for m in matrices:
+        exact = all(isinstance(v, Fraction) for row in m.entries for v in row)
+        assert m.is_exact == exact
+        kinds.add(frozenset(type(v) for row in m.entries for v in row))
+    assert {frozenset({Fraction}), frozenset({float}),
+            frozenset({Fraction, float})} <= kinds
 
 
 def test_incidence_matrix_semantics():
@@ -338,6 +384,85 @@ def test_float_pivots_are_ratios_of_exact_minors():
     assert compared > 1000
 
 
+def _symmetric_small_ints(rng, count):
+    """Symmetric matrices of floats -3..3, mostly indefinite."""
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        upper = [[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        yield SymMatrix(tuple(
+            tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
+        ))
+
+
+def _oracle_verdict(m):
+    report = pd_oracle(m)
+    return report.is_positive_definite, report.certificate.get("minor_index")
+
+
+def test_ldl_oracle_reads_the_verdicts_of_doolittle_elimination():
+    # LDL^T over one triangle and Doolittle's elimination over the whole
+    # matrix stop at the same column on the generated matrices.
+    rng = random.Random(615)
+    matrices = [_as_float(m) for m in _random_exact_matrices(rng)]
+    matrices += [*_spd_matrices(rng), *_symmetric_small_ints(rng, 1000)]
+    verdicts = [_oracle_verdict(m) for m in matrices]
+    assert verdicts == [doolittle_verdict(m) for m in matrices]
+    definite = sum(pd for pd, _ in verdicts)
+    assert definite > 100 and len(verdicts) - definite > 1000
+
+
+def test_ldl_and_doolittle_differ_only_at_rounding_level_near_singularity():
+    # Both eliminations are backward stable, and where a pivot is at
+    # rounding level each reads the sign of its own rounding.  Where the
+    # verdicts differ, the first pivot either run reads as nonpositive is
+    # near 0 in both runs, relative to the largest entry (at most 4.9e-13
+    # here on Python 3.11 and 3.13).
+    same = differ = 0
+    for m in near_singular_matrices(random.Random(624), 3000):
+        got, ref = _oracle_verdict(m), doolittle_verdict(m)
+        if got == ref:
+            same += 1
+            continue
+        differ += 1
+        k = min(index for _, index in (got, ref) if index is not None)
+        scale = max(abs(v) for row in m.entries for v in row)
+        assert abs(pd_oracle(m).certificate["pivots"][k - 1]) < 1e-12 * scale
+        assert abs(list(islice(doolittle_pivots(m), k))[-1]) < 1e-12 * scale
+    assert same > 2500 and differ > 0
+
+
+def test_ldl_pivots_match_doolittle_on_the_gcd_float_pool():
+    # The sets the seed-0 gcd-float bench pool sends check-pd: the first 12
+    # samples of random.Random(0) (bench/workloads.py, gcd_float).
+    rng = random.Random(0)
+    for _ in range(12):
+        members = rng.sample(range(1, 3000), 100)
+        m = build_named_matrix("power_gcd", members, alpha=1.5).matrix
+        pivots, reference = list(_float_pivots(m)), list(doolittle_pivots(m))
+        assert len(pivots) == 100 and min(pivots) > 0
+        for got, expected in zip(pivots, reference):
+            assert math.isclose(got, expected, rel_tol=1e-12)
+
+
+def test_a_pivot_that_is_not_finite_is_refused():
+    # Finite entries, but a pivot of 1e-300 puts inf into L, and the pivot
+    # of the next column is -inf (or inf after a negative one): no verdict
+    # or pivot is read off it.  Partial pivoting keeps its pivots finite.
+    m = SymMatrix(((1.0, 0.0, 0.0), (0.0, 1e-300, 1e300), (0.0, 1e300, 1.0)))
+    steps = _float_pivots(m)
+    assert [next(steps), next(steps)] == [1.0, 1e-300]
+    message = "^the LDL\\^T pivot of column 2 is -inf: the float elimination left"
+    with pytest.raises(DeskScaleError, match=message):
+        next(steps)
+    with pytest.raises(DeskScaleError, match=message):
+        pd_oracle(m)
+    assert list(_float_pivots(m, swap=True)) == [1.0, -1e300, 1e300]
+    m = SymMatrix(((-1e-300, 1e300), (1e300, 1.0)))
+    assert pd_oracle(m).certificate["minor_index"] == 1
+    with pytest.raises(DeskScaleError, match="^the LDL\\^T pivot of column 1 is inf:"):
+        list(_float_pivots(m))
+
+
 def _until_zero(minors):
     """The minors up to the first zero, past which an elimination without
     row swaps cannot go."""
@@ -488,13 +613,7 @@ def test_random_symmetric_replays_equal_fresh_swap_runs():
     # Indefinite matrices too, where the swap-free run may stop at a zero
     # pivot; a swap run after it and a fresh one agree bit for bit wherever
     # it ends, and it leaves nothing on the matrix.
-    rng = random.Random(613)
-    for _ in range(300):
-        n = rng.randint(1, 8)
-        upper = [[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        m = SymMatrix(tuple(
-            tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
-        ))
+    for m in _symmetric_small_ints(random.Random(613), 300):
         names = set(vars(m))
         try:
             list(_float_pivots(m))

@@ -10,13 +10,19 @@ nonnegative and order-preserving on the meet closure, with members listed by
 ascending value, the k-th smallest eigenvalue is at most ``k * f(x_k)`` and
 the largest is at least ``f(x_n)``; the join side is the mirror image with
 order-reversing functions.
+
+The reported residual takes O(n^2) and forms no eigenvector of the input:
+it checks each eigenpair against the tridiagonal, and the reduction itself
+on one fixed vector and on two invariants.  It rests on the backward
+stability of Householder reduction, which the checks measure but do not
+bound; :func:`eigen_sym` gives the argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, truediv
 
 from .errors import (
     ConvergenceError,
@@ -35,7 +41,13 @@ _EPS = 2.0 ** -52
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues plus the worst residual ``|A v - lambda v|``."""
+    """Ascending eigenvalues plus a residual in the input's units.
+
+    ``residual`` is the sum of three checks: the largest entry of
+    ``T z - lambda z`` over the eigenpairs of the tridiagonal ``T``, and two
+    measurements of the reduction ``A = Q T Q^T``, on one fixed vector and
+    on the trace and Frobenius norm.  See :func:`eigen_sym`.
+    """
 
     eigenvalues: tuple[float, ...]
     residual: float
@@ -82,11 +94,7 @@ def eigen_sym(m: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Spectr
     The matrix is normalized by its largest entry, reduced to tridiagonal
     form by Householder reflections and its eigenvalues found by the
     implicitly shifted QL iteration on the tridiagonal alone (tred2/tql1 of
-    Wilkinson and Reinsch, 1971).  For the reported residual each eigenvalue
-    gets a unit eigenvector of the tridiagonal by inverse iteration (as in
-    LAPACK ``dstein``), mapped back through the Householder reflections; the
-    residual asks only that each pair be accurate, not that vectors of
-    close eigenvalues be orthogonal.  An off-diagonal entry is deflated once
+    Wilkinson and Reinsch, 1971).  An off-diagonal entry is deflated once
     it is below machine epsilon times the diagonal scale seen so far.
     ``max_sweeps`` is the QL iteration budget per eigenvalue and ``tol`` the
     absolute off-diagonal deflation bound, in the input's units: an entry
@@ -94,6 +102,28 @@ def eigen_sym(m: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Spectr
     it is at most ``tol`` (by Weyl's inequality no eigenvalue then moves by
     more than ``2 * tol``) and raises :class:`ConvergenceError` otherwise, so
     ``max_sweeps=0`` raises on any off-diagonal entry above ``tol``.
+
+    The reported residual, brought back to the input's units, is the sum of
+    three checks on the normalized matrix ``A = Q T Q^T``, each O(n^2):
+
+    - the pairs: each eigenvalue gets a unit eigenvector ``z`` of ``T`` by
+      inverse iteration (as in LAPACK ``dstein``), and the check is the
+      largest entry of ``T z - lambda z`` over all pairs; it asks only that
+      each pair be accurate, not that vectors of close eigenvalues be
+      orthogonal;
+    - the reduction on one vector: ``|A (Q w) - Q (T w)|`` for a fixed unit
+      vector ``w``, with ``Q`` applied through the stored reflectors;
+    - the invariants: ``|tr A - sum(d)|`` and
+      ``| |A|_F - (|d|^2 + 2 |e|^2)^(1/2) |``.
+
+    For ``v = Q z``, ``|A v - lambda v| <= |T z - lambda z| + |A - Q T Q^T|``.
+    Householder reduction is backward stable, so the second term is a small
+    multiple of machine precision times ``|A|`` (Wilkinson; Higham,
+    *Accuracy and Stability*, ch. 19).  The probe and the invariants
+    measure it on one vector and on two numbers: that catches a faulty
+    reflector or tridiagonal entry, but it does not bound the term.  No
+    eigenvector of ``A`` is formed; mapping each one back through the
+    reflectors and multiplying it by ``A`` would cost O(n^3).
     """
     n = m.n
     source = m.to_float()
@@ -103,22 +133,60 @@ def eigen_sym(m: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Spectr
     if scale == 0.0:
         return Spectrum((0.0,) * n, 0.0)
     a = [[v / scale for v in row] for row in source]
+    # The reduction overwrites a: read its trace and Frobenius norm first.
+    diagonal = [a[i][i] for i in range(n)]
+    norm = math.sqrt(sum(sum(map(mul, row, row)) for row in a))
     d, e, reflectors = _tridiagonalize(a)
     d0, e0 = d[:], e[:]
     _tridiagonal_ql(d, e, tol, scale, max_sweeps)
-    order = sorted(range(n), key=d.__getitem__)
-    eigenvalues = tuple(d[i] * scale for i in order)
-    vectors = _inverse_iteration(d0, e0, [d[i] for i in order])
-    residual = 0.0
-    for lam, v in zip(eigenvalues, vectors):
-        # v = Q z = H_0 ... H_{n-3} z, the last reflector applied first.
-        for lo, w, h in reversed(reflectors):
-            seg = v[lo:]
-            c = sum(map(mul, seg, w)) / h
-            v[lo:] = [x - c * wj for x, wj in zip(seg, w)]
-        for row, vk in zip(source, v):
-            residual = max(residual, abs(sum(map(mul, row, v)) - lam * vk))
-    return Spectrum(eigenvalues, residual)
+    values = sorted(d)
+    eigenvalues = tuple(lam * scale for lam in values)
+    # The pairs against T: the largest entry of T z - lam z.
+    pair = 0.0
+    for lam, z in zip(values, _inverse_iteration(d0, e0, values)):
+        pair = max(pair, max(map(abs, _tridiagonal_times(d0, e0, z, lam))))
+    # The reduction on one fixed unit vector w, the inverse iteration's start
+    # vector, with no zero entry: |A (Q w) - Q (T w)|.  The rows of A are
+    # divided by scale again as they are read, entry for entry as in a, so no
+    # second n x n copy of the matrix is held.
+    w = [(k * 0.6180339887498949) % 1.0 - 0.5 for k in range(1, n + 1)]
+    size = math.hypot(*w)
+    w = [x / size for x in w]
+    qw = _apply_q(reflectors, w)
+    qtw = _apply_q(reflectors, _tridiagonal_times(d0, e0, w))
+    scales = [scale] * n
+    probe = math.hypot(*(
+        sum(map(mul, map(truediv, row, scales), qw)) - y
+        for row, y in zip(source, qtw)
+    ))
+    # The invariants of an orthogonal similarity: trace and Frobenius norm.
+    # The trace difference is one exact sum: summed apart, the rounding of
+    # two sums near n would show as n ulps.
+    trace = abs(math.fsum([*diagonal, *(-x for x in d0)]))
+    frobenius = abs(
+        norm - math.sqrt(sum(map(mul, d0, d0)) + 2.0 * sum(map(mul, e0, e0)))
+    )
+    return Spectrum(eigenvalues, (pair + probe + trace + frobenius) * scale)
+
+
+def _tridiagonal_times(d, e, z, lam=0.0) -> list[float]:
+    """``(T - lam I) z`` for the tridiagonal ``T`` of ``(d, e)``."""
+    return [
+        below * z_prev + (di - lam) * zi + above * z_next
+        for below, di, above, z_prev, zi, z_next in zip(
+            [0.0, *e[:-1]], d, e, [0.0, *z[:-1]], z, [*z[1:], 0.0]
+        )
+    ]
+
+
+def _apply_q(reflectors, x: list[float]) -> list[float]:
+    """``Q x = H_0 ... H_{n-3} x``, the last reflector applied first."""
+    x = x[:]
+    for lo, v, h in reversed(reflectors):
+        seg = x[lo:]
+        c = sum(map(mul, seg, v)) / h
+        x[lo:] = [xj - c * vj for xj, vj in zip(seg, v)]
+    return x
 
 
 def _tridiagonalize(a: list[list[float]]):

@@ -444,3 +444,31 @@ def scan_is_order_preserving(f, strict=False, within=None):
                 if fa > fb or (strict and fa == fb):
                     return False
     return True
+
+
+def input_residual(m) -> float:
+    """The worst ``|A v - lambda v|`` over the eigenpairs behind ``eigen_sym``,
+    in the input's units, with each eigenvector ``v`` of ``A`` formed: the
+    tridiagonal's unit eigenvector is mapped back through every Householder
+    reflector and multiplied by the input, O(n^3) in all."""
+    from meetjoin.spectral import (
+        _apply_q,
+        _inverse_iteration,
+        _tridiagonal_ql,
+        _tridiagonalize,
+    )
+
+    source = m.to_float()
+    scale = max(abs(v) for row in source for v in row)
+    if m.n == 1 or scale == 0.0:
+        return 0.0
+    d, e, reflectors = _tridiagonalize([[v / scale for v in row] for row in source])
+    d0, e0 = d[:], e[:]
+    _tridiagonal_ql(d, e, 1e-10, scale, 100)
+    values = sorted(d)
+    residual = 0.0
+    for lam, z in zip(values, _inverse_iteration(d0, e0, values)):
+        v = _apply_q(reflectors, z)
+        for row, vk in zip(source, v):
+            residual = max(residual, abs(sum(map(operator.mul, row, v)) - lam * scale * vk))
+    return residual

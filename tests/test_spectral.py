@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from meetjoin import spectral
 from meetjoin import (
     ConvergenceError,
     HypothesisError,
@@ -24,6 +25,7 @@ from meetjoin import (
     total_order_poset,
 )
 from support import (
+    input_residual,
     random_monotone_function,
     random_poset,
     random_rational,
@@ -185,6 +187,114 @@ def test_eigen_random_larger_matrices():
         det = det_general(m)
         assert abs(math.prod(spec.eigenvalues) - det) <= 1e-10 * abs(det)
         assert spec.residual <= 1e-12 * big
+
+
+def largest_entry(m):
+    return max(abs(float(m.entry(i, j))) for i in range(m.n) for j in range(m.n))
+
+
+def gcd_float_100():
+    members = random.Random(0).sample(range(1, 3000), 100)
+    return build_named_matrix("power-gcd", members, alpha=1.5).matrix
+
+
+def _perturb_reflector(d, e, reflectors):
+    lo, v, h = reflectors[len(reflectors) // 2]
+    v = v[:]
+    v[1] += 1e-6 * max(map(abs, v))
+    reflectors[len(reflectors) // 2] = (lo, v, h)
+
+
+def _perturb_d(d, e, reflectors):
+    d[len(d) // 2] += 1e-6
+
+
+def _perturb_e(d, e, reflectors):
+    e[len(e) // 2] += 1e-6
+
+
+def _drop_reflector(d, e, reflectors):
+    del reflectors[len(reflectors) // 2]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_perturb_reflector, _perturb_d, _perturb_e, _drop_reflector],
+    ids=["reflector", "d", "e", "dropped-reflector"],
+)
+def test_eigen_residual_flags_a_faulty_reduction(monkeypatch, fault):
+    # A fault of 1e-6 of the normalized matrix in one reflector, one
+    # tridiagonal entry, or a reflector left out, must push the residual
+    # past the 1e-8 relative tolerance that the bench checks replies by.
+    m = gcd_float_100()
+    big = largest_entry(m)
+    assert eigen_sym(m).residual <= 1e-12 * big
+    real = spectral._tridiagonalize
+
+    def faulty(a):
+        d, e, reflectors = real(a)
+        fault(d, e, reflectors)
+        return d, e, reflectors
+
+    monkeypatch.setattr(spectral, "_tridiagonalize", faulty)
+    assert eigen_sym(m).residual > 1e-8 * big
+
+
+def bench_shaped_matrices():
+    """The matrices behind the seed-0 bench ``bounds`` requests, as built by
+    the library, in their given order."""
+    rng = random.Random(0)
+    for _ in range(12):
+        members = rng.sample(range(1, 3000), 100)
+        yield build_named_matrix("power-gcd", members, alpha=1.5).matrix
+    rng = random.Random(0)
+    for _ in range(8):
+        yield build_named_matrix("power-gcd", rng.sample(range(1, 3000), 80)).matrix
+    for modulus in (2520, 5040, 7560, 10080):
+        members = [k for k in range(1, modulus + 1) if modulus % k == 0]
+        for family in ("power-gcd", "reciprocal-power-lcm"):
+            yield build_named_matrix(family, members).matrix
+
+
+def test_eigen_residual_matches_the_full_input_residual():
+    # The full residual max |A v - lambda v| over the eigenvectors of the
+    # input, and the O(n^2) checks reported instead, are both at rounding
+    # level on every bench-shaped matrix.
+    for m in bench_shaped_matrices():
+        big = largest_entry(m)
+        assert input_residual(m) <= 1e-12 * big
+        assert eigen_sym(m).residual <= 1e-12 * big
+
+
+def well_conditioned(rng, n):
+    rows = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+    return [[(rows[i][j] + rows[j][i]) / 2 + (2 * n if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("power", [996, -996])
+def test_eigen_residual_at_the_ends_of_the_float_range(power):
+    # Scaling by a power of two is exact, so the eigenvalues scale exactly;
+    # the checks run on the normalized matrix, so no square overflows or
+    # underflows.
+    rows = well_conditioned(random.Random(807), 12)
+    base = eigen_sym(SymMatrix(tuple(map(tuple, rows))))
+    factor = 2.0 ** power
+    m = SymMatrix(tuple(tuple(v * factor for v in row) for row in rows))
+    spec = eigen_sym(m)
+    assert spec.eigenvalues == tuple(lam * factor for lam in base.eigenvalues)
+    assert math.isfinite(spec.residual)
+    assert spec.residual <= 1e-12 * largest_entry(m)
+    assert eigen_sym(m) == spec
+
+
+def test_eigen_residual_without_a_reduction():
+    assert eigen_sym(SymMatrix(((5.0,),))).residual == 0.0
+    assert eigen_sym(SymMatrix(((0.0,) * 3,) * 3)).residual == 0.0
+    # n = 2 is tridiagonal already: there is no reflector.
+    spec = eigen_sym(SymMatrix(((1e300, -3e299), (-3e299, 2e-300))))
+    assert math.isfinite(spec.residual)
+    assert spec.residual <= 1e-12 * 1e300
 
 
 def test_reindex_sorts_by_value():

@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain, islice
 
 import click
@@ -460,100 +459,46 @@ def _render_csv(config: RunConfig, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CONTAINERS = (list, tuple, dict)
-
-
-@cache
-def _encoder(pad: str) -> json.JSONEncoder:
-    """The C encoder writing one item to a line at ``pad``.  With ``indent``
-    set, json runs its pure-Python encoder, but the C encoder takes any
-    separators, and a newline and ``pad`` after each comma is that layout."""
-    return json.JSONEncoder(separators=(",\n" + pad, ": "), allow_nan=False)
-
-
-def _c_encode(encoder: json.JSONEncoder, value: list | dict) -> str:
-    """``encoder.encode(value)``.  A float out of range gets the message of
-    the pure-Python encoder, which names the value; the C one may not."""
-    try:
-        return encoder.encode(value)
-    except ValueError as err:
-        if not str(err).startswith("Out of range float values"):
-            raise
-        items = chain.from_iterable(value.items()) if isinstance(value, dict) else value
-        bad = next(x for x in items if isinstance(x, float) and not math.isfinite(x))
-        raise ValueError(
-            f"Out of range float values are not JSON compliant: {bad!r}"
-        ) from None
-
-
-def _block(body: str, brackets: str, pad: str) -> str:
-    """``body``, items joined by the separator of ``_encoder(pad + "  ")``,
-    between ``brackets`` on lines of their own at ``pad``."""
-    if not body:
-        return brackets
-    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}"
-
-
 def _cell_texts(rows, write):
     """The texts of the cells of ``rows``, one iterator per row, each
     distinct entry object written once: a meet or join matrix holds at most
     one per universe element.  Those objects, keyed by ``id``, pass through
     :func:`_encode`, so a Fraction is ``"p/q"`` text, and ``write`` maps
-    their list to their texts.  None when ``write`` returns None."""
+    their list to their texts."""
     cells = list(chain.from_iterable(rows))
     ids = list(map(id, cells))  # ``cells`` keeps each id's object alive
     distinct = dict(zip(ids, cells))
     texts = write([_encode(v) for v in distinct.values()])
-    if texts is None:
-        return None
     cell_texts = map(dict(zip(distinct, texts)).__getitem__, ids)
     return (islice(cell_texts, len(row)) for row in rows)
 
 
-def _matrix_json(rows, pad: str) -> str | None:
-    """A list of rows holding no container, written by :func:`_cell_texts`.
-    None when an entry is a container."""
-    inner = pad + "  "
-    encoder = _encoder(inner + "  ")
-
-    def write(values):
-        if any(isinstance(v, _CONTAINERS) for v in values):
-            return None
-        # No entry's text holds a newline, so the separator splits them apart.
-        return _c_encode(encoder, values)[1:-1].split(encoder.item_separator)
-
-    texts = _cell_texts(rows, write)
-    if texts is None:
-        return None
-    return _block(_encoder(inner).item_separator.join(
-        _block(encoder.item_separator.join(row), "[]", inner) for row in texts
-    ), "[]", pad)
+# After each comma, a newline and the indent of a matrix entry: the layout
+# of ``indent=2``.  json.dumps runs the C encoder when no indent is given,
+# and it takes any separators.  Escaped JSON text holds no raw newline, so
+# splitting on this separator gives back each entry's text.
+_ENTRY = ",\n" + " " * 6
 
 
-def _json(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)`` for a list or dict
-    at the indent ``pad``, byte for byte.  One that holds no container is
-    one call of the C encoder; only nested containers recurse.  A list of
-    such lists goes to :func:`_matrix_json`."""
-    encoder = _encoder(pad + "  ")
-    nested = [isinstance(v, _CONTAINERS)
-              for v in (value.values() if isinstance(value, dict) else value)]
-    if not any(nested):
-        text = _c_encode(encoder, value)
-        return _block(text[1:-1], text[0] + text[-1], pad)
-    if isinstance(value, dict):
-        # The one-item dicts write each key as json does, "k": at its head.
-        parts = [_c_encode(encoder, {k: None})[1:-5] + _json(v, pad + "  ")
-                 if inside else _c_encode(encoder, {k: v})[1:-1]
-                 for (k, v), inside in zip(value.items(), nested)]
-        return _block(encoder.item_separator.join(parts), "{}", pad)
-    if all(isinstance(v, (list, tuple)) for v in value):
-        text = _matrix_json(value, pad)
-        if text is not None:
-            return text
-    parts = [_json(v, pad + "  ") if inside else _c_encode(encoder, [v])[1:-1]
-             for v, inside in zip(value, nested)]
-    return _block(encoder.item_separator.join(parts), "[]", pad)
+def _json(value) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte.
+
+    Only a ``build`` reply is made another way: a dict whose last item is
+    its ``"matrix"``, a square of scalar entries.  Each distinct entry is
+    encoded once, through :func:`_cell_texts`, and the rows are laid out
+    around those texts.  When the C encoder refuses an entry, json's own
+    encoder raises in its place, with a message that names the value."""
+    if not (isinstance(value, dict) and next(reversed(value), None) == "matrix"):
+        return json.dumps(value, indent=2, allow_nan=False)
+    try:
+        rows = _cell_texts(value["matrix"], lambda values: json.dumps(
+            values, separators=(_ENTRY, ": "), allow_nan=False)[1:-1].split(_ENTRY))
+    except ValueError:
+        value = {**value, "matrix": _encode(value["matrix"])}
+        return json.dumps(value, indent=2, allow_nan=False)
+    matrix = ",\n    ".join(f"[\n      {_ENTRY.join(row)}\n    ]" for row in rows)
+    head = json.dumps({**value, "matrix": []}, indent=2, allow_nan=False)
+    return head[:-4] + (f"[\n    {matrix}\n  ]" if matrix else "[]") + "\n}"
 
 
 def _render(config: RunConfig, payload: dict) -> str:
@@ -589,11 +534,15 @@ def run(config: RunConfig) -> tuple[int, str]:
 
 def _emit(config: RunConfig) -> None:
     code, text = run(config)
-    if config.output_path is not None:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if config.output_path is None:
         sys.stdout.write(text)
+    else:
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            code = 1
+            sys.stdout.write(_render_error(config, err))
     if code != 0:
         raise SystemExit(code)
 

@@ -234,7 +234,18 @@ def build_poset(n: int, relation: Iterable[tuple[int, int]], labels=None) -> Fin
         raise ValueError("labels length must match n")
     if len(set(labels)) != n:
         raise DuplicateError("labels must be unique")
-    down, up = [0] * n, [0] * n
+    down, up = _closed_masks(order, below, above)
+    labels, down, up = (tuple(xs[j] for j in order) for xs in (labels, down, up))
+    return _restore_poset(labels, tuple(order), down, up)
+
+
+def _closed_masks(order, below, above) -> tuple[list[int], list[int]]:
+    """The down and up masks of an order given by the direct predecessors
+    ``below[j]`` and successors ``above[j]`` of each element ``j``, with
+    ``order`` a linear extension that numbers the bits.  Along it each
+    down mask ORs in its predecessors' masks, and from its top each up mask
+    its successors': one big-int OR per pair given."""
+    down, up = [0] * len(order), [0] * len(order)
     for k, j in enumerate(order):
         down[j] = 1 << k
         for i in below[j]:
@@ -243,8 +254,7 @@ def build_poset(n: int, relation: Iterable[tuple[int, int]], labels=None) -> Fin
         up[i] = 1 << k
         for j in above[i]:
             up[i] |= up[j]
-    labels, down, up = (tuple(xs[j] for j in order) for xs in (labels, down, up))
-    return _restore_poset(labels, tuple(order), down, up)
+    return down, up
 
 
 def total_order_poset(labels: Sequence) -> FinitePoset:
@@ -313,19 +323,22 @@ class Subset:
         return mask
 
     def restrict(self) -> FinitePoset:
-        """The induced subposet, indexed by the listing order, read off the
-        parent's masks: the listing check already keeps the index convention.
-        The whole parent, listed in index order, keeps its masks as they are."""
+        """The induced subposet, indexed by the listing order: the listing
+        check already keeps the index convention.  The whole parent, listed
+        in index order, keeps its masks as they are.  Any other listing, a
+        linear extension of the induced order, builds its masks from the
+        induced covers, read off the parent's masks, one step per cover."""
         p = self.parent
         if self.members == tuple(range(p.n)):
             return _restore_poset(p.labels, None, p._down, p._up)
-        keep = self.member_mask()
         where = {m: k for k, m in enumerate(self.members)}
-        down = tuple(
-            sum(1 << where[i] for i in _bits(p.down_mask(m) & keep))
-            for m in self.members
-        )
-        return _restore_poset(self.labels, None, down, _up_masks(down))
+        below: list[list[int]] = [[] for _ in where]
+        above: list[list[int]] = [[] for _ in where]
+        for i, j in _cover_edges(_side(p, "meet"), self.member_mask()):
+            below[where[j]].append(where[i])
+            above[where[i]].append(where[j])
+        down, up = _closed_masks(range(len(where)), below, above)
+        return _restore_poset(self.labels, None, tuple(down), tuple(up))
 
     def dual(self) -> "Subset":
         """The members in the order dual, listed in reverse; built on each

@@ -414,6 +414,21 @@ def scan_cover_edges(q):
     return tuple(sorted(edges))
 
 
+def bitwise_restrict_masks(s):
+    """Reference masks of ``s.restrict()``: each member's down mask cut to
+    the members, its bits moved one at a time to their listing positions,
+    and the up masks transposed from them bit by bit."""
+    keep = s.member_mask()
+    where = {m: k for k, m in enumerate(s.members)}
+    down = [sum(1 << where[i] for i in _bits(s.parent.down_mask(m) & keep))
+            for m in s.members]
+    up = [0] * len(down)
+    for j, mask in enumerate(down):
+        for i in _bits(mask):
+            up[i] |= 1 << j
+    return down, up
+
+
 def scan_covers_at_most_one(q):
     """Reference: count the lower ends of the cover edges at each upper end."""
     lower_counts = [0] * q.n

@@ -988,6 +988,11 @@ def test_non_finite_numbers_give_an_error_reply(monkeypatch):
     {"label": "naïve ∧ ☃", "yes": True, "no": False, "none": None, 1: -0.0},
     {"matrix": ((1.0, 2 ** 70), (2 ** 70, "\n")), "rows": [[], [[1]]]},
     [{"a": [1, {"b": []}]}, 1e-320, [None, [True]]],
+    {"exact": True,
+     "matrix": [["1/2", 3, -0.0], [3, "-7/3", 1e-320], [-0.0, 1e-320, 2 ** 70]]},
+    {"labels": [1, 2, 3], "matrix": [[1 / 3] * 3] * 3},  # one entry object
+    {"matrix": [[2.5]]},
+    {"kind": "meet", "matrix": [[",", '"'], ["\n", ",\n      "]]},
 ])
 def test_writer_is_the_indented_json_layout(value):
     assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False)
@@ -1186,6 +1191,16 @@ def test_output_file(tmp_path):
     assert result.output == ""
     body = json.loads(target.read_text(encoding="utf-8"))
     assert body["matrix"][2][2] == "3"
+
+
+def test_an_unwritable_output_file_gets_an_error_reply(tmp_path):
+    # Opening the file raised FileNotFoundError out of _emit: a traceback.
+    target = tmp_path / "missing" / "x.json"
+    result = invoke(["classify", "--set", "6,10", "--output", str(target)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not the FileNotFoundError
+    assert json.loads(result.output)["error"]["type"] == "FileNotFoundError"
+    assert not target.parent.exists()
 
 
 def test_ambient_choice_changes_universe():

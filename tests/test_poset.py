@@ -45,11 +45,13 @@ from meetjoin import (
 )
 from meetjoin.poset import _close, _closure
 from support import (
+    bitwise_restrict_masks,
     brute_join,
     fixpoint_build_poset,
     fixpoint_closure,
     forked_meet_tree,
     random_intersection_lattice,
+    random_linear_extension,
     random_poset,
     random_relation_poset,
     random_subset,
@@ -850,6 +852,37 @@ def test_whole_chain_restricts_fast():
     q = Subset.whole(p).restrict()
     assert time.perf_counter() - start < 0.5
     assert q.down_mask(n - 1) == (1 << n) - 1 and q.up_mask(0) == (1 << n) - 1
+
+
+def test_restrict_masks_match_the_bitwise_reference():
+    # restrict builds the masks of any listing but the whole parent from the
+    # induced covers; moving each member's bits one at a time is the reference.
+    rng = random.Random(413)
+    relisted = 0
+    for _ in range(300):
+        p = random_poset(rng)
+        s = random_subset(rng, p, max_size=12)
+        subs = [s, random_linear_extension(rng, s), s.dual(), meet_closure(s).subset]
+        if p.n > 1:
+            subs.append(Subset(p, tuple(range(1, p.n))))  # all but the first
+        for sub in subs:
+            relisted += list(sub.members) != sorted(sub.members)
+            q = sub.restrict()
+            down, up = bitwise_restrict_masks(sub)
+            assert [q.down_mask(k) for k in range(q.n)] == down
+            assert [q.up_mask(k) for k in range(q.n)] == up
+    assert relisted > 50
+
+
+def test_chain_minus_its_bottom_restricts_fast():
+    # Moving each member's bits one at a time took 1.28 s on a 2000-chain
+    # and 2.99 s on a 3000-chain with the bottom left out.
+    n = 2000
+    p = build_poset(n, [(i + 1, i) for i in range(1, n)])
+    start = time.perf_counter()
+    q = Subset(p, tuple(range(1, n))).restrict()
+    assert time.perf_counter() - start < 0.05
+    assert q.down_mask(n - 2) == (1 << n - 1) - 1 and q.up_mask(0) == (1 << n - 1) - 1
 
 
 def test_closures_are_kept_per_subset():

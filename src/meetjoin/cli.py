@@ -179,6 +179,9 @@ def _parse_number(text: str):
     value = float(s)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
+    mantissa = s.lower().partition("e")[0]
+    if value == 0 and any(digit in mantissa for digit in "123456789"):
+        raise ValueError(f"{text!r} is not zero, but below the float range")
     return value
 
 

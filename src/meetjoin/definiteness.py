@@ -30,7 +30,6 @@ from .poset import (
     _induced_cover_graph,
     _is_closed,
     _kind,
-    _side,
     is_A_set,
     is_chain,
     is_join_closed,
@@ -211,7 +210,7 @@ def monotonicity_from_pd(s: Subset, f: PosetFunction) -> bool:
     first = min(s.members)
     if any(not p.leq(first, m) for m in s.members):
         raise PreconditionError("the set has no minimum element")
-    if not _induced_cover_graph(_side(p, "meet"), s.member_mask()).is_tree():
+    if not _induced_cover_graph(p, s.member_mask()).is_tree():
         raise PreconditionError("the Hasse diagram of the set is not a tree")
     verdict = pd_oracle(meet_matrix(s, f)).verdict
     if verdict != POSITIVE_DEFINITE:

@@ -3,14 +3,16 @@
 ``psi`` assigns every element of a listed set the mass its function value
 adds on top of everything strictly below it inside the set; summing masses
 over a principal down-set recovers the function.  ``phi`` is the top-down
-dual.  ``psi`` walks the set's down masks in listing order, ``phi`` its up
-masks in reverse: the order dual, with no dual built, as the order tests
-of a function do.  Each result is checked by summing it back along the
-other mask, which holds only for the right masses as zeta is invertible,
-and catches a wrong mask too, since every poset builds its up masks apart
-from its down masks.  A failed check raises :class:`CharacterizationMismatch`,
-also under ``python -O``.  Everything here runs in exact rational arithmetic;
-supplying floats raises :class:`ExactArithmeticError`.
+dual.  Both walk the set's masks toward the bound, as ``poset._side``
+orients them for the order tests of a function too: ``psi`` the down
+masks in listing order, ``phi`` the up masks in reverse, the order dual
+with no dual built.  Each result is checked by summing it back along the
+masks away from the bound, which holds only for the right masses as zeta
+is invertible, and catches a wrong mask too, since every poset builds its
+up masks apart from its down masks.  A failed check raises
+:class:`CharacterizationMismatch`, also under ``python -O``.  Everything
+here runs in exact rational arithmetic; supplying floats raises
+:class:`ExactArithmeticError`.
 """
 
 from __future__ import annotations
@@ -261,14 +263,14 @@ class _Masses:
 
     def resums_to(self, f: PosetFunction) -> bool:
         """Check that the masses sum back to f over principal down-sets
-        (psi) or up-sets (phi), each added to the members its other mask
-        holds: the up mask for psi, the down mask for phi."""
+        (psi) or up-sets (phi), each added to the members its mask away
+        from the bound holds, as ``_side`` reads the vector's ``kind``."""
         _check_same_parent(self.subset, f)
         ms, keep = self.subset.members, self.subset.member_mask()
-        mask = getattr(self.subset.parent, self._resum_mask)
+        away = _side(self.subset.parent, self.kind)[1]
         total = dict.fromkeys(ms, Fraction(0))
         for m, mass in zip(ms, self.values):
-            for x in _bits(mask(m) & keep):
+            for x in _bits(away[m] & keep):
                 total[x] += mass
         return all(total[m] == f.values[m] for m in ms)
 
@@ -276,27 +278,28 @@ class _Masses:
 class PsiVector(_Masses):
     """Bottom-up masses of a function over a listed set."""
 
-    _resum_mask = "up_mask"
+    kind = "meet"
 
 
 class PhiVector(_Masses):
     """Top-down masses of a function over a listed set."""
 
-    _resum_mask = "down_mask"
+    kind = "join"
 
 
-def _gather(d: Subset, f: PosetFunction, members, mask) -> tuple[Fraction, ...]:
-    """Each member's value less the masses of the other members its
-    ``mask`` holds, taking ``members`` in an order that lists those first;
-    the masses come back in the listing of ``d``."""
+def _gather(d: Subset, f: PosetFunction, kind: str) -> tuple[Fraction, ...]:
+    """Each member's value less the masses of the other members its mask
+    toward the bound holds, from ``_side``; the listing of ``d`` puts those
+    first in order (psi) or reversed (phi).  Masses come back in the listing."""
     _check_same_parent(d, f)
     if not all(isinstance(f.values[m], Fraction) for m in d.members):
         raise ExactArithmeticError("mass vectors require exact rational values")
+    toward = _side(d.parent, kind)[0]
     keep = d.member_mask()
     masses: dict[int, Fraction] = {}
-    for m in members:
+    for m in d.members if kind == "meet" else d.members[::-1]:
         acc = f.values[m]
-        for z in _bits(mask(m) & keep & ~(1 << m)):
+        for z in _bits(toward[m] & keep & ~(1 << m)):
             acc -= masses[z]
         masses[m] = acc
     return tuple(masses[m] for m in d.members)
@@ -309,7 +312,7 @@ def psi(d: Subset, f: PosetFunction) -> PsiVector:
     down mask holds, which the listing convention puts first.  The result
     is checked by re-summing it along the up masks.
     """
-    vec = PsiVector(d, _gather(d, f, d.members, d.parent.down_mask))
+    vec = PsiVector(d, _gather(d, f, "meet"))
     if not vec.resums_to(f):
         raise CharacterizationMismatch("psi masses do not re-sum to f")
     return vec
@@ -319,7 +322,7 @@ def phi(b: Subset, f: PosetFunction) -> PhiVector:
     """Top-down mass of ``f`` over the listed set ``b``: the walk of
     :func:`psi` along the up masks in reverse listing.  Checked by
     re-summing it along the down masks."""
-    vec = PhiVector(b, _gather(b, f, b.members[::-1], b.parent.up_mask))
+    vec = PhiVector(b, _gather(b, f, "join"))
     if not vec.resums_to(f):
         raise CharacterizationMismatch("phi masses do not re-sum to f")
     return vec

@@ -15,18 +15,20 @@ The relation is kept as one down-set and one up-set bitmask per element,
 which keeps meets, joins, covers and chain tests cheap at desk scale.  The
 join side reads the up masks where the meet side reads the down masks, so
 no request builds an order dual: each shared kernel takes the operation,
-:func:`meet` or its mirror :func:`join`, or the masks ``_side`` picks.
-``_kind`` is the one check of a meet/join switch, and ``_closure`` and
-``_is_closed`` pick a side's routine, as ``mobius._masses`` and
-``matrices._matrix`` do.  One kernel, ``_close``, builds every closure, of
-poset indices here and of integers in ``numtheory``: one ascending pass adds
-each new element's meets (joins) with those held, then the element, and as
-they associate the set stays closed.  On poset indices, where most held
-elements are comparable to the new one, it skips those, as the bound of
-such a pair is one of the two.  It checks a cap after each element
+:func:`meet` or its mirror :func:`join`, or the side's masks toward and
+away from the bound, which ``_side`` alone orients.  ``_kind`` is the one
+check of a meet/join switch, and ``_closure`` and ``_is_closed`` pick a
+side's routine, as ``mobius._masses`` and ``matrices._matrix`` do.  One
+kernel, ``_close``, builds every closure, of poset indices here and of
+integers in ``numtheory``: one ascending pass adds each new element's
+meets (joins) with those held, then the element, and as they associate
+the set stays closed.  On poset indices, where most held elements are
+comparable to the new one, it skips those, as the bound of such a pair
+is one of the two.  It checks a cap after each element
 (:class:`DeskScaleError`), and a missing bound names the first pair of the
 pass without one.  ``_cover_edges`` walks the covers of a member mask on the
-parent's masks, one step per edge, so the tree tests never build a closure's
+parent's down masks, one step per edge, for both sides: a cover pair of the
+dual is the same pair reversed.  So the tree tests never build a closure's
 induced poset.  All types are immutable apart from their caches of closures,
 induced posets and tree-set answers, and all functions are pure, so
 everything is safe to share between threads.
@@ -334,7 +336,7 @@ class Subset:
         where = {m: k for k, m in enumerate(self.members)}
         below: list[list[int]] = [[] for _ in where]
         above: list[list[int]] = [[] for _ in where]
-        for i, j in _cover_edges(_side(p, "meet"), self.member_mask()):
+        for i, j in _cover_edges(p, self.member_mask()):
             below[where[j]].append(where[i])
             above[where[i]].append(where[j])
         down, up = _closed_masks(range(len(where)), below, above)
@@ -450,13 +452,11 @@ def _op(kind: str):
     return meet if _kind(kind) == "meet" else join
 
 
-def _side(p: FinitePoset, kind: str):
-    """How the meet (join) side reads ``p``: the masks toward the bound
-    (down, or up), those away from it, and the pick of a mask's last index
-    along the side's extension: the index order, or its reverse."""
-    if _kind(kind) == "meet":
-        return p._down, p._up, lambda mask: mask.bit_length() - 1
-    return p._up, p._down, lambda mask: (mask & -mask).bit_length() - 1
+def _side(p: FinitePoset, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """How the meet (join) side reads ``p``: the masks toward the bound,
+    down (up), and those away from it, up (down).  The one place that
+    knows a side's orientation."""
+    return (p._down, p._up) if _kind(kind) == "meet" else (p._up, p._down)
 
 
 def _close(elements: Iterable[int], op, cap: int, related=None) -> tuple[int, ...]:
@@ -508,11 +508,20 @@ def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureRe
 
 
 def _kept_closure(s: Subset, kind: str) -> ClosureResult:
+    """The closure kept on ``s``, built on the first read.  A missing bound
+    is kept in its place, and each later read raises a fresh error of its
+    type and text, so a request attempts each closure once."""
     if (kept := s.__dict__.get(f"_{kind}_closure")) is None:
         p = s.parent
-        members = _close(s.members, partial(_op(kind), p), p.n,
-                         lambda x: p._down[x] | p._up[x])
+        try:
+            members = _close(s.members, partial(_op(kind), p), p.n,
+                             lambda x: p._down[x] | p._up[x])
+        except (NoMeetError, NoJoinError) as exc:
+            object.__setattr__(s, f"_{kind}_closure", type(exc)(*exc.args))
+            raise
         kept = _closure_result(s, members, kind)
+    elif not isinstance(kept, ClosureResult):
+        raise type(kept)(*kept.args)
     return kept
 
 
@@ -563,31 +572,31 @@ def up_set(s: Subset) -> Subset:
     return _reach(s, s.parent._up)
 
 
-def _cover_edges(side, keep: int) -> Iterator[tuple[int, int]]:
-    """The cover edges ``(i, j)`` of the order induced on the bits of
-    ``keep``, in parent indices, ``i`` below ``j`` for meets and above it
-    for joins.  Toward the bound from ``j``, the last index left is a cover;
-    its own mask toward the bound, which holds no other cover, is cleared.
-    The work is one step per cover edge, not one per comparable pair."""
-    toward, _, last = side
+def _cover_edges(p: FinitePoset, keep: int) -> Iterator[tuple[int, int]]:
+    """The cover edges ``(i, j)``, ``i`` below ``j``, of the order induced
+    on the bits of ``keep``, in parent indices.  Both sides walk the down
+    masks, as a cover pair of the order dual is the same pair reversed.
+    Below ``j`` the highest index left is a cover; its down mask, holding no
+    other cover, is cleared: one step per cover edge, not per comparable pair."""
+    down = p._down
     for j in _bits(keep):
-        rest = (toward[j] & keep) ^ (1 << j)
+        rest = (down[j] & keep) ^ (1 << j)
         while rest:
-            i = last(rest)
+            i = rest.bit_length() - 1
             yield i, j
-            rest &= ~toward[i]
+            rest &= ~down[i]
 
 
 def cover_graph(p: FinitePoset) -> CoverGraph:
     """The transitive reduction of the strict order."""
-    return CoverGraph(p.n, tuple(sorted(_cover_edges(_side(p, "meet"), (1 << p.n) - 1))))
+    return CoverGraph(p.n, tuple(sorted(_cover_edges(p, (1 << p.n) - 1))))
 
 
-def _induced_cover_graph(side, keep: int) -> CoverGraph:
+def _induced_cover_graph(p: FinitePoset, keep: int) -> CoverGraph:
     """The cover graph of the order induced on the bits of ``keep``, each
     kept index numbered by its place among them, in walk order."""
     pos = {m: k for k, m in enumerate(_bits(keep))}
-    edges = tuple((pos[i], pos[j]) for i, j in _cover_edges(side, keep))
+    edges = tuple((pos[i], pos[j]) for i, j in _cover_edges(p, keep))
     return CoverGraph(len(pos), edges)
 
 
@@ -602,16 +611,17 @@ def is_chain(s: Subset) -> bool:
     return _indices_form_chain(s.parent, s.members)
 
 
-def _tree_characterizations(p: FinitePoset, side, keep: int) -> tuple[bool, bool, bool, bool]:
+def _tree_characterizations(p: FinitePoset, kind: str, keep: int) -> tuple[bool, bool, bool, bool]:
     """The four tree characterizations of the order ``p`` induces on the
-    bits of ``keep``, each read off the masks of ``side`` cut to ``keep``;
-    a chain is a chain on either side."""
-    toward, away, _ = side
-    cg = _induced_cover_graph(side, keep)
+    bits of ``keep``, each read off the meet (join) side's masks cut to
+    ``keep``; "covers at most one" counts the edges' upper (lower) ends.
+    A chain is a chain on either side."""
+    toward, away = _side(p, kind)
+    cg = _induced_cover_graph(p, keep)
     as_tree = cg.is_tree()
 
-    uppers = [upper for _, upper in cg.edges]
-    covers_at_most_one = len(set(uppers)) == len(uppers)
+    ends = [upper if kind == "meet" else lower for lower, upper in cg.edges]
+    covers_at_most_one = len(set(ends)) == len(ends)
 
     down_sets_chains = all(
         _indices_form_chain(p, list(_bits(toward[x] & keep))) for x in _bits(keep)
@@ -632,7 +642,7 @@ def _is_tree(c: ClosureResult) -> bool:
     is kept on ``c``, so they run once per closure."""
     if (kept := c.__dict__.get("_tree")) is None:
         p, keep = c.subset.parent, c.subset.member_mask()
-        answers = _tree_characterizations(p, _side(p, c.kind), keep)
+        answers = _tree_characterizations(p, c.kind, keep)
         if len(set(answers)) != 1:
             raise CharacterizationMismatch(
                 f"{c.kind}-tree characterizations disagree: {answers}"
@@ -665,8 +675,8 @@ def is_A_set(s: Subset) -> bool:
 
     Meets are taken in the ambient poset; the resulting set may overlap the
     members themselves.  Singletons qualify vacuously.  The test stops at
-    the first meet incomparable with those before it when the meet closure
-    is kept on ``s``, so that every member pair has a meet; else it meets
+    the first meet incomparable with those before it when a built meet
+    closure is kept on ``s``, so that every member pair has a meet; else it meets
     every pair, as one without a meet makes the test undefined
     (:class:`NoMeetError`), not False.
     """
@@ -675,7 +685,7 @@ def is_A_set(s: Subset) -> bool:
     found = 0  # the meets so far, a chain
     for z in meets:
         if found & ~(p._down[z] | p._up[z]):
-            if s.__dict__.get("_meet_closure") is None:
+            if not isinstance(s.__dict__.get("_meet_closure"), ClosureResult):
                 for _ in meets:
                     pass
             return False

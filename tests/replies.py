@@ -17,10 +17,15 @@ The corpus:
 - float ``check-pd`` on ``random.Random(0).sample(range(1, 3000), n)``
   with power-gcd at alpha 1.5, for n = 200 and 300;
 - ``check-pd`` on the any-matrix posets of :data:`ANY_MATRIX` and
-  :data:`NON_FINITE`.
+  :data:`NON_FINITE`;
+- ``closure`` and ``classify`` on the first 13 primes with
+  reciprocal-power-lcm under both ambients: the join side on an
+  8191-element closure;
+- ``check-pd`` on 2, 3 with power-gcd at ``--alpha 1e-400``, a nonzero
+  exponent whose float is 0.
 
 Float replies may differ between Python versions, so compare digests made
-by one interpreter.  A run takes about 15 s on a 2-core Xeon.
+by one interpreter.  A run takes about 10 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 7)
 TARGET_SIZES = (200, 300)
+PRIMES = "2,3,5,7,11,13,17,19,23,29,31,37,41"
 
 # Positive definite, with a last LDL^T pivot near 1.6e-15: elimination
 # with partial pivoting gave it the determinant -4.89e-17.
@@ -105,6 +111,13 @@ def _corpus(RunConfig):
         poset_path, values_path = write_any_matrix(rows, "", name)
         yield f"{name}/check-pd", RunConfig(
             command="check-pd", poset_path=poset_path, values_path=values_path)
+    for ambient in ("closure", "canonical"):
+        for command in ("closure", "classify"):
+            yield f"primes13/{ambient}/{command}", RunConfig(
+                command=command, set_text=PRIMES, family="reciprocal-power-lcm",
+                ambient=ambient)
+    yield "alpha-1e-400/check-pd", RunConfig(
+        command="check-pd", set_text="2,3", family="power-gcd", alpha="1e-400")
 
 
 def digests(src: Path):

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from meetjoin import (CharacterizationMismatch, FinitePoset, PosetFunction, Subset,
-                      cli, det_general, eigen_sym, matrices, numtheory, poset)
+from meetjoin import (CharacterizationMismatch, FinitePoset, NoMeetError, PosetFunction,
+                      Subset, cli, det_general, eigen_sym, matrices, numtheory, poset)
 from meetjoin.cli import RunConfig, _det_fields, _encode, _resolve, main, run
 from meetjoin.definiteness import pd_oracle
 from meetjoin.matrices import SymMatrix
@@ -161,6 +161,36 @@ def test_check_pd_builds_each_closure_once(monkeypatch):
         ))
         assert code == 0
         assert kinds and max(kinds.values()) == 1, (set_text, family, kinds)
+
+
+def test_a_failed_closure_is_attempted_once(monkeypatch, tmp_path):
+    # The any-matrix set has no meet closure.  classify_and_test, the tree
+    # test and the closure vector each ran the failing meet closure: three
+    # runs in one request.  The error is kept on the set instead, and each
+    # later read raises a fresh one with the same text.
+    original = poset._close
+    ops = Counter()
+
+    def counted(elements, op, *rest):
+        ops[op.func.__name__] += 1
+        return original(elements, op, *rest)
+
+    monkeypatch.setattr(poset, "_close", counted)
+    poset_path, values_path = write_any_matrix(ANY_MATRIX, tmp_path)
+    config = RunConfig(command="check-pd", poset_path=poset_path,
+                       values_path=values_path)
+    code, text = run(config)
+    assert code == 0
+    assert json.loads(text)["method"] == "oracle"
+    assert ops == {"meet": 1, "join": 1}
+    s = _resolve(config).subset
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NoMeetError) as caught:
+            poset.meet_closure(s)
+        errors.append(caught.value)
+    assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
+    assert ops["meet"] == 2
 
 
 def test_check_pd_runs_the_tree_characterizations_once(monkeypatch):
@@ -1072,6 +1102,31 @@ def test_malformed_inputs_give_an_error_reply(tmp_path):
         if fragment is not None:
             assert code == 1, config
             assert fragment in body["error"]["message"], config
+
+
+def test_a_nonzero_alpha_below_the_float_range_is_refused(tmp_path):
+    # float("1e-400") is 0.0, which became the exact exponent 0: check-pd on
+    # 2, 3 answered not-positive-definite with det "0", though every mass
+    # J_alpha(d) of a power-GCD matrix is positive for alpha > 0.  A zero
+    # spelled as a float keeps the reply of the exponent 0.
+    write_json(tmp_path / "p.json", {"n": 2, "relation": [[1, 2]]})
+    runs = [["check-pd", "--set", "2,3", "--family", "power-gcd"],
+            ["check-pd", "--poset", str(tmp_path / "p.json"), "--function", "power"]]
+    for args in runs:
+        for alpha in ("1e-400", "-1e-400", "0.0001e-400"):
+            result = invoke([*args, "--alpha", alpha])
+            assert result.exit_code == 1
+            assert json.loads(result.output)["error"] == {
+                "type": "ValueError",
+                "message": f"{alpha!r} is not zero, but below the float range"}
+        replies = []
+        for alpha in ("0", "0.0", "-0.0", "0e-400"):
+            result = invoke([*args, "--alpha", alpha])
+            assert result.exit_code == 0
+            body = json.loads(result.output)
+            assert body.pop("config")["alpha"] == alpha
+            replies.append(body)
+        assert all(body == replies[0] for body in replies)
 
 
 @pytest.mark.parametrize("alpha", ["nan", "NaN", "-nan", " nan "])

@@ -43,6 +43,7 @@ from meetjoin import (
     total_order_poset,
     up_set,
 )
+from meetjoin.numtheory import build_named_matrix
 from meetjoin.poset import _close, _closure
 from support import (
     bitwise_restrict_masks,
@@ -451,8 +452,8 @@ def test_cover_walk_matches_the_interval_scan():
     # restricted subsets, which hold pairs with no cover between them.  Cut
     # to a member mask, the walk gives the induced order's covers in parent
     # indices; numbered by place among the members, they are the cover
-    # graph of the restriction.  The join side walks the up masks, each
-    # edge from the upper end, and finds the same covers.
+    # graph of the restriction, on the poset and on its order dual.  Both
+    # sides walk these covers, so the walk takes no side.
     rng = random.Random(1811)
     for k in range(200):
         if k % 3:
@@ -462,14 +463,13 @@ def test_cover_walk_matches_the_interval_scan():
         s = random_subset(rng, p)
         for q in (p, p.dual(), s.restrict(), s.dual().restrict()):
             assert cover_graph(q).edges == scan_cover_edges(q)
-        place = {m: r for r, m in enumerate(s.members)}
-        for kind in ("meet", "join"):
-            side = poset_module._side(p, kind)
+        for q, t in ((p, s), (p.dual(), s.dual())):
+            place = {m: r for r, m in enumerate(t.members)}
             walked = sorted(
-                (place[i], place[j]) if kind == "meet" else (place[j], place[i])
-                for i, j in poset_module._cover_edges(side, s.member_mask())
+                (place[i], place[j])
+                for i, j in poset_module._cover_edges(q, t.member_mask())
             )
-            assert tuple(walked) == cover_graph(s.restrict()).edges
+            assert tuple(walked) == cover_graph(t.restrict()).edges
 
 
 def test_chain_detection():
@@ -494,6 +494,17 @@ def test_tree_characterizations_never_disagree():
         except NoJoinError:
             pass
         # CharacterizationMismatch escaping would fail the test by itself
+    # The canonical lcm closure of the first 13 primes, 8191 elements: the
+    # join side walks the meet side's covers, and its answers are the meet
+    # side's on the order dual.
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    model = build_named_matrix("power_lcm_reciprocal", primes, ambient="canonical")
+    d = join_closure(model.subset).subset
+    p, keep = d.parent, d.member_mask()
+    assert keep.bit_count() == 8191 and not is_vee_tree_set(model.subset)
+    assert poset_module._tree_characterizations(p, "join", keep) == (
+        poset_module._tree_characterizations(
+            p.dual(), "meet", poset_module._reverse_mask(keep, p.n)))
 
 
 def test_tree_mask_checks_match_the_pair_scans():
@@ -526,7 +537,7 @@ def test_tree_mask_checks_match_the_pair_scans():
             pass
         for d, kind, q in cases:
             _, covers, _, bounded = poset_module._tree_characterizations(
-                d.parent, poset_module._side(d.parent, kind), d.member_mask()
+                d.parent, kind, d.member_mask()
             )
             assert covers == scan_covers_at_most_one(q)
             assert bounded == scan_bounded_pairs_comparable(q)
@@ -539,8 +550,10 @@ def test_tree_cross_check_raises_under_optimize():
     # Its four characterizations agree on each side; a poset whose up(2)
     # lacks 4 splits them on the meet side, where the check of bounded
     # pairs reads the up masks, and one whose down(12) lacks 4 splits them
-    # on the join side, whose walk reads the masks swapped.  The check must
-    # raise with asserts stripped by -O too.
+    # on the join side: the cover walk, which reads the down masks, finds
+    # 2 covered twice, and the chain tests there read down(12) through leq
+    # and as the masks away from the bound.  The check must raise with
+    # asserts stripped by -O too.
     script = textwrap.dedent("""
         from meetjoin import (
             CharacterizationMismatch, Subset, divisibility_poset, divisors,
@@ -577,7 +590,7 @@ def test_tree_cross_check_raises_under_optimize():
             "up is_wedge_tree_set meet-tree characterizations disagree: "
             "(True, True, True, False)",
             "down is_vee_tree_set join-tree characterizations disagree: "
-            "(True, True, False, False)",
+            "(True, False, False, False)",
         ]
 
 

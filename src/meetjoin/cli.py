@@ -22,7 +22,7 @@ import click
 from .definiteness import classify_and_test, structure_flags
 from .errors import (DeskScaleError, DuplicateError, ExactArithmeticError,
                      MeetJoinError, NoJoinError, NoMeetError)
-from .matrices import _float_pivots, det_general
+from .matrices import _closure_det, _float_pivots, det_general
 from .mobius import (EXPONENT_DIGITS, PosetFunction, _coerce, _decimal_exponent,
                      _masses, _rational)
 from .numtheory import (
@@ -329,11 +329,17 @@ def _closure_vector(model: MatrixModel, certificate: dict) -> dict | None:
     return {str(lb): _encode(v) for lb, v in zip(labels, values)}
 
 
-def _det_fields(report, matrix) -> dict:
+def _det_fields(report, matrix, s: Subset | None = None) -> dict:
     """The determinant, read off the decision where it already holds it.
 
-    On a closed set (T3.1/T3.2) it is the product of the masses.  An oracle
-    run that reached the last column holds it too: on exact values as its
+    Where the masses of f over the closure of ``s`` decided, the kept
+    closure and the certificate's masses give it, through
+    :func:`meetjoin.matrices._closure_det`: on a closed set (T3.1/T3.2) as
+    the product of the masses, and where C3.4/C3.6 found exact values
+    positive definite as that product times the det of the complementary
+    minor, the inverse of the closure's matrix on the members the closure
+    adds, unless the gate there refuses it.  An oracle run
+    that reached the last column holds it too: on exact values as its
     last minor, on floats as the product of its LDL^T pivots, which is
     positive whenever it found the matrix positive definite.  Any other
     route pays for one elimination with partial pivoting, as in
@@ -342,8 +348,12 @@ def _det_fields(report, matrix) -> dict:
     |pivot|, and ``det_sign`` carry it, read from the same pivots.
     """
     certificate = report.certificate
-    if report.method in ("T3.1", "T3.2"):
-        return {"det": math.prod(certificate["masses"], start=Fraction(1))}
+    if s is not None and (report.method in ("T3.1", "T3.2") or (
+            report.method in ("C3.4", "C3.6") and matrix.is_exact
+            and report.is_positive_definite)):
+        det = _closure_det(_closure(s, certificate["kind"]), certificate["masses"])
+        if det is not None:
+            return {"det": det}
     steps = certificate.get("minors" if matrix.is_exact else "pivots", ())
     reached = report.method == "oracle" and len(steps) == matrix.n
     if matrix.is_exact:
@@ -403,7 +413,7 @@ def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
         vector = _closure_vector(model, report.certificate)
         if vector is not None:
             payload["psi" if model.kind == "meet" else "phi"] = vector
-        payload.update(_encode(_det_fields(report, matrix)))
+        payload.update(_encode(_det_fields(report, matrix, model.subset)))
         return 0, payload
 
     if config.command == "bounds":

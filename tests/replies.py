@@ -15,7 +15,13 @@ The corpus:
   (``bench/workloads.py``, read without writing bytecode there), and each
   ``build`` of them once more with ``--format csv``;
 - float ``check-pd`` on ``random.Random(0).sample(range(1, 3000), n)``
-  with power-gcd at alpha 1.5, for n = 200 and 300;
+  with power-gcd at alpha 1.5, for n = 200 and 300, and exact ``check-pd``
+  on the n = 200 set at alpha 1;
+- ``check-pd`` where C3.4/C3.6 decides over a closure that adds members,
+  and the det comes from the complementary minor or, where its gate
+  refuses, from a direct elimination: :data:`DIVISOR_SAMPLES` of the
+  divisors of 720720, and the first 7 primes under reciprocal-power-lcm,
+  whose join closure adds 120 members to 7;
 - ``check-pd`` on the any-matrix posets of :data:`ANY_MATRIX` and
   :data:`NON_FINITE`;
 - ``closure`` and ``classify`` on the first 13 primes with
@@ -44,6 +50,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 7)
 TARGET_SIZES = (200, 300)
 PRIMES = "2,3,5,7,11,13,17,19,23,29,31,37,41"
+# (name, sample size, family): seed-0 samples of the divisors of 720720.
+# The 200 under reciprocal-power-lcm take the complementary minor on the
+# join side; the work estimate refuses it for the 120 under power-gcd.
+DIVISOR_SAMPLES = (("lcm-200", 200, "reciprocal-power-lcm"),
+                   ("gcd-120", 120, "power-gcd"))
 
 # Positive definite, with a last LDL^T pivot near 1.6e-15: elimination
 # with partial pivoting gave it the determinant -4.89e-17.
@@ -107,6 +118,19 @@ def _corpus(RunConfig):
         yield f"target/float-check-pd-{n}", RunConfig(
             command="check-pd", set_text=",".join(map(str, members)),
             family="power-gcd", alpha="1.5")
+    members = random.Random(0).sample(range(1, 3000), TARGET_SIZES[0])
+    yield f"target/exact-check-pd-{TARGET_SIZES[0]}", RunConfig(
+        command="check-pd", set_text=",".join(map(str, members)),
+        family="power-gcd")
+    divisors = [d for d in range(1, 720721) if 720720 % d == 0]
+    for name, size, family in DIVISOR_SAMPLES:
+        members = sorted(random.Random(0).sample(divisors, size))
+        yield f"divisors720720/{name}/check-pd", RunConfig(
+            command="check-pd", set_text=",".join(map(str, members)),
+            family=family)
+    yield "primes7/check-pd", RunConfig(
+        command="check-pd", set_text=",".join(PRIMES.split(",")[:7]),
+        family="reciprocal-power-lcm")
     for name, rows in (("any-matrix", ANY_MATRIX), ("non-finite", NON_FINITE)):
         poset_path, values_path = write_any_matrix(rows, "", name)
         yield f"{name}/check-pd", RunConfig(

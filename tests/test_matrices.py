@@ -1,10 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
+import meetjoin
+import meetjoin.cli as cli
 from meetjoin import (
     DeskScaleError,
     NoJoinError,
@@ -15,6 +21,7 @@ from meetjoin import (
     Subset,
     SymMatrix,
     build_named_matrix,
+    classify_and_test,
     det_closed,
     det_general,
     divisibility_poset,
@@ -33,7 +40,9 @@ from meetjoin import (
     phi,
     up_set,
 )
-from meetjoin.matrices import _float_pivots, leading_minors
+from meetjoin.matrices import (MINOR_UPDATE_COST, _closure_det, _float_pivots,
+                               _inverse_block, _min_degree, leading_minors)
+from meetjoin.poset import _closure
 from support import (
     brute_join,
     cofactor_det,
@@ -650,3 +659,122 @@ def test_zero_pivots_and_replay():
     assert list(_float_pivots(m)) == [1.0, 0.0]
     assert _hex(_float_pivots(m, swap=True)) == _hex(_fresh(m)) == _hex([1.0, 0.0])
     assert det_general(m) == 0.0
+
+
+def _mass_function(rng, s, kind):
+    """A function whose masses over the closure of ``s`` are random positive
+    rationals: f sums them over each element's down-set (up-set on the join
+    side) within the closure."""
+    d = _closure(s, kind).subset
+    toward = (d.parent._down if kind == "meet" else d.parent._up)
+    mass = {k: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for k in d.members}
+    values = [sum((mass[k] for k in d.members if toward[x] >> k & 1), Fraction(0))
+              for x in range(d.parent.n)]
+    return PosetFunction(d.parent, values)
+
+
+@pytest.mark.parametrize("kind", ["meet", "join"])
+def test_closure_det_is_the_exact_det_on_both_sides(kind, monkeypatch):
+    # det S_f = (prod of the masses over the closure D) * det((D_f)^-1[T, T])
+    # with T = D \ S; a closed set (T empty) gives the product of det_closed.
+    # At no cost per update the work estimate refuses nothing, so every set
+    # whose closure adds fewer members than it has takes the route.
+    monkeypatch.setattr("meetjoin.matrices.MINOR_UPDATE_COST", 0)
+    rng = random.Random(29 if kind == "meet" else 92)
+    routed = closed = 0
+    for _ in range(600):
+        p = random_poset(rng)
+        s = random_subset(rng, p)
+        try:
+            f = _mass_function(rng, s, kind)
+        except (NoMeetError, NoJoinError):
+            continue
+        m = meet_matrix(s, f) if kind == "meet" else join_matrix(s, f)
+        report = classify_and_test(s, f, kind, matrix=m)
+        assert report.method in ("T3.1", "T3.2", "C3.4", "C3.6")
+        assert report.is_positive_definite
+        det = _closure_det(_closure(s, kind), report.certificate["masses"])
+        if det is None:
+            continue
+        assert det == det_general(m)
+        assert cli._det_fields(report, m, s) == {"det": det}
+        if len(_closure(s, kind).subset) == len(s):
+            assert det == det_closed(s, f, kind)
+            closed += 1
+        else:
+            routed += 1
+    assert routed > 80 and closed > 200
+
+
+def _refused(family, members, monkeypatch):
+    """Check that the det fields of check-pd on ``members`` refuse the
+    route and call det_general once; return the report and the closure."""
+    model = build_named_matrix(family, members)
+    m = model.matrix
+    report = classify_and_test(model.subset, model.function, model.kind, matrix=m)
+    calls = []
+    monkeypatch.setattr(cli, "det_general", lambda m: calls.append(m) or det_general(m))
+    fields = cli._det_fields(report, m, model.subset)
+    c = _closure(model.subset, model.kind)
+    assert _closure_det(c, report.certificate["masses"]) is None
+    assert fields == {"det": det_general(m)} and len(calls) == 1
+    return report, c
+
+
+def test_the_gate_refuses_a_closure_that_adds_n_or_more(monkeypatch):
+    # The join closure of 7 primes adds 120 members to 7.
+    report, c = _refused("reciprocal-power-lcm", [2, 3, 5, 7, 11, 13, 17], monkeypatch)
+    assert report.method == "C3.6" and len(c.subset) - len(c.embed) == 120
+
+
+def test_the_gate_refuses_on_its_work_estimate(monkeypatch):
+    # 120 of the divisors of 720720: |T| < n, but the minimum-degree order
+    # counts more updates than n^3/6 over MINOR_UPDATE_COST.
+    members = sorted(random.Random(0).sample(divisors(720720), 120))
+    report, c = _refused("power-gcd", members, monkeypatch)
+    n, inside = len(c.embed), set(c.embed)
+    outside = [k for k in range(len(c.subset)) if k not in inside]
+    assert report.method == "C3.4" and len(outside) < n
+    _, updates = _min_degree(
+        _inverse_block(c.subset, outside, report.certificate["masses"], c.kind))
+    assert 6 * MINOR_UPDATE_COST * updates > n ** 3
+
+
+def test_min_degree_orders_by_degree_then_index():
+    # A star on 0 with a tail 3 - 4.  The leaves 1 and 2 go first, one
+    # update each; then 0 and 4 both have one other, and the tie goes to 0.
+    # No step fills an entry.  Eliminating 0 first would join 1, 2 and 3.
+    pattern = [{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 1: 1}, {0: 1, 2: 1},
+               {0: 1, 3: 1, 4: 1}, {3: 1, 4: 1}]
+    assert _min_degree(pattern) == ([1, 2, 0, 3, 4], 4)
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}]
+    assert _min_degree(rows) == ([1, 0, 2], 1 + 1 + 0)
+
+
+def test_a_nonpositive_pivot_of_the_complementary_minor_is_refused():
+    # Masses that do not belong to f: all -1 make M negative definite.  The
+    # check is a raise, not an assert, so it holds under python -O too.
+    script = textwrap.dedent("""
+        import random
+        from fractions import Fraction
+        from meetjoin import CharacterizationMismatch, build_named_matrix, psi
+        from meetjoin.matrices import _closure_det
+        from meetjoin.poset import _closure
+        members = random.Random(0).sample(range(1, 3000), 80)
+        model = build_named_matrix("power-gcd", members)
+        c = _closure(model.subset, model.kind)
+        print("routed", _closure_det(c, psi(c.subset, model.function).values) is not None)
+        try:
+            _closure_det(c, [Fraction(-1)] * len(c.subset))
+        except CharacterizationMismatch as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(meetjoin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", script],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        routed, refused = done.stdout.splitlines()
+        assert routed == "routed True"
+        assert refused.startswith("a pivot of the complementary minor is -")

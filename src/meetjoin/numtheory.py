@@ -7,10 +7,10 @@ up-sets below an lcm, unitary-divisor orders), the classical functions
 (powers, reciprocal powers, Jordan totients), and the named matrix families
 on top of them.  Everything here is desk scale: factorization is trial
 division, capped at ``FACTOR_CAP``, and universes are capped.  The gcd, lcm
-and gcud closures run the poset closure kernel, ``poset._close``, on the
-integers themselves and raise :class:`DeskScaleError` as soon as one grows
-past its cap: ``DEFAULT_CAP`` elements, or the ``cap`` given to
-:func:`build_named_matrix`.
+and gcud closures of integers run the poset closure kernel,
+``poset._close``, on the integers themselves and raise
+:class:`DeskScaleError` as soon as one grows past its cap: ``DEFAULT_CAP``
+elements, or the ``cap`` given to :func:`build_named_matrix`.
 
 Every integer order comes from one kernel, ``_divisibility_order``, which
 reads the relation off exponent vectors instead of testing the pairs.  The
@@ -26,6 +26,9 @@ construction, so the poset skips the validation of the public
 One builder, ``_divisor_lattice``, lists the three canonical universes as
 unions of the members' intervals: their (unitary) divisors, or dually their
 multiples dividing the lcm.  The cap counts that union, not the lcm's divisors.
+A union of down-sets is closed under gcd (gcud), and one of up-sets below
+the lcm under lcm, so the builder marks that side of the poset, and its
+closures there are read off the masks instead of combining members.
 """
 
 from __future__ import annotations
@@ -228,7 +231,7 @@ def _exponents(y: int, base: tuple[int, ...], where: dict[int, int]):
 
 
 def _divisibility_order(labels: tuple[int, ...], base: tuple[int, ...],
-                        unitary: bool) -> FinitePoset:
+                        unitary: bool, bounded=None) -> FinitePoset:
     """Ascending distinct ``labels`` that factor over the coprime ``base``,
     ordered by (unitary) divisibility, built from masks over their exponent
     vectors instead of a scan of the pairs.
@@ -241,7 +244,8 @@ def _divisibility_order(labels: tuple[int, ...], base: tuple[int, ...],
     labels divisible by a base element off that support, read from a
     range-OR table over the base.  Each label costs O(support) mask
     operations.  Divisibility is transitive and ascending labels are a
-    linear extension, so the poset is built without validation."""
+    linear extension, so the poset is built without validation; ``bounded``
+    names the side on which the labels are closed, if the caller knows one."""
     n = len(labels)
     full = (1 << n) - 1
     where = {b: k for k, b in enumerate(base)}
@@ -293,7 +297,7 @@ def _divisibility_order(labels: tuple[int, ...], base: tuple[int, ...],
             lo = k + 1
         down.append(d & ~(off | divisible_in(lo, len(base))))
         up.append(u)
-    return _restore_poset(labels, None, tuple(down), tuple(up))
+    return _restore_poset(labels, None, tuple(down), tuple(up), bounded)
 
 
 def divisibility_poset(values) -> FinitePoset:
@@ -343,7 +347,9 @@ def _divisor_lattice(s, cap: int, unitary=False, above=False) -> DivisorLattice:
     down, or the bottom up for ``above``; one already in the union is
     skipped, as by transitivity its interval is too.  An interval past
     ``cap`` is refused before it is listed, and the union as soon as it
-    passes ``cap``, so at most ``cap`` plus one interval is listed."""
+    passes ``cap``, so at most ``cap`` plus one interval is listed.  The
+    union is closed under gcd (gcud) as a union of down-sets, or under lcm
+    as one of up-sets below the lcm, and its poset is marked so."""
     members = _clean_members(s)
     factors = {x: factorize(x) for x in members}
     top: dict[int, int] = {}
@@ -364,7 +370,8 @@ def _divisor_lattice(s, cap: int, unitary=False, above=False) -> DivisorLattice:
         _check_cap(len(seen), cap)
     universe = tuple(sorted(seen))
     primes = tuple(sorted(top))
-    return DivisorLattice(universe, _divisibility_order(universe, primes, unitary))
+    poset = _divisibility_order(universe, primes, unitary, "join" if above else "meet")
+    return DivisorLattice(universe, poset)
 
 
 def divisor_down_set(s, cap: int = DEFAULT_CAP) -> DivisorLattice:
@@ -419,8 +426,11 @@ class NamedFunction:
         if self.tag == "identity":
             return Fraction(m)
         if isinstance(self.alpha, int):
-            exponent = self.alpha if self.tag == "power" else -self.alpha
-            return Fraction(m) ** exponent
+            e = self.alpha if self.tag == "power" else -self.alpha
+            if isinstance(m, int):
+                # An int power is about three times as fast as a Fraction's.
+                return Fraction(m ** e) if e >= 0 else Fraction(1, m ** -e)
+            return Fraction(m) ** e
         try:
             x = float(m)
         except OverflowError:

@@ -18,18 +18,27 @@ no request builds an order dual: each shared kernel takes the operation,
 :func:`meet` or its mirror :func:`join`, or the side's masks toward and
 away from the bound, which ``_side`` alone orients.  ``_kind`` is the one
 check of a meet/join switch, and ``_closure`` and ``_is_closed`` pick a
-side's routine, as ``mobius._masses`` and ``matrices._matrix`` do.  One
-kernel, ``_close``, builds every closure, of poset indices here and of
-integers in ``numtheory``: one ascending pass adds each new element's
-meets (joins) with those held, then the element, and as they associate
-the set stays closed.  On poset indices, where most held elements are
-comparable to the new one, it skips those, as the bound of such a pair
-is one of the two.  It checks a cap after each element
-(:class:`DeskScaleError`), and a missing bound names the first pair of the
-pass without one.  ``_cover_edges`` walks the covers of a member mask on the
-parent's down masks, one step per edge, for both sides: a cover pair of the
-dual is the same pair reversed.  So the tree tests never build a closure's
-induced poset.  All types are immutable apart from their caches of closures,
+side's routine, as ``mobius._masses`` and ``matrices._matrix`` do.
+
+A closure takes one of two routines, by what is known of its input.  A
+poset whose ``_bounded`` slot names the side, as ``numtheory`` marks its
+canonical universes (closed under gcd, gcud or lcm), is a meet (join)
+semilattice there.  Each element of a meet closure is then the meet of the
+members above it, and the elements with the same members above them hold
+that meet as their top, so ``_bounded_closure`` reads the closure off the
+masks, one AND per element.  Every other closure, of poset indices here
+and of integers in ``numtheory``, runs the kernel ``_close``: one
+ascending pass adds each new element's meets (joins) with those held,
+then the element, and as they associate the set stays closed.  On poset
+indices, where most held elements are comparable to the new one, it skips
+those, as the bound of such a pair is one of the two.  It checks a cap
+after each element (:class:`DeskScaleError`), and a missing bound names
+the first pair of the pass without one.
+
+``_cover_edges`` walks the covers of a member mask on the parent's down
+masks, one step per edge, for both sides: a cover pair of the dual is the
+same pair reversed.  So the tree tests never build a closure's induced
+poset.  All types are immutable apart from their caches of closures,
 induced posets and tree-set answers, and all functions are pure, so
 everything is safe to share between threads.
 """
@@ -77,7 +86,7 @@ class FinitePoset:
     transitivity and the index convention itself.
     """
 
-    __slots__ = ("n", "labels", "source_order", "_down", "_up")
+    __slots__ = ("n", "labels", "source_order", "_down", "_up", "_bounded")
 
     def __init__(self, down: Sequence[int], labels=None, source_order=None):
         down = tuple(down)
@@ -107,7 +116,7 @@ class FinitePoset:
                 raise ValueError("labels length must match element count")
             if len(set(labels)) != n:
                 raise DuplicateError("labels must be unique")
-        self._fill(n, labels, source_order, down, _up_masks(down))
+        self._fill(n, labels, source_order, down, _up_masks(down), None)
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -118,7 +127,8 @@ class FinitePoset:
 
     def __reduce__(self):
         # Pickle and copy rebuild through _fill, with no validation.
-        return _restore_poset, (self.labels, self.source_order, self._down, self._up)
+        return _restore_poset, (self.labels, self.source_order, self._down,
+                                self._up, self._bounded)
 
     @classmethod
     def from_leq(cls, rows: Sequence[Sequence[bool]], labels=None) -> "FinitePoset":
@@ -154,11 +164,14 @@ class FinitePoset:
         """The order-dual, re-indexed by ``k -> n - 1 - k`` so the convention
         still holds, and so are the labels and input positions.  Read off
         the stored masks on each call, without validating again; nothing is
-        kept, so ``p.dual().dual() == p``."""
+        kept, so ``p.dual().dual() == p``.  A side bounded by construction
+        becomes the other side of the dual."""
         n, order = self.n, self.source_order
         down = tuple(_reverse_mask(mask, n) for mask in reversed(self._up))
         up = tuple(_reverse_mask(mask, n) for mask in reversed(self._down))
-        return _restore_poset(self.labels[::-1], order and order[::-1], down, up)
+        bounded = {"meet": "join", "join": "meet"}.get(self._bounded)
+        return _restore_poset(self.labels[::-1], order and order[::-1], down, up,
+                              bounded)
 
     def __eq__(self, other):
         return (
@@ -185,10 +198,13 @@ def _up_masks(down: Sequence[int]) -> tuple[int, ...]:
     return tuple(up)
 
 
-def _restore_poset(labels, source_order, down, up) -> FinitePoset:
-    """A poset from masks that are valid by construction, with no checks."""
+def _restore_poset(labels, source_order, down, up, bounded=None) -> FinitePoset:
+    """A poset from masks that are valid by construction, with no checks.
+    ``bounded`` is ``"meet"`` (``"join"``) when every pair of elements has a
+    meet (join) by construction, so closures on that side are read off the
+    masks (``_kept_closure``); equality and hashing ignore it."""
     p = object.__new__(FinitePoset)
-    p._fill(len(down), labels, source_order, down, up)
+    p._fill(len(down), labels, source_order, down, up, bounded)
     return p
 
 
@@ -507,12 +523,35 @@ def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureRe
     return result
 
 
+def _bounded_closure(p: FinitePoset, keep: int, kind: str) -> tuple[int, ...]:
+    """The meet (join) closure of the bits of ``keep`` in ``p``, ascending,
+    where every pair of elements of ``p`` has a meet (join).  Each element
+    ``c`` of the closure is the meet of ``U_c``, the members above it: it
+    is the meet of some members, all in ``U_c``, and lies below the meet of
+    ``U_c``.  Group the elements ``d`` by ``U_d``; the meet ``g`` of a
+    nonempty class ``U`` lies above each ``d`` of it, so ``U_g = U``, and
+    ``g`` is the class's highest index (lowest on the join side).  One AND
+    and one dict store per element, and no call of :func:`meet`."""
+    away = _side(p, kind)[1]
+    order = range(p.n) if kind == "meet" else range(p.n - 1, -1, -1)
+    last = {away[d] & keep: d for d in order}
+    last.pop(0, None)
+    return tuple(sorted(last.values()))
+
+
 def _kept_closure(s: Subset, kind: str) -> ClosureResult:
-    """The closure kept on ``s``, built on the first read.  A missing bound
-    is kept in its place, and each later read raises a fresh error of its
-    type and text, so a request attempts each closure once."""
+    """The closure kept on ``s``, built on the first read.  On the side
+    bounded by construction (``FinitePoset._bounded``) the parent is a
+    semilattice: each element of the closure is the meet (join) of the
+    members on its far side, and the top (bottom) of the elements with the
+    same members there, so :func:`_bounded_closure` reads the closure off
+    the masks.  Otherwise :func:`_close` combines the members.  A missing
+    bound is kept in its place, and each later read raises a fresh error of
+    its type and text, so a request attempts each closure once."""
     if (kept := s.__dict__.get(f"_{kind}_closure")) is None:
         p = s.parent
+        if p._bounded == _kind(kind):
+            return _closure_result(s, _bounded_closure(p, s.member_mask(), kind), kind)
         try:
             members = _close(s.members, partial(_op(kind), p), p.n,
                              lambda x: p._down[x] | p._up[x])

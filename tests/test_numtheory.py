@@ -5,6 +5,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -12,8 +13,10 @@ from meetjoin import (
     DeskScaleError,
     DuplicateError,
     MatrixModel,
+    NoJoinError,
     NamedFunction,
     build_named_matrix,
+    build_poset,
     divides_unitarily,
     divisibility_poset,
     divisor_down_set,
@@ -37,10 +40,10 @@ from meetjoin import (
     unitary_divisors,
 )
 from meetjoin.cli import parse_poset_file
-from meetjoin import numtheory
+from meetjoin import numtheory, poset
 from support import fixpoint_integer_closure, scan_gcud
 from meetjoin.numtheory import DEFAULT_CAP, FACTOR_CAP
-from meetjoin.poset import Subset
+from meetjoin.poset import Subset, _restore_poset
 
 from support import scan_divisibility_poset
 
@@ -384,6 +387,26 @@ def test_named_function_evaluation():
         NamedFunction("power", alpha=0.8).evaluate(10 ** 400)
 
 
+def test_integral_powers_of_int_labels_match_the_fraction_power():
+    # Int labels take an int power; the value, its type, and the error of
+    # 0 under a negative exponent are those of the Fraction power.
+    for tag in ("power", "reciprocal_power"):
+        for alpha in (-3, -1, 0, 1, 2, 5):
+            f = NamedFunction(tag, alpha)
+            e = alpha if tag == "power" else -alpha
+            for m in (-7, -1, 1, 2, 12, 10 ** 30):
+                value = f.evaluate(m)
+                assert type(value) is Fraction and value == Fraction(m) ** e
+            assert f.evaluate("3/2") == Fraction(3, 2) ** e
+            if e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    f.evaluate(0)
+                with pytest.raises(ValueError, match="is not defined at label 0"):
+                    f._at_label(0)
+            else:
+                assert f.evaluate(0) == Fraction(0) ** e
+
+
 def test_build_min_matrix_example():
     model = build_named_matrix("min", [1, 2, 3])
     assert model.matrix.entries == (
@@ -534,3 +557,83 @@ def test_divisibility_orders_match_the_pair_scan(tmp_path):
         assert p.dual().dual() == p and p.dual().dual()._up == p._up
         for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
             assert clone == p and clone._up == p._up
+
+
+def test_mask_closure_matches_the_combining_kernel(monkeypatch):
+    # A canonical universe is closed under gcd, gcud or lcm, so its closures
+    # on that side are read off the masks, one AND per element, and never
+    # reach poset._close.  They must equal what the kernel builds by
+    # combining the members, and so must the closure on the other side of
+    # the dual, which the mark follows.
+    combine = poset._close
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return combine(*args)
+
+    monkeypatch.setattr(poset, "_close", counted)
+    rng = random.Random(3001)
+    builds = ((divisor_down_set, "meet"), (unitary_divisor_down_set, "meet"),
+              (lcm_up_set, "join"))
+    for top in (60, 3000, 10**6, 720720, 963761198400):
+        for build, kind in builds:
+            for _ in range(4):
+                pool = divisors(top) if rng.random() < 0.5 else range(1, min(top, 3000))
+                gens = rng.sample(pool, min(len(pool), rng.randint(1, 6)))
+                p = build(gens).poset
+                assert p._bounded == kind
+                for size in (1, 2, 5, 20):
+                    members = rng.sample(range(p.n), min(size, p.n))
+                    s = Subset(p, tuple(sorted(members)))
+                    bound = meet if kind == "meet" else join
+                    want = combine(s.members, partial(bound, p), p.n)
+                    got = poset._kept_closure(s, kind)
+                    assert got.subset.members == want, (build.__name__, gens, members)
+                    assert [got.subset.members[k] for k in got.embed] == list(s.members)
+                    other = "join" if kind == "meet" else "meet"
+                    dual = poset._kept_closure(s.dual(), other).subset.members
+                    assert dual == tuple(p.n - 1 - m for m in reversed(want))
+    assert calls == 0
+
+
+def test_the_bounded_mark_survives_copies_and_dual_swaps_it():
+    for build, kind, other in ((divisor_down_set, "meet", "join"),
+                               (unitary_divisor_down_set, "meet", "join"),
+                               (lcm_up_set, "join", "meet")):
+        p = build([12, 18, 35]).poset
+        assert p._bounded == kind
+        for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert clone == p and clone._bounded == kind
+        assert p.dual()._bounded == other
+        assert pickle.loads(pickle.dumps(p.dual()))._bounded == other
+        assert p.dual().dual()._bounded == kind
+        # Equality and hashing ignore the mark.
+        plain = _restore_poset(p.labels, None, p._down, p._up)
+        assert plain._bounded is None
+        assert plain == p and hash(plain) == hash(p)
+    for p in (divisibility_poset([2, 3, 12]), build_poset(3, [(1, 2), (2, 3)]),
+              build_named_matrix("power_gcd", [4, 6], ambient="closure").poset):
+        assert p._bounded is None
+
+
+def test_unmarked_posets_close_through_the_kernel(monkeypatch):
+    # A poset of unknown completeness, and the side of a canonical universe
+    # that can lack a bound, still combine the members, with the same errors.
+    combine = poset._close
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return combine(*args)
+
+    monkeypatch.setattr(poset, "_close", counted)
+    chain = build_poset(5, [(k, k + 1) for k in range(1, 5)])
+    assert meet_closure(Subset(chain, (1, 3))).subset.members == (1, 3)
+    assert calls == 1
+    lattice = divisor_down_set([2, 3])
+    with pytest.raises(NoJoinError, match="^2 and 3 have no common upper bound$"):
+        join_closure(lattice.subset_of([2, 3]))
+    assert calls == 2

@@ -250,16 +250,18 @@ def _closure_det(c: ClosureResult, masses) -> Fraction | None:
     ``leading_minors`` on the same ``M`` took 0.238 s over the eight
     gcd-exact bench sets, against 0.112 s sparse.  The route is refused
     when ``|T| >= n`` or when the updates the order counts, weighed by
-    ``MINOR_UPDATE_COST``, exceed the n^3/6 of a direct elimination.
+    ``MINOR_UPDATE_COST``, exceed the n^3/6 of a direct elimination; the
+    first refusal comes before the product of the masses, which on the
+    8191 masses of the lcm closure of the first 13 primes took 0.7 s.
     """
-    det = math.prod(masses, start=Fraction(1))
     n = len(c.embed)
     inside = set(c.embed)
     outside = [k for k in range(len(c.subset)) if k not in inside]
-    if not outside:
-        return det
     if len(outside) >= n:
         return None
+    det = math.prod(masses, start=Fraction(1))
+    if not outside:
+        return det
     rows = _inverse_block(c.subset, outside, masses, c.kind)
     order, updates = _min_degree(rows)
     if 6 * MINOR_UPDATE_COST * updates > n ** 3:

@@ -3,16 +3,35 @@
 ``psi`` assigns every element of a listed set the mass its function value
 adds on top of everything strictly below it inside the set; summing masses
 over a principal down-set recovers the function.  ``phi`` is the top-down
-dual.  Both walk the set's masks toward the bound, as ``poset._side``
-orients them for the order tests of a function too: ``psi`` the down
-masks in listing order, ``phi`` the up masks in reverse, the order dual
-with no dual built.  Each result is checked by summing it back along the
-masks away from the bound, which holds only for the right masses as zeta
-is invertible, and catches a wrong mask too, since every poset builds its
-up masks apart from its down masks.  A failed check raises
-:class:`CharacterizationMismatch`, also under ``python -O``.  Everything
-here runs in exact rational arithmetic; supplying floats raises
-:class:`ExactArithmeticError`.
+dual.  Everything here runs in exact rational arithmetic; floats on the
+set raise :class:`ExactArithmeticError` before any other work.  Then one
+of two routes computes the masses, the one that counts less work.
+
+The walk serves every poset.  It visits the set's masks toward the bound,
+as ``poset._side`` orients them for the order tests of a function too:
+``psi`` the down masks in listing order, ``phi`` the up masks in reverse,
+the order dual with no dual built.  Its result is checked by summing it
+back along the masks away from the bound, which holds only for the right
+masses as zeta is invertible, and catches a wrong mask too, since every
+poset builds its up masks apart from its down masks.  It costs one step
+per comparable pair of the set, in the gather and in the re-sum.
+
+The prime-wise route serves the bounded side of a canonical universe U
+(``poset._Divisibility``), for a set known closed there and values exact
+on all of U.  The keys of U are closed under taking divisors, so the
+Moebius inversion of f over U is one difference per element and prime of
+its key.  Each difference then goes to the member of the set nearest it
+on the far side, the class sum of the masses over a meet (join) closed
+set.  It costs ``2 * weight + |U|`` steps, with ``weight`` the number of
+pairs of an element and a prime dividing its key.  Its check has two
+parts.  The prime-wise prefix sums of the masses must give back f on the
+set, which alone passes whatever the base holds where the set is all of
+U, as they undo the differences step for step.  So the steps are also
+checked against the masks, once per poset: each element's mask toward
+the bound must be its own bit and its predecessors' masks.
+
+A failed check on either route raises :class:`CharacterizationMismatch`,
+also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -29,7 +48,7 @@ from .errors import (
     ExactArithmeticError,
     MissingValueError,
 )
-from .poset import FinitePoset, Subset, _bits, _kind, _side
+from .poset import FinitePoset, Subset, _bits, _kind, _known_closed, _side
 
 # Digits allowed in the product of the diagonal entries ``x**|alpha|`` once an
 # exact exponent beyond 1 grows the values, and in the power of 10 a decimal
@@ -291,9 +310,6 @@ def _gather(d: Subset, f: PosetFunction, kind: str) -> tuple[Fraction, ...]:
     """Each member's value less the masses of the other members its mask
     toward the bound holds, from ``_side``; the listing of ``d`` puts those
     first in order (psi) or reversed (phi).  Masses come back in the listing."""
-    _check_same_parent(d, f)
-    if not all(isinstance(f.values[m], Fraction) for m in d.members):
-        raise ExactArithmeticError("mass vectors require exact rational values")
     toward = _side(d.parent, kind)[0]
     keep = d.member_mask()
     masses: dict[int, Fraction] = {}
@@ -305,27 +321,147 @@ def _gather(d: Subset, f: PosetFunction, kind: str) -> tuple[Fraction, ...]:
     return tuple(masses[m] for m in d.members)
 
 
+def _prime_steps(p: FinitePoset) -> list[list[tuple[int, int]]]:
+    """The difference steps of a canonical universe (``p._divisibility``):
+    for each prime ``q`` of its base, the pairs ``(x, y)`` with ``key(y) =
+    key(x) / q``, or ``key(x) / q**v_q(key(x))`` in the unitary order, by
+    descending key.  Built on first use and kept on ``p``.
+
+    They are checked against the masks toward the bound once, as built:
+    each element's mask must be its own bit and the masks of its
+    predecessors ``y``, one OR per step.  By induction on the key, every
+    mask is then the (unitary) divisibility of the keys, and the
+    predecessors of each element are exactly its lower covers there; a
+    prime missing from the base fails the check at that prime's key.  A
+    failed check raises :class:`CharacterizationMismatch`."""
+    if (steps := p._steps) is not None:
+        return steps
+    div = p._divisibility
+    keys = p.labels if div.top is None else [div.top // y for y in p.labels]
+    where = {key: x for x, key in enumerate(keys)}
+    steps = [[] for _ in div.primes]
+    descending = range(p.n) if keys[0] >= keys[-1] else range(p.n - 1, -1, -1)
+    for x in descending:
+        rest = key = keys[x]
+        for axis, q in zip(steps, div.primes):
+            if rest == 1:
+                break
+            if rest % q == 0:
+                part = q
+                while (rest := rest // q) % q == 0:
+                    part *= q
+                axis.append((x, where[key // (part if div.unitary else q)]))
+    toward = _side(p, p._bounded)[0]
+    built = [1 << x for x in range(p.n)]
+    for axis in steps:
+        for x, y in axis:
+            built[x] |= toward[y]
+    if built != list(toward):
+        raise CharacterizationMismatch(
+            "the masks do not match the divisibility of the labels")
+    object.__setattr__(p, "_steps", steps)
+    return steps
+
+
+def _prime_route(d: Subset, f: PosetFunction, kind: str) -> bool:
+    """Whether :func:`_prime_masses` serves the masses over ``d``: on the
+    bounded side of a canonical universe, on a set known closed there, with
+    exact values on the whole universe, and where the walk's pairs (its
+    gather and its re-sum) count more than this route's ``2 * weight + |U|``
+    steps (its differences, prefix sums and class sums)."""
+    p = d.parent
+    div = p._divisibility
+    if div is None or p._bounded != kind or not _known_closed(d, kind):
+        return False
+    if not all(type(v) is Fraction for v in f.values):
+        return False
+    toward, away = _side(p, kind)
+    keep = d.member_mask()
+    route, walk = 2 * div.weight + p.n, 0
+    for m in d.members:
+        walk += (toward[m] & keep).bit_count() + (away[m] & keep).bit_count() - 1
+        if walk > route:
+            return True
+    return False
+
+
+def _prime_masses(d: Subset, f: PosetFunction, kind: str) -> tuple[Fraction, ...]:
+    """The masses over ``d``, closed on the bounded side of a canonical
+    universe ``U``, of ``f``, exact on ``U``, by prime-wise differences.
+
+    On a set of keys closed under taking divisors, ``h = f * mu`` over
+    ``U`` is one difference per element and prime, Moebius inversion along
+    each prime's axis (:func:`_prime_steps`).  Each ``h(u)`` then goes to
+    the lowest member of ``d`` above ``u``, the highest below it on the
+    join side, which exists as ``d`` is closed: the masses over a closed
+    set are those class sums (Bourque and Ligh; Haukkanen).  The values
+    are scaled to integers by the lcm of their denominators.  The masses
+    are checked by the prime-wise prefix sums of the masses on ``d``, zero
+    elsewhere, which must give back ``f`` on ``d``, and a failure raises
+    :class:`CharacterizationMismatch`.  Where ``d`` is all of ``U`` those
+    undo the differences step for step, so the check of the steps against
+    the masks in :func:`_prime_steps` is the one that reads the order."""
+    p = d.parent
+    steps = _prime_steps(p)
+    scale = math.lcm(*(v.denominator for v in f.values))
+    want = [v.numerator * (scale // v.denominator) for v in f.values]
+    h = want[:]
+    for axis in steps:
+        for x, y in axis:
+            h[x] -= h[y]
+    if len(d) == p.n:
+        sums = h
+    else:
+        away, keep = _side(p, kind)[1], d.member_mask()
+        sums = [0] * p.n
+        for u, value in enumerate(h):
+            if above := away[u] & keep:
+                top = (above & -above if kind == "meet" else above).bit_length() - 1
+                sums[top] += value
+    masses = [sums[m] for m in d.members]
+    for axis in steps:
+        for x, y in reversed(axis):
+            sums[x] += sums[y]
+    if any(sums[m] != want[m] for m in d.members):
+        raise CharacterizationMismatch(
+            f"{'psi' if kind == 'meet' else 'phi'} masses do not sum back to f "
+            "along the prime axes")
+    return tuple(Fraction(m, scale) for m in masses)
+
+
+def _mass_vector(vector: type[_Masses], d: Subset, f: PosetFunction, name: str) -> _Masses:
+    """The masses over ``d`` of the vector's ``kind``: floats on ``d`` are
+    refused first, then :func:`_prime_masses` serves where
+    :func:`_prime_route` takes it, else the walk of :func:`_gather`,
+    re-summed along the masks away from the bound."""
+    _check_same_parent(d, f)
+    if not all(isinstance(f.values[m], Fraction) for m in d.members):
+        raise ExactArithmeticError("mass vectors require exact rational values")
+    if _prime_route(d, f, vector.kind):
+        return vector(d, _prime_masses(d, f, vector.kind))
+    vec = vector(d, _gather(d, f, vector.kind))
+    if not vec.resums_to(f):
+        raise CharacterizationMismatch(f"{name} masses do not re-sum to f")
+    return vec
+
+
 def psi(d: Subset, f: PosetFunction) -> PsiVector:
     """Bottom-up mass of ``f`` over the listed set ``d``.
 
     Each member, in listing order, subtracts the masses of the members its
     down mask holds, which the listing convention puts first.  The result
-    is checked by re-summing it along the up masks.
+    is checked by re-summing it along the up masks.  On the meet side of a
+    canonical universe the prime-wise route may serve instead.
     """
-    vec = PsiVector(d, _gather(d, f, "meet"))
-    if not vec.resums_to(f):
-        raise CharacterizationMismatch("psi masses do not re-sum to f")
-    return vec
+    return _mass_vector(PsiVector, d, f, "psi")
 
 
 def phi(b: Subset, f: PosetFunction) -> PhiVector:
     """Top-down mass of ``f`` over the listed set ``b``: the walk of
     :func:`psi` along the up masks in reverse listing.  Checked by
-    re-summing it along the down masks."""
-    vec = PhiVector(b, _gather(b, f, "join"))
-    if not vec.resums_to(f):
-        raise CharacterizationMismatch("phi masses do not re-sum to f")
-    return vec
+    re-summing it along the down masks.  On the join side of a canonical
+    universe the prime-wise route may serve instead."""
+    return _mass_vector(PhiVector, b, f, "phi")
 
 
 def _masses(d: Subset, f: PosetFunction, kind: str) -> _Masses:

@@ -29,6 +29,8 @@ multiples dividing the lcm.  The cap counts that union, not the lcm's divisors.
 A union of down-sets is closed under gcd (gcud), and one of up-sets below
 the lcm under lcm, so the builder marks that side of the poset, and its
 closures there are read off the masks instead of combining members.
+Beside the mark it keeps the primes and whether the order is unitary, so
+masses over that side can be taken by prime-wise differences (``mobius``).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .mobius import PosetFunction, _rational
 from .poset import (
     FinitePoset,
     Subset,
+    _Divisibility,
     _close,
     _closure_result,
     _kind,
@@ -245,7 +248,11 @@ def _divisibility_order(labels: tuple[int, ...], base: tuple[int, ...],
     range-OR table over the base.  Each label costs O(support) mask
     operations.  Divisibility is transitive and ascending labels are a
     linear extension, so the poset is built without validation; ``bounded``
-    names the side on which the labels are closed, if the caller knows one."""
+    names the side on which the labels are closed, if the caller knows one:
+    the divisors of some members (``"meet"``), or their multiples dividing
+    the largest label (``"join"``), with ``base`` their primes.  The poset
+    then keeps that structure (``poset._Divisibility``) and its weight,
+    read off the exponent vectors, for the masses of ``mobius``."""
     n = len(labels)
     full = (1 << n) - 1
     where = {b: k for k, b in enumerate(base)}
@@ -297,7 +304,15 @@ def _divisibility_order(labels: tuple[int, ...], base: tuple[int, ...],
             lo = k + 1
         down.append(d & ~(off | divisible_in(lo, len(base))))
         up.append(u)
-    return _restore_poset(labels, None, tuple(down), tuple(up), bounded)
+    divisibility = None
+    if bounded == "meet":
+        divisibility = _Divisibility(base, unitary, None, sum(map(len, vectors)))
+    elif bounded == "join":
+        # The keys top // y: base element k divides the key of every label
+        # short of top's exponent there.
+        weight = sum(n - level[k][e].bit_count() for k, e in vectors[-1])
+        divisibility = _Divisibility(base, unitary, labels[-1], weight)
+    return _restore_poset(labels, None, tuple(down), tuple(up), bounded, divisibility)
 
 
 def divisibility_poset(values) -> FinitePoset:

@@ -26,7 +26,10 @@ canonical universes (closed under gcd, gcud or lcm), is a meet (join)
 semilattice there.  Each element of a meet closure is then the meet of the
 members above it, and the elements with the same members above them hold
 that meet as their top, so ``_bounded_closure`` reads the closure off the
-masks, one AND per element.  Every other closure, of poset indices here
+masks, one AND per element.  Beside the mark such a poset keeps how its
+order reads off its integer labels (``_Divisibility``), for the masses of
+``mobius``, and each closure kept on a set is marked closed on its side,
+as ``_known_closed`` reads.  Every other closure, of poset indices here
 and of integers in ``numtheory``, runs the kernel ``_close``: one
 ascending pass adds each new element's meets (joins) with those held,
 then the element, and as they associate the set stays closed.  On poset
@@ -48,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CharacterizationMismatch,
@@ -86,7 +89,8 @@ class FinitePoset:
     transitivity and the index convention itself.
     """
 
-    __slots__ = ("n", "labels", "source_order", "_down", "_up", "_bounded")
+    __slots__ = ("n", "labels", "source_order", "_down", "_up", "_bounded",
+                 "_divisibility", "_steps")
 
     def __init__(self, down: Sequence[int], labels=None, source_order=None):
         down = tuple(down)
@@ -116,7 +120,7 @@ class FinitePoset:
                 raise ValueError("labels length must match element count")
             if len(set(labels)) != n:
                 raise DuplicateError("labels must be unique")
-        self._fill(n, labels, source_order, down, _up_masks(down), None)
+        self._fill(n, labels, source_order, down, _up_masks(down), None, None, None)
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -128,7 +132,7 @@ class FinitePoset:
     def __reduce__(self):
         # Pickle and copy rebuild through _fill, with no validation.
         return _restore_poset, (self.labels, self.source_order, self._down,
-                                self._up, self._bounded)
+                                self._up, self._bounded, self._divisibility)
 
     @classmethod
     def from_leq(cls, rows: Sequence[Sequence[bool]], labels=None) -> "FinitePoset":
@@ -165,13 +169,14 @@ class FinitePoset:
         still holds, and so are the labels and input positions.  Read off
         the stored masks on each call, without validating again; nothing is
         kept, so ``p.dual().dual() == p``.  A side bounded by construction
-        becomes the other side of the dual."""
+        becomes the other side of the dual, which keeps the labels and so
+        their divisibility structure."""
         n, order = self.n, self.source_order
         down = tuple(_reverse_mask(mask, n) for mask in reversed(self._up))
         up = tuple(_reverse_mask(mask, n) for mask in reversed(self._down))
         bounded = {"meet": "join", "join": "meet"}.get(self._bounded)
         return _restore_poset(self.labels[::-1], order and order[::-1], down, up,
-                              bounded)
+                              bounded, self._divisibility)
 
     def __eq__(self, other):
         return (
@@ -198,13 +203,33 @@ def _up_masks(down: Sequence[int]) -> tuple[int, ...]:
     return tuple(up)
 
 
-def _restore_poset(labels, source_order, down, up, bounded=None) -> FinitePoset:
+class _Divisibility(NamedTuple):
+    """How the order of a canonical universe of integers reads off its
+    labels, on its bounded side.  The key of a label is the label itself,
+    or ``top // label`` where ``top`` is set, for the up-set below ``top``.
+    An element lies toward the bound from another when its key divides the
+    other's, unitarily where ``unitary`` is set, and every key factors over
+    the ascending ``primes``.  The keys are closed under taking (unitary)
+    divisors, and ``weight`` counts the pairs of an element and a prime
+    dividing its key."""
+
+    primes: tuple[int, ...]
+    unitary: bool
+    top: int | None
+    weight: int
+
+
+def _restore_poset(labels, source_order, down, up, bounded=None,
+                   divisibility=None) -> FinitePoset:
     """A poset from masks that are valid by construction, with no checks.
     ``bounded`` is ``"meet"`` (``"join"``) when every pair of elements has a
     meet (join) by construction, so closures on that side are read off the
-    masks (``_kept_closure``); equality and hashing ignore it."""
+    masks (``_kept_closure``); equality and hashing ignore it, and the
+    :class:`_Divisibility` of an integer universe that ``numtheory`` marks so.
+    The slot ``_steps`` keeps what ``mobius`` builds from that structure on
+    first use; copies and duals build their own."""
     p = object.__new__(FinitePoset)
-    p._fill(len(down), labels, source_order, down, up, bounded)
+    p._fill(len(down), labels, source_order, down, up, bounded, divisibility, None)
     return p
 
 
@@ -515,12 +540,24 @@ def _close(elements: Iterable[int], op, cap: int, related=None) -> tuple[int, ..
 
 def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureResult:
     """The closure with ascending ``members``, kept on ``s``, so every route
-    of a request reads the same one."""
+    of a request reads the same one, and marked closed on that side."""
     pos = {m: k for k, m in enumerate(members)}
     embed = tuple(pos[m] for m in s.members)
-    result = ClosureResult(subset=Subset(s.parent, members), embed=embed, kind=kind)
+    closed = Subset(s.parent, members)
+    object.__setattr__(closed, f"_{kind}_closed", True)
+    result = ClosureResult(subset=closed, embed=embed, kind=kind)
     object.__setattr__(s, f"_{kind}_closure", result)
     return result
+
+
+def _known_closed(s: Subset, kind: str) -> bool:
+    """True when ``s`` is closed on the meet (join) side by what is kept,
+    with no test: it is the whole poset, a kept closure, or a set whose
+    kept closure adds nothing."""
+    if len(s) == s.parent.n or s.__dict__.get(f"_{kind}_closed"):
+        return True
+    kept = s.__dict__.get(f"_{kind}_closure")
+    return isinstance(kept, ClosureResult) and len(kept.subset) == len(s)
 
 
 def _bounded_closure(p: FinitePoset, keep: int, kind: str) -> tuple[int, ...]:

@@ -26,7 +26,9 @@ The corpus:
   :data:`NON_FINITE`;
 - ``closure`` and ``classify`` on the first 13 primes with
   reciprocal-power-lcm under both ambients: the join side on an
-  8191-element closure;
+  8191-element closure; and ``check-pd`` there under the canonical
+  ambient, where the masses over the whole up-set take the prime-wise
+  route (about 10 s by the walk);
 - ``check-pd`` on 2, 3 with power-gcd at ``--alpha 1e-400``, a nonzero
   exponent whose float is 0.
 
@@ -140,6 +142,9 @@ def _corpus(RunConfig):
             yield f"primes13/{ambient}/{command}", RunConfig(
                 command=command, set_text=PRIMES, family="reciprocal-power-lcm",
                 ambient=ambient)
+    yield "primes13/canonical/check-pd", RunConfig(
+        command="check-pd", set_text=PRIMES, family="reciprocal-power-lcm",
+        ambient="canonical")
     yield "alpha-1e-400/check-pd", RunConfig(
         command="check-pd", set_text="2,3", family="power-gcd", alpha="1e-400")
 

@@ -10,30 +10,39 @@ import pytest
 
 import meetjoin
 from meetjoin import (
+    CharacterizationMismatch,
     DeskScaleError,
     DuplicateError,
     ExactArithmeticError,
     MissingValueError,
+    NamedFunction,
     NoJoinError,
     NoMeetError,
     PhiVector,
     PosetFunction,
     PsiVector,
     Subset,
+    build_named_matrix,
+    classify_and_test,
     divisibility_poset,
     divisor_down_set,
     divisors,
     down_set,
     factorize,
     join_closure,
+    lcm_up_set,
     meet_closure,
     mobius_table,
     phi,
     psi,
     total_order_poset,
+    unitary_divisor_down_set,
     up_set,
 )
+from meetjoin import mobius
+from meetjoin.cli import RunConfig, run
 from meetjoin.mobius import _number, _rational
+from meetjoin.poset import _kept_closure, _restore_poset
 from support import (
     random_function,
     random_linear_extension,
@@ -417,3 +426,175 @@ def test_numeric_text_is_read_by_one_reader():
             _rational(text)
     with pytest.raises(ValueError, match="divides by zero"):
         _rational("1/0")
+
+
+def _walked(d, f, kind):
+    # The masses of the walk: the same set and values on an unmarked copy
+    # of the parent, which has no divisibility structure to route by.
+    p = d.parent
+    plain = _restore_poset(p.labels, None, p._down, p._up)
+    masses = psi if kind == "meet" else phi
+    return masses(Subset(plain, d.members), PosetFunction(plain, f.values)).values
+
+
+def test_prime_masses_equal_the_walk():
+    # On seeded sets of all three canonical universes, the unitary one
+    # included, the prime-wise masses over the whole universe and over
+    # closures of seeded subsets equal the walk's, for named functions at
+    # several exponents and for seeded rational values, on the bounded
+    # side and on the other side of the dual, which keeps the structure.
+    # The walk over a whole universe past 600 elements takes seconds.
+    rng = random.Random(3101)
+    builds = ((divisor_down_set, "meet", "power"),
+              (unitary_divisor_down_set, "meet", "power"),
+              (lcm_up_set, "join", "reciprocal_power"))
+    compared = {True: 0, False: 0}  # by whether the set is the whole universe
+    for top in (60, 3000, 10**6, 720720, 963761198400):
+        for build, kind, tag in builds:
+            for _ in range(3):
+                pool = divisors(top) if rng.random() < 0.5 else range(1, min(top, 3000))
+                gens = rng.sample(pool, min(len(pool), rng.randint(1, 6)))
+                p = build(gens).poset
+                sets = [Subset.whole(p)] if p.n <= 600 else []
+                for size in (1, 2, 5, 20):
+                    members = sorted(rng.sample(range(p.n), min(size, p.n)))
+                    sets.append(_kept_closure(Subset(p, tuple(members)), kind).subset)
+                functions = [NamedFunction(tag, alpha).bind(p) for alpha in (1, 2, 3)]
+                functions.append(PosetFunction(p, [
+                    Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(p.n)]))
+                other = "join" if kind == "meet" else "meet"
+                for d in sets:
+                    for f in functions:
+                        want = _walked(d, f, kind)
+                        assert mobius._prime_masses(d, f, kind) == want, (gens, d.labels)
+                        dual = mobius._prime_masses(d.dual(), f.dual(), other)
+                        assert dual == want[::-1]
+                        compared[len(d) == p.n] += 1
+    assert compared[True] >= 200 and compared[False] >= 400, compared
+
+
+def test_masses_take_the_route_that_counts_less_work(monkeypatch):
+    # The walk visits the pairs of its gather and its re-sum, the prime-wise
+    # route 2 * weight + |U| steps.  On the full divisor sets of the bench,
+    # under both families, the route counts less (about 300-400 steps
+    # against 1032-1800 pairs); on the seed-0 sets of 80 integers below
+    # 3000 the walk does (1024-1453 pairs against 1444-1635 steps).  Two
+    # hundred of the divisors of 720720 under reciprocal-power-lcm take the
+    # route over a closure that is not the whole universe.
+    taken, walked = [], []
+    route, walk = mobius._prime_masses, mobius._gather
+    monkeypatch.setattr(mobius, "_prime_masses", lambda *a: taken.append(a) or route(*a))
+    monkeypatch.setattr(mobius, "_gather", lambda *a: walked.append(a) or walk(*a))
+
+    def decide(family, members):
+        taken.clear()
+        walked.clear()
+        model = build_named_matrix(family, members, ambient="canonical")
+        return model, classify_and_test(model.subset, model.function, model.kind)
+
+    for m in (2520, 5040, 7560, 10080):
+        for family, method in (("power_gcd", "T3.1"), ("power_lcm_reciprocal", "T3.2")):
+            model, report = decide(family, divisors(m))
+            assert report.method == method and len(model.subset) == model.poset.n
+            assert len(taken) == 1 and walked == []
+            assert report.certificate["masses"] == _walked(model.subset, model.function,
+                                                         model.kind)
+    rng = random.Random(0)
+    for _ in range(8):
+        model, report = decide("power_gcd", rng.sample(range(1, 3000), 80))
+        assert report.method == "C3.4" and taken == [] and len(walked) == 1
+    members = sorted(random.Random(0).sample(divisors(720720), 200))
+    model, report = decide("power_lcm_reciprocal", members)
+    closed = report.certificate["support"]
+    assert report.method == "C3.6" and len(members) < len(closed) < model.poset.n
+    assert len(taken) == 1 and walked == []
+
+
+def test_the_route_is_not_built_by_other_commands(monkeypatch):
+    # The steps of the route are built when masses are first asked for,
+    # and kept on the poset: classify, closure and build never build them.
+    built = []
+    steps = mobius._prime_steps
+    monkeypatch.setattr(mobius, "_prime_steps", lambda p: built.append(p) or steps(p))
+    members = ",".join(map(str, divisors(5040)))
+    for family in ("power-gcd", "reciprocal-power-lcm", "gcud-power"):
+        for command in ("classify", "closure", "build"):
+            code, _ = run(RunConfig(command=command, set_text=members, family=family))
+            assert code == 0 and built == []
+    for family in ("power-gcd", "reciprocal-power-lcm"):
+        code, _ = run(RunConfig(command="check-pd", set_text=members, family=family))
+        assert code == 0 and len(built) == 1
+        built.clear()
+    p = divisor_down_set([360]).poset
+    f = NamedFunction("power", 1).bind(p)
+    first = psi(Subset.whole(p), f)
+    assert p._steps is not None and psi(Subset.whole(p), f) == first
+
+
+def test_prime_route_faults_raise_under_optimize():
+    # With asserts stripped by -O the route's checks must still run.  The
+    # prefix sums alone undo the differences step for step, so where the
+    # set is the whole universe they pass whatever the base holds: with 7
+    # dropped from the base of divisors(2520) the masses come out wrong.
+    # The check of the steps against the down masks fails there, and on a
+    # down mask that lacks one element below, cover or not.  Over the meet
+    # closure {6, 12, 18} of {12, 18}, a smaller set than its universe,
+    # the class sums read the up masks, and the prefix sums fail on an up
+    # mask that lacks an element above.  The same calls on the true
+    # posets give the walk's masses.
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from meetjoin import (
+            CharacterizationMismatch, PosetFunction, Subset, divisor_down_set,
+            meet_closure, phi, psi,
+        )
+        from meetjoin.mobius import _prime_masses
+        from meetjoin.poset import _restore_poset
+
+        def attempt(name, masses, d):
+            f = PosetFunction.from_callable(d.parent, Fraction)
+            try:
+                masses(d, f)
+            except CharacterizationMismatch:
+                print(name, "raised")
+
+        p = divisor_down_set([2520]).poset
+        where = p.index_of
+        down = list(p._down)
+        down[where(2520)] &= ~(1 << where(2))
+        lies = (
+            ("base", p._down, p._divisibility._replace(primes=(2, 3, 5))),
+            ("down", tuple(down), p._divisibility),
+        )
+        for name, masks, divisibility in lies:
+            lie = _restore_poset(p.labels, None, masks, p._up, "meet", divisibility)
+            attempt(name, psi, Subset.whole(lie))
+            attempt(name, phi, Subset.whole(lie.dual()))
+        q = divisor_down_set([12, 18]).poset
+        up = list(q._up)
+        up[q.index_of(4)] &= ~(1 << q.index_of(12))
+        lie = _restore_poset(q.labels, None, q._down, tuple(up), "meet", q._divisibility)
+        d = meet_closure(Subset.of_labels(lie, [12, 18])).subset
+        assert d.labels == (6, 12, 18)
+        attempt("up", lambda d, f: _prime_masses(d, f, "meet"), d)
+        true = meet_closure(Subset.of_labels(q, [12, 18])).subset
+        f = PosetFunction.from_callable(q, Fraction)
+        if _prime_masses(true, f, "meet") == psi(true, f).values:
+            print("true up-set agrees")
+        f = PosetFunction.from_callable(p, Fraction)
+        plain = _restore_poset(p.labels, None, p._down, p._up)
+        walked = psi(Subset.whole(plain), PosetFunction(plain, f.values)).values
+        if psi(Subset.whole(p), f).values == walked:
+            print("true base agrees")
+    """)
+    src = os.path.dirname(os.path.dirname(meetjoin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "base raised", "base raised", "down raised", "down raised", "up raised",
+        "true up-set agrees", "true base agrees",
+    ]

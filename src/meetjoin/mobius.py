@@ -5,7 +5,8 @@ adds on top of everything strictly below it inside the set; summing masses
 over a principal down-set recovers the function.  ``phi`` is the top-down
 dual.  Everything here runs in exact rational arithmetic; floats on the
 set raise :class:`ExactArithmeticError` before any other work.  Then one
-of two routes computes the masses, the one that counts less work.
+of two routes computes the masses, the one that counts less work, with a
+pair of the walk weighed as ``WALK_PAIR_COST`` steps of the route.
 
 The walk serves every poset.  It visits the set's masks toward the bound,
 as ``poset._side`` orients them for the order tests of a function too:
@@ -17,8 +18,8 @@ poset builds its up masks apart from its down masks.  It costs one step
 per comparable pair of the set, in the gather and in the re-sum.
 
 The prime-wise route serves the bounded side of a canonical universe U
-(``poset._Divisibility``), for a set known closed there and values exact
-on all of U.  The keys of U are closed under taking divisors, so the
+(``poset._Divisibility``), for a set closed there and values exact on
+all of U.  The keys of U are closed under taking divisors, so the
 Moebius inversion of f over U is one difference per element and prime of
 its key.  Each difference then goes to the member of the set nearest it
 on the far side, the class sum of the masses over a meet (join) closed
@@ -27,7 +28,7 @@ pairs of an element and a prime dividing its key.  Its check has two
 parts.  The prime-wise prefix sums of the masses must give back f on the
 set, which alone passes whatever the base holds where the set is all of
 U, as they undo the differences step for step.  So the steps are also
-checked against the masks, once per poset: each element's mask toward
+checked against the masks as they are built: each element's mask toward
 the bound must be its own bit and its predecessors' masks.
 
 A failed check on either route raises :class:`CharacterizationMismatch`,
@@ -48,7 +49,7 @@ from .errors import (
     ExactArithmeticError,
     MissingValueError,
 )
-from .poset import FinitePoset, Subset, _bits, _kind, _known_closed, _side
+from .poset import FinitePoset, Subset, _bits, _bounded_closure, _kind, _side
 
 # Digits allowed in the product of the diagonal entries ``x**|alpha|`` once an
 # exact exponent beyond 1 grows the values, and in the power of 10 a decimal
@@ -56,6 +57,19 @@ from .poset import FinitePoset, Subset, _bits, _kind, _known_closed, _side
 # below 3000 takes ~1 s at alpha 4 (~980 digits), 7 s at alpha 12 and 15.7 s
 # at alpha 20, where its det no longer renders.
 EXPONENT_DIGITS = 1000
+
+# What one pair of the mass walk costs against one step of the prime-wise
+# route, from in-process timings (best of 15, Python 3.11, 2-core Xeon, a
+# shared host) of both on the bench's check-pd sets and on seeded closures
+# in divisors(720720) and divisors(963761198400): a pair of the gather or
+# the re-sum, a Fraction subtract or add through a mask, took 1.4-4.9 us, a
+# step of the route, an int difference, prefix sum or class sum, 0.33-1.0
+# us, in the median 3.8 to 1.  On the 80-integer gcd sets (1024-1453 pairs,
+# 1444-1635 steps) the route took 0.7-1.5 ms against the walk's 1.7-3.9 ms;
+# on the 4 elements of the meet closure of 963761198400, 6, 10 the walk took
+# 0.03-0.06 ms, the route 31-56 ms.  Weights 4 to 6 picked the faster route
+# on all 30 sets timed, 2 and 3 on all but one (127 pairs, 480 steps).
+WALK_PAIR_COST = 4
 
 # A decimal numeral with an exponent, such as "2.5e-3", in the shape
 # Fraction reads; group 1 is the exponent.
@@ -325,17 +339,15 @@ def _prime_steps(p: FinitePoset) -> list[list[tuple[int, int]]]:
     """The difference steps of a canonical universe (``p._divisibility``):
     for each prime ``q`` of its base, the pairs ``(x, y)`` with ``key(y) =
     key(x) / q``, or ``key(x) / q**v_q(key(x))`` in the unitary order, by
-    descending key.  Built on first use and kept on ``p``.
+    descending key.
 
-    They are checked against the masks toward the bound once, as built:
-    each element's mask must be its own bit and the masks of its
+    They are checked against the masks toward the bound as built: each
+    element's mask must be its own bit and the masks of its
     predecessors ``y``, one OR per step.  By induction on the key, every
     mask is then the (unitary) divisibility of the keys, and the
     predecessors of each element are exactly its lower covers there; a
     prime missing from the base fails the check at that prime's key.  A
     failed check raises :class:`CharacterizationMismatch`."""
-    if (steps := p._steps) is not None:
-        return steps
     div = p._divisibility
     keys = p.labels if div.top is None else [div.top // y for y in p.labels]
     where = {key: x for x, key in enumerate(keys)}
@@ -359,30 +371,33 @@ def _prime_steps(p: FinitePoset) -> list[list[tuple[int, int]]]:
     if built != list(toward):
         raise CharacterizationMismatch(
             "the masks do not match the divisibility of the labels")
-    object.__setattr__(p, "_steps", steps)
     return steps
 
 
 def _prime_route(d: Subset, f: PosetFunction, kind: str) -> bool:
     """Whether :func:`_prime_masses` serves the masses over ``d``: on the
-    bounded side of a canonical universe, on a set known closed there, with
-    exact values on the whole universe, and where the walk's pairs (its
-    gather and its re-sum) count more than this route's ``2 * weight + |U|``
-    steps (its differences, prefix sums and class sums)."""
+    bounded side of a canonical universe, where the walk's pairs (its
+    gather and its re-sum), weighed by ``WALK_PAIR_COST``, count more than
+    this route's ``2 * weight + |U|`` steps (its differences, prefix sums
+    and class sums), on a set closed there (its closure, read off the
+    masks, adds nothing) and with exact values on the whole universe.  The
+    two scans of ``U`` come last, so a walk of a few pairs pays neither."""
     p = d.parent
     div = p._divisibility
-    if div is None or p._bounded != kind or not _known_closed(d, kind):
-        return False
-    if not all(type(v) is Fraction for v in f.values):
+    if div is None or p._bounded != kind:
         return False
     toward, away = _side(p, kind)
     keep = d.member_mask()
     route, walk = 2 * div.weight + p.n, 0
     for m in d.members:
-        walk += (toward[m] & keep).bit_count() + (away[m] & keep).bit_count() - 1
+        walk += WALK_PAIR_COST * (
+            (toward[m] & keep).bit_count() + (away[m] & keep).bit_count() - 1)
         if walk > route:
-            return True
-    return False
+            break
+    else:
+        return False
+    return (len(_bounded_closure(p, keep, kind)) == len(d)
+            and all(type(v) is Fraction for v in f.values))
 
 
 def _prime_masses(d: Subset, f: PosetFunction, kind: str) -> tuple[Fraction, ...]:

@@ -28,11 +28,10 @@ members above it, and the elements with the same members above them hold
 that meet as their top, so ``_bounded_closure`` reads the closure off the
 masks, one AND per element.  Beside the mark such a poset keeps how its
 order reads off its integer labels (``_Divisibility``), for the masses of
-``mobius``, and each closure kept on a set is marked closed on its side,
-as ``_known_closed`` reads.  Every other closure, of poset indices here
-and of integers in ``numtheory``, runs the kernel ``_close``: one
-ascending pass adds each new element's meets (joins) with those held,
-then the element, and as they associate the set stays closed.  On poset
+``mobius``.  Every other closure, of poset indices here and of integers
+in ``numtheory``, runs the kernel ``_close``: one ascending pass adds
+each new element's meets (joins) with those held, then the element, and
+as they associate the set stays closed.  On poset
 indices, where most held elements are comparable to the new one, it skips
 those, as the bound of such a pair is one of the two.  It checks a cap
 after each element (:class:`DeskScaleError`), and a missing bound names
@@ -90,7 +89,7 @@ class FinitePoset:
     """
 
     __slots__ = ("n", "labels", "source_order", "_down", "_up", "_bounded",
-                 "_divisibility", "_steps")
+                 "_divisibility")
 
     def __init__(self, down: Sequence[int], labels=None, source_order=None):
         down = tuple(down)
@@ -120,7 +119,7 @@ class FinitePoset:
                 raise ValueError("labels length must match element count")
             if len(set(labels)) != n:
                 raise DuplicateError("labels must be unique")
-        self._fill(n, labels, source_order, down, _up_masks(down), None, None, None)
+        self._fill(n, labels, source_order, down, _up_masks(down), None, None)
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -225,11 +224,9 @@ def _restore_poset(labels, source_order, down, up, bounded=None,
     ``bounded`` is ``"meet"`` (``"join"``) when every pair of elements has a
     meet (join) by construction, so closures on that side are read off the
     masks (``_kept_closure``); equality and hashing ignore it, and the
-    :class:`_Divisibility` of an integer universe that ``numtheory`` marks so.
-    The slot ``_steps`` keeps what ``mobius`` builds from that structure on
-    first use; copies and duals build their own."""
+    :class:`_Divisibility` of an integer universe that ``numtheory`` marks so."""
     p = object.__new__(FinitePoset)
-    p._fill(len(down), labels, source_order, down, up, bounded, divisibility, None)
+    p._fill(len(down), labels, source_order, down, up, bounded, divisibility)
     return p
 
 
@@ -540,24 +537,12 @@ def _close(elements: Iterable[int], op, cap: int, related=None) -> tuple[int, ..
 
 def _closure_result(s: Subset, members: tuple[int, ...], kind: str) -> ClosureResult:
     """The closure with ascending ``members``, kept on ``s``, so every route
-    of a request reads the same one, and marked closed on that side."""
+    of a request reads the same one."""
     pos = {m: k for k, m in enumerate(members)}
     embed = tuple(pos[m] for m in s.members)
-    closed = Subset(s.parent, members)
-    object.__setattr__(closed, f"_{kind}_closed", True)
-    result = ClosureResult(subset=closed, embed=embed, kind=kind)
+    result = ClosureResult(subset=Subset(s.parent, members), embed=embed, kind=kind)
     object.__setattr__(s, f"_{kind}_closure", result)
     return result
-
-
-def _known_closed(s: Subset, kind: str) -> bool:
-    """True when ``s`` is closed on the meet (join) side by what is kept,
-    with no test: it is the whole poset, a kept closure, or a set whose
-    kept closure adds nothing."""
-    if len(s) == s.parent.n or s.__dict__.get(f"_{kind}_closed"):
-        return True
-    kept = s.__dict__.get(f"_{kind}_closure")
-    return isinstance(kept, ClosureResult) and len(kept.subset) == len(s)
 
 
 def _bounded_closure(p: FinitePoset, keep: int, kind: str) -> tuple[int, ...]:

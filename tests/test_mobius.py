@@ -474,13 +474,17 @@ def test_prime_masses_equal_the_walk():
 
 
 def test_masses_take_the_route_that_counts_less_work(monkeypatch):
-    # The walk visits the pairs of its gather and its re-sum, the prime-wise
-    # route 2 * weight + |U| steps.  On the full divisor sets of the bench,
-    # under both families, the route counts less (about 300-400 steps
-    # against 1032-1800 pairs); on the seed-0 sets of 80 integers below
-    # 3000 the walk does (1024-1453 pairs against 1444-1635 steps).  Two
-    # hundred of the divisors of 720720 under reciprocal-power-lcm take the
-    # route over a closure that is not the whole universe.
+    # The walk visits the pairs of its gather and its re-sum, each weighed
+    # as WALK_PAIR_COST steps, the prime-wise route 2 * weight + |U| steps.
+    # On the full divisor sets of the bench, under both families, the route
+    # counts less (about 300-400 steps against 1032-1800 pairs), and so it
+    # does on the seed-0 sets of 80 integers below 3000 (1444-1635 steps
+    # against 1024-1453 pairs), over their meet closures.  Two hundred of
+    # the divisors of 720720 under reciprocal-power-lcm take the route over
+    # a closure that is not the whole universe.  The closures of a few
+    # members in a large universe keep the walk: 4 members among the 6720
+    # divisors of 963761198400, 3 among the 575 elements of an lcm up-set.
+    # So does a set that is not closed, however many pairs it holds.
     taken, walked = [], []
     route, walk = mobius._prime_masses, mobius._gather
     monkeypatch.setattr(mobius, "_prime_masses", lambda *a: taken.append(a) or route(*a))
@@ -502,17 +506,27 @@ def test_masses_take_the_route_that_counts_less_work(monkeypatch):
     rng = random.Random(0)
     for _ in range(8):
         model, report = decide("power_gcd", rng.sample(range(1, 3000), 80))
-        assert report.method == "C3.4" and taken == [] and len(walked) == 1
+        assert report.method == "C3.4" and len(taken) == 1 and walked == []
+        closed = Subset.of_labels(model.poset, report.certificate["support"])
+        assert report.certificate["masses"] == _walked(closed, model.function, "meet")
+    for family, members in (("power_gcd", [963761198400, 6, 10]),
+                            ("power_lcm_reciprocal", [223092870, 2756205443])):
+        model, report = decide(family, members)
+        assert report.method in ("C3.4", "C3.6") and taken == [] and len(walked) == 1
     members = sorted(random.Random(0).sample(divisors(720720), 200))
     model, report = decide("power_lcm_reciprocal", members)
     closed = report.certificate["support"]
     assert report.method == "C3.6" and len(members) < len(closed) < model.poset.n
     assert len(taken) == 1 and walked == []
+    p = divisor_down_set([2520]).poset
+    taken.clear()
+    psi(Subset(p, tuple(range(1, p.n))), NamedFunction("power", 1).bind(p))
+    assert p.labels[0] == 1 and taken == [] and len(walked) == 1
 
 
 def test_the_route_is_not_built_by_other_commands(monkeypatch):
-    # The steps of the route are built when masses are first asked for,
-    # and kept on the poset: classify, closure and build never build them.
+    # The steps of the route are built only when masses are asked for:
+    # classify, closure and build never build them.
     built = []
     steps = mobius._prime_steps
     monkeypatch.setattr(mobius, "_prime_steps", lambda p: built.append(p) or steps(p))
@@ -525,10 +539,6 @@ def test_the_route_is_not_built_by_other_commands(monkeypatch):
         code, _ = run(RunConfig(command="check-pd", set_text=members, family=family))
         assert code == 0 and len(built) == 1
         built.clear()
-    p = divisor_down_set([360]).poset
-    f = NamedFunction("power", 1).bind(p)
-    first = psi(Subset.whole(p), f)
-    assert p._steps is not None and psi(Subset.whole(p), f) == first
 
 
 def test_prime_route_faults_raise_under_optimize():

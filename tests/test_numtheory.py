@@ -622,7 +622,7 @@ def test_the_divisibility_survives_copies_and_duals():
     # Beside the mark, a canonical universe keeps its primes, whether its
     # order is unitary, the top whose quotients key the lcm up-set, and the
     # count of element-prime pairs that routes its masses.  Copies and the
-    # dual keep it; the steps built from it are not copied.
+    # dual keep it, and the steps built from it check against their masks.
     for build, unitary, top in ((divisor_down_set, False, None),
                                 (unitary_divisor_down_set, True, None),
                                 (lcm_up_set, False, 1260)):
@@ -630,10 +630,10 @@ def test_the_divisibility_survives_copies_and_duals():
         keys = p.labels if top is None else [top // y for y in p.labels]
         omega = (len(factorize(k)) for k in keys)
         assert p._divisibility == ((2, 3, 5, 7), unitary, top, sum(omega))
-        assert mobius._prime_steps(p) is p._steps is not None
-        for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p),
+        for clone in (p, pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p),
                       p.dual(), p.dual().dual()):
-            assert clone._divisibility == p._divisibility and clone._steps is None
+            assert clone._divisibility == p._divisibility
+            assert sum(map(len, mobius._prime_steps(clone))) == p._divisibility.weight
     for p in (divisibility_poset([2, 3, 12]), build_poset(3, [(1, 2), (2, 3)]),
               build_named_matrix("power_gcd", [4, 6], ambient="closure").poset):
         assert p._divisibility is None

@@ -19,10 +19,10 @@ from itertools import chain, islice
 
 import click
 
-from .definiteness import classify_and_test, structure_flags
+from .definiteness import _closure_rules, pd_oracle, structure_flags
 from .errors import (DeskScaleError, DuplicateError, ExactArithmeticError,
                      MeetJoinError, NoJoinError, NoMeetError)
-from .matrices import _closure_det, _float_pivots, det_general
+from .matrices import _check_direct_det, _closure_det, _float_pivots, det_general
 from .mobius import (EXPONENT_DIGITS, PosetFunction, _coerce, _decimal_exponent,
                      _masses, _rational)
 from .numtheory import (
@@ -330,34 +330,43 @@ def _closure_vector(model: MatrixModel, certificate: dict) -> dict | None:
 
 
 def _det_fields(report, matrix, s: Subset | None = None) -> dict:
-    """The determinant, read off the decision where it already holds it.
+    """The determinant of ``matrix``, the meet (join) matrix of ``s``:
+    :func:`_mass_det` where the masses give it, else :func:`_matrix_det`."""
+    return _mass_det(report, s) or _matrix_det(report, matrix)
 
-    Where the masses of f over the closure of ``s`` decided, the kept
-    closure and the certificate's masses give it, through
-    :func:`meetjoin.matrices._closure_det`: on a closed set (T3.1/T3.2) as
-    the product of the masses, and where C3.4/C3.6 found exact values
-    positive definite as that product times the det of the complementary
-    minor, the inverse of the closure's matrix on the members the closure
-    adds, unless the gate there refuses it.  An oracle run
-    that reached the last column holds it too: on exact values as its
-    last minor, on floats as the product of its LDL^T pivots, which is
-    positive whenever it found the matrix positive definite.  Any other
-    route pays for one elimination with partial pivoting, as in
-    :func:`det_general`.  Where a float product leaves the float range (a
-    zero pivot aside), ``det`` is null and ``det_log10``, the sum of log10
-    |pivot|, and ``det_sign`` carry it, read from the same pivots.
-    """
+
+def _mass_det(report, s: Subset | None) -> dict | None:
+    """The determinant where the masses of f over the closure of ``s``
+    decided, through :func:`meetjoin.matrices._closure_det`: on a closed set
+    (T3.1/T3.2) their product, and where C3.4/C3.6 found the set positive
+    definite, from exact masses as the masses refuse floats, that product
+    times the det of the complementary minor.  Else, or where the gate
+    there refuses the route, None."""
     certificate = report.certificate
     if s is not None and (report.method in ("T3.1", "T3.2") or (
-            report.method in ("C3.4", "C3.6") and matrix.is_exact
-            and report.is_positive_definite)):
+            report.method in ("C3.4", "C3.6") and report.is_positive_definite)):
         det = _closure_det(_closure(s, certificate["kind"]), certificate["masses"])
         if det is not None:
             return {"det": det}
-    steps = certificate.get("minors" if matrix.is_exact else "pivots", ())
+    return None
+
+
+def _matrix_det(report, matrix) -> dict:
+    """The determinant read off ``matrix``.  An oracle run that reached the
+    last column holds it: on exact values its last minor, on floats the
+    product of its LDL^T pivots, positive where it found the matrix positive
+    definite.  Else one elimination with partial pivoting, as in
+    :func:`det_general`, an exact one within the work budget of
+    :func:`meetjoin.matrices._check_direct_det`.  Where a float product
+    leaves the float range (a zero pivot aside), ``det`` is null and
+    ``det_log10``, the sum of log10 |pivot|, and ``det_sign`` carry it."""
+    steps = report.certificate.get("minors" if matrix.is_exact else "pivots", ())
     reached = report.method == "oracle" and len(steps) == matrix.n
     if matrix.is_exact:
-        return {"det": steps[-1] if reached else det_general(matrix)}
+        if reached:
+            return {"det": steps[-1]}
+        _check_direct_det(matrix)
+        return {"det": det_general(matrix)}
     pivots = steps if reached else tuple(_float_pivots(matrix, swap=True))
     det = math.prod(pivots)
     if math.isfinite(det) and (det != 0 or 0 in pivots):
@@ -400,20 +409,21 @@ def _execute(config: RunConfig, model: MatrixModel) -> tuple[int, dict]:
         }
 
     if config.command == "check-pd":
-        matrix = model.matrix
-        report = classify_and_test(
-            model.subset, model.function, model.kind, matrix=matrix
-        )
+        # The matrix is assembled only where it is read: by the oracle, and
+        # by a det that the masses do not give.
+        s, f = model.subset, model.function
+        report = _closure_rules(s, f, model.kind) or pd_oracle(model.matrix)
         payload = {
             "verdict": report.verdict,
             "method": report.method,
             "certificate": _encode(report.certificate),
-            "flags": _flag_payload(model.subset),
+            "flags": _flag_payload(s),
         }
         vector = _closure_vector(model, report.certificate)
         if vector is not None:
             payload["psi" if model.kind == "meet" else "phi"] = vector
-        payload.update(_encode(_det_fields(report, matrix, model.subset)))
+        det = _mass_det(report, s) or _matrix_det(report, model.matrix)
+        payload.update(_encode(det))
         return 0, payload
 
     if config.command == "bounds":

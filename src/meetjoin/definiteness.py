@@ -219,15 +219,17 @@ def monotonicity_from_pd(s: Subset, f: PosetFunction) -> bool:
 
 
 def structure_flags(s: Subset) -> dict:
-    """Structural classification of a set; ``None`` marks an undefined test."""
-    flags = {}
+    """Structural classification of a set; ``None`` marks an undefined test.
+    The tree probes run first and keep the closures they build, so the
+    closedness probes read them where they exist."""
+    flags = dict.fromkeys(("meet_closed", "join_closed"))
     probes = (
-        ("meet_closed", is_meet_closed),
-        ("join_closed", is_join_closed),
         ("chain", is_chain),
         ("wedge_tree_set", is_wedge_tree_set),
         ("vee_tree_set", is_vee_tree_set),
         ("a_set", is_A_set),
+        ("meet_closed", is_meet_closed),
+        ("join_closed", is_join_closed),
     )
     for name, probe in probes:
         try:
@@ -235,6 +237,26 @@ def structure_flags(s: Subset) -> dict:
         except (NoMeetError, NoJoinError):
             flags[name] = None
     return flags
+
+
+def _closure_rules(s: Subset, f: PosetFunction, kind: str) -> PDReport | None:
+    """The rules of :func:`classify_and_test` that read the closure of
+    ``s``: its report, or None where only the oracle can decide."""
+    try:
+        c = _closure(s, kind)
+    except (NoMeetError, NoJoinError):
+        return None  # then no closed superset exists and no tree rule applies
+    try:
+        if len(c.subset) == len(s):
+            return _signs(s, f, kind)
+        report = _superset_masses(c.subset, f, kind)
+        if report.verdict == POSITIVE_DEFINITE:
+            return report
+    except ExactArithmeticError:  # floats on the closure
+        report = pd_tree(s, f, kind)
+        if report.verdict == POSITIVE_DEFINITE:
+            return report
+    return None
 
 
 def classify_and_test(
@@ -246,30 +268,15 @@ def classify_and_test(
 ) -> PDReport:
     """Decide definiteness by the cheapest applicable rule.
 
-    Every rule but the oracle reads the one closure of ``s``: the sign test
-    when it adds nothing, else positive masses over it, which positive
-    masses over any larger closed superset would imply.  The tree rule runs
-    only on a closure holding floats, as on exact values its hypotheses make
-    the masses positive.  Without a closure only the minor oracle, which
-    always decides, is left.  ``method`` records the rule that settled it.
-    The oracle runs on ``matrix`` when given, which must be the meet (join)
-    matrix of ``s`` and ``f``; else it assembles it.
+    Every rule but the oracle reads the one closure of ``s``, not the
+    matrix: the sign test when it adds nothing, else positive masses over
+    it, which positive masses over any larger closed superset would imply.
+    The tree rule runs only on a closure holding floats, as on exact values
+    its hypotheses make the masses positive.  Where none decides, as
+    without a closure, the minor oracle, which always decides, runs on the
+    matrix.  ``method`` records the rule that settled it.  The oracle
+    reads ``matrix`` when given, which must be the meet (join) matrix of
+    ``s`` and ``f``; else it assembles it, and only then.
     """
-    try:
-        c = _closure(s, kind)
-    except (NoMeetError, NoJoinError):
-        c = None  # then no closed superset exists and no tree rule applies
-    if c is not None:
-        try:
-            if len(c.subset) == len(s):
-                return _signs(s, f, kind)
-            report = _superset_masses(c.subset, f, kind)
-            if report.verdict == POSITIVE_DEFINITE:
-                return report
-        except ExactArithmeticError:  # floats on the closure
-            report = pd_tree(s, f, kind)
-            if report.verdict == POSITIVE_DEFINITE:
-                return report
-    if matrix is None:
-        matrix = _matrix(s, f, kind)
-    return pd_oracle(matrix)
+    return _closure_rules(s, f, kind) or pd_oracle(
+        _matrix(s, f, kind) if matrix is None else matrix)

@@ -2,7 +2,7 @@
 
 The meet matrix of a listed set has ``f(x_i meet x_j)`` at entry ``(i, j)``,
 with the meet taken in the ambient poset; the join matrix is the dual.  One
-helper assembles both, from the pair bounds :func:`meet` or :func:`join`
+helper assembles both, from the rows of pair bounds ``poset._bound_row``
 gives in the listing, and one covering check serves both factored forms.
 Both factor through 0/1 incidence matrices against any superset containing
 the relevant meets or joins, with the mass vectors on the diagonal, read
@@ -24,9 +24,9 @@ from itertools import chain
 
 from .errors import (CharacterizationMismatch, DeskScaleError, NotClosedError,
                      NotSupersetError)
-from .mobius import PosetFunction, _check_same_parent, _masses, _number
-from .poset import (ClosureResult, FinitePoset, Subset, _bits, _is_closed,
-                    _kind, _op, _pair_meets, _side, join, meet)
+from .mobius import PosetFunction, _check_same_parent, _masses, _mobius_row, _number
+from .poset import (ClosureResult, FinitePoset, Subset, _bits, _bound_row,
+                    _closure, _is_closed, _kind, _side)
 
 
 @dataclass(frozen=True)
@@ -106,27 +106,27 @@ class DiagMatrix:
     diagonal: tuple
 
 
-def _entries(s: Subset, f: PosetFunction, op) -> SymMatrix:
-    """The matrix with ``f`` of ``op``, meet or join, of each member pair."""
+def _entries(s: Subset, f: PosetFunction, kind: str) -> SymMatrix:
+    """The matrix with ``f`` of the meet (join) of each member pair: each
+    row right of the diagonal from :func:`_bound_row`, each left of it read
+    off the rows above, so both triangles share each entry object."""
     _check_same_parent(s, f)
-    ms, values = s.members, f.values
-    n = len(ms)
-    rows = [[values[m]] * n for m in ms]  # the diagonal: x op x = x
-    bounds = _pair_meets(s.parent, ms, op)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = values[next(bounds)]
-    return SymMatrix(tuple(tuple(row) for row in rows))
+    p, ms, values = s.parent, s.members, f.values
+    upper = [[values[t] for t in _bound_row(p, x, ms[i + 1:], kind)]
+             for i, x in enumerate(ms)]
+    return SymMatrix(tuple(
+        (*map(operator.getitem, upper, range(i - 1, -1, -1)), values[x], *upper[i])
+        for i, x in enumerate(ms)))
 
 
 def meet_matrix(s: Subset, f: PosetFunction) -> SymMatrix:
     """The matrix with ``f`` of the pairwise meets of ``s`` as entries."""
-    return _entries(s, f, meet)
+    return _entries(s, f, "meet")
 
 
 def join_matrix(s: Subset, f: PosetFunction) -> SymMatrix:
     """The matrix with ``f`` of the pairwise joins of ``s`` as entries."""
-    return _entries(s, f, join)
+    return _entries(s, f, "join")
 
 
 def _matrix(s: Subset, f: PosetFunction, kind: str) -> SymMatrix:
@@ -147,14 +147,13 @@ def incidence_matrix(s: Subset, d: Subset, kind: str = "meet") -> IncMatrix:
     return IncMatrix(len(s.members), len(d.members), bits)
 
 
-def _require_covering(p: FinitePoset, xs, dmask: int, op, word: str) -> None:
-    missing = [p.labels[m] for m in xs if not (dmask >> m) & 1]
-    for v in _pair_meets(p, xs, op):
-        if not (dmask >> v) & 1 and p.labels[v] not in missing:
-            missing.append(p.labels[v])
+def _require_covering(p: FinitePoset, xs, dmask: int, kind: str) -> None:
+    bounds = (v for a, x in enumerate(xs) for v in _bound_row(p, x, xs[a + 1:], kind))
+    held = dict.fromkeys(chain(xs, bounds))
+    missing = [p.labels[m] for m in held if not dmask >> m & 1]
     if missing:
         raise NotSupersetError(
-            f"reference set must contain the members and their {word}; "
+            f"reference set must contain the members and their {kind}s; "
             "missing: " + ", ".join(map(str, missing))
         )
 
@@ -166,7 +165,7 @@ def _factored(s: Subset, d: Subset, f: PosetFunction, kind: str) -> SymMatrix:
     _check_same_parent(s, f)
     p = s.parent
     keep = d.member_mask()
-    _require_covering(p, s.members, keep, _op(kind), f"{kind}s")
+    _require_covering(p, s.members, keep, kind)
     vec = _masses(d, f, kind)
     mass = dict(zip(d.members, vec.values))
     toward = _side(p, kind)[0]
@@ -205,11 +204,12 @@ def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
 
     On a meet closed set the factorization is square and triangular, so the
     determinant is the product of the bottom-up masses; dually with the
-    top-down masses on a join closed set.
+    top-down masses on a join closed set, as :func:`_closure_det` takes it
+    where the closure adds nothing.
     """
     if not _is_closed(s, kind):
         raise NotClosedError(f"the set is not {kind} closed")
-    return math.prod(_masses(s, f, kind).values, start=Fraction(1))
+    return _closure_det(_closure(s, kind), _masses(s, f, kind).values)
 
 
 # What a Fraction update of the sparse elimination in ``_closure_det`` costs,
@@ -226,6 +226,34 @@ def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
 # 0.18 s against 0.155 s direct, and 5.9 (reciprocal-power-lcm), 0.29 s
 # against 0.37 s: both are refused.
 MINOR_UPDATE_COST = 16
+
+# Work units of the direct exact det that check-pd reads where no route gives
+# it (``det_general``, Bareiss over Python ints): n^3 times the bits of the
+# largest entry.  On power-gcd matrices (Python 3.11.7, 2-core Xeon) a unit
+# took 12 ns at n=100 and 35 ns at n=250 on ints below 3000 (13 bits: 0.16 s
+# and 7.1 s), 6-13 ns on 120 of the divisors of 720720 (20-21 bits, 0.2-0.5
+# s); the budget admits n=300 on such ints, about 12 s.  The largest direct
+# det of the tests, reply corpus, bench and CI is 3.6e7 units (those 120
+# divisors); 2000 divisors of 963761198400, 3.1e11, ran over 5 minutes.
+DIRECT_DET_WORK = 4 * 10 ** 8
+
+
+def _check_direct_det(m: SymMatrix) -> None:
+    """Refuse the direct exact det of ``m`` by :func:`det_general` before
+    it starts, where its work estimate, n^3 times the bits of the largest
+    entry (numerator and denominator), is over ``DIRECT_DET_WORK``: raise
+    :class:`DeskScaleError` naming the stage and the estimate.  Each
+    distinct entry object of the upper triangle is read once."""
+    cells = list(chain.from_iterable(row[i:] for i, row in enumerate(m.entries)))
+    distinct = dict(zip(map(id, cells), cells)).values()
+    bits = max(v.numerator.bit_length() + v.denominator.bit_length() for v in distinct)
+    work = m.n ** 3 * bits
+    if work > DIRECT_DET_WORK:
+        raise DeskScaleError(
+            f"the direct exact det of a {m.n} x {m.n} matrix with entries of up "
+            f"to {bits} bits is estimated at {work} work units (n^3 x bits), "
+            f"over the budget of {DIRECT_DET_WORK}"
+        )
 
 
 def _closure_det(c: ClosureResult, masses) -> Fraction | None:
@@ -269,20 +297,6 @@ def _closure_det(c: ClosureResult, masses) -> Fraction | None:
     for pivot in _sparse_pivots(rows, order):
         det *= pivot
     return det
-
-
-def _mobius_row(p: FinitePoset, keep: int, t: int, kind: str) -> dict[int, int]:
-    """The nonzero ``mu(t, k)`` over the members ``k`` of the closed set
-    ``keep`` on ``t``'s side away from the bound, by the interval recursion
-    ``mu(t, k) = -sum mu(t, z)`` over ``t <= z < k``: up from ``t`` on the
-    meet side, down on the join side, as ``_side`` reads ``p``."""
-    toward, away = _side(p, kind)
-    span = away[t] & keep
-    ks = list(_bits(span ^ (1 << t)))
-    mu = {t: 1}
-    for k in ks if kind == "meet" else reversed(ks):
-        mu[k] = -sum(mu[z] for z in _bits(toward[k] & span ^ (1 << k)))
-    return {k: v for k, v in mu.items() if v}
 
 
 def _inverse_block(d: Subset, outside, masses, kind: str) -> list[dict]:

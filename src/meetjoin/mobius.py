@@ -238,31 +238,34 @@ class MobiusTable:
 def mobius_table(p: FinitePoset) -> MobiusTable:
     """Compute mu by the interval recursion and verify it inverts zeta.
 
-    ``mu(a, b)`` is built by summing over the second argument; the check that
-    zeta * mu is the identity sums over the first argument, so the two
-    triangular routes are independent.  A failed check raises
-    :class:`CharacterizationMismatch`.
+    Each row ``mu(a, .)`` comes from :func:`_mobius_row`, which sums over
+    the second argument; the check that zeta * mu is the identity sums over
+    the first argument, so the two triangular routes are independent.  A
+    failed check raises :class:`CharacterizationMismatch`.
     """
     n = p.n
-    mu = [[0] * n for _ in range(n)]
-    for a in range(n):
-        mu[a][a] = 1
-        for b in _bits(p.up_mask(a)):
-            if b == a:
-                continue
-            acc = 0
-            for z in _bits(p.down_mask(b) & p.up_mask(a)):
-                if z != b:
-                    acc += mu[a][z]
-            mu[a][b] = -acc
+    rows = (_mobius_row(p, (1 << n) - 1, a, "meet") for a in range(n))
+    mu = [[row.get(b, 0) for b in range(n)] for row in rows]
     for a in range(n):
         for c in _bits(p.up_mask(a)):
-            total = 0
-            for v in _bits(p.down_mask(c) & p.up_mask(a)):
-                total += mu[v][c]
-            if total != (1 if a == c else 0):
+            total = sum(mu[v][c] for v in _bits(p.down_mask(c) & p.up_mask(a)))
+            if total != (a == c):
                 raise CharacterizationMismatch("mu does not invert zeta")
     return MobiusTable(p, tuple(tuple(row) for row in mu))
+
+
+def _mobius_row(p: FinitePoset, keep: int, t: int, kind: str) -> dict[int, int]:
+    """The nonzero ``mu(t, k)`` over the members ``k`` of the closed set
+    ``keep`` on ``t``'s side away from the bound, by the interval recursion
+    ``mu(t, k) = -sum mu(t, z)`` over ``t <= z < k``: up from ``t`` on the
+    meet side, down on the join side, as ``_side`` reads ``p``."""
+    toward, away = _side(p, kind)
+    span = away[t] & keep
+    ks = list(_bits(span ^ (1 << t)))
+    mu = {t: 1}
+    for k in ks if kind == "meet" else reversed(ks):
+        mu[k] = -sum(mu[z] for z in _bits(toward[k] & span ^ (1 << k)))
+    return {k: v for k, v in mu.items() if v}
 
 
 def _check_same_parent(s: Subset, f: PosetFunction) -> None:

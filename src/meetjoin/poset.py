@@ -37,6 +37,12 @@ those, as the bound of such a pair is one of the two.  It checks a cap
 after each element (:class:`DeskScaleError`), and a missing bound names
 the first pair of the pass without one.
 
+A set is closed when its closure adds nothing, which ``_is_closed`` reads
+where the closure is read off the masks or kept.  Elsewhere it scans the
+pair bounds a row at a time: ``_bound_row``, which also serves the matrix
+assembly, takes one AND per pair and calls :func:`meet` (:func:`join`),
+for its error, only at a pair that fails the check.
+
 ``_cover_edges`` walks the covers of a member mask on the parent's down
 masks, one step per edge, for both sides: a cover pair of the dual is the
 same pair reversed.  So the tree tests never build a closure's induced
@@ -474,11 +480,6 @@ def join(p: FinitePoset, i: int, j: int) -> int:
     )
 
 
-def _pair_meets(p: FinitePoset, members: Sequence[int], op) -> Iterator[int]:
-    """``op(p, x_a, x_b)`` for each pair a < b, in listing order, lazily."""
-    return (op(p, x, y) for a, x in enumerate(members) for y in members[a + 1:])
-
-
 def _kind(kind: str) -> str:
     """The one check of a meet/join switch: ``kind`` itself, or ValueError."""
     if kind not in ("meet", "join"):
@@ -495,6 +496,30 @@ def _side(p: FinitePoset, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     down (up), and those away from it, up (down).  The one place that
     knows a side's orientation."""
     return (p._down, p._up) if _kind(kind) == "meet" else (p._up, p._down)
+
+
+def _bound_row(p: FinitePoset, x: int, others: Sequence[int], kind: str,
+               inside=None) -> list[int]:
+    """The meets (joins) of ``x`` with each of ``others``, in order: one AND
+    per pair, whose highest (lowest) bit is the bound where its own mask
+    equals the AND, as :func:`meet` (:func:`join`) checks.  Off the side
+    bounded by construction, the first pair that fails the check calls
+    :func:`meet` (:func:`join`), which raises; with the set ``inside``, a
+    bound outside it before that pair ends the row there instead."""
+    toward = _side(p, kind)[0]
+    near = toward[x]
+    shared = [near & toward[y] for y in others]
+    if kind == "meet":
+        row = [c.bit_length() - 1 for c in shared]
+    else:
+        row = [(c & -c).bit_length() - 1 for c in shared]
+    # An empty AND gives bound -1, whose mask, holding its own bit, differs.
+    if p._bounded != kind and [toward[t] for t in row] != shared:
+        k = next(k for k, (t, c) in enumerate(zip(row, shared)) if toward[t] != c)
+        row = row[:k]
+        if inside is None or inside.issuperset(row):
+            _op(kind)(p, x, others[k])  # the same check fails there: it raises
+    return row
 
 
 def _close(elements: Iterable[int], op, cap: int, related=None) -> tuple[int, ...]:
@@ -600,23 +625,27 @@ def _closure(s: Subset, kind: str) -> ClosureResult:
     return meet_closure(s) if _kind(kind) == "meet" else join_closure(s)
 
 
-def _closed_under(s: Subset, op) -> bool:
-    keep = s.member_mask()
-    return all((keep >> z) & 1 for z in _pair_meets(s.parent, s.members, op))
+def _is_closed(s: Subset, kind: str) -> bool:
+    """Whether ``s`` is meet (join) closed: where its closure is read off
+    the masks or kept, every pair has its bound, and ``s`` is closed when
+    the closure adds nothing; elsewhere by :func:`_bound_row`, row by row."""
+    p, ms = s.parent, s.members
+    if p._bounded == _kind(kind) or isinstance(s.__dict__.get(f"_{kind}_closure"),
+                                               ClosureResult):
+        return len(_kept_closure(s, kind).subset) == len(s)
+    inside = set(ms)
+    return all(inside.issuperset(_bound_row(p, x, ms[a + 1:], kind, inside))
+               for a, x in enumerate(ms))
 
 
 def is_meet_closed(s: Subset) -> bool:
     """True when every pairwise meet of members is itself a member."""
-    return _closed_under(s, meet)
+    return _is_closed(s, "meet")
 
 
 def is_join_closed(s: Subset) -> bool:
     """True when every pairwise join of members is itself a member."""
-    return _closed_under(s, join)
-
-
-def _is_closed(s: Subset, kind: str) -> bool:
-    return is_meet_closed(s) if _kind(kind) == "meet" else is_join_closed(s)
+    return _is_closed(s, "join")
 
 
 def _reach(s: Subset, masks: Sequence[int]) -> Subset:
@@ -741,8 +770,8 @@ def is_A_set(s: Subset) -> bool:
     every pair, as one without a meet makes the test undefined
     (:class:`NoMeetError`), not False.
     """
-    p = s.parent
-    meets = _pair_meets(p, s.members, meet)
+    p, ms = s.parent, s.members
+    meets = (meet(p, x, y) for a, x in enumerate(ms) for y in ms[a + 1:])
     found = 0  # the meets so far, a chain
     for z in meets:
         if found & ~(p._down[z] | p._up[z]):

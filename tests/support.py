@@ -15,13 +15,21 @@ from fractions import Fraction
 from meetjoin import (
     CycleError,
     FinitePoset,
+    NoJoinError,
+    NoMeetError,
     PosetFunction,
     Subset,
     SymMatrix,
     build_poset,
     divisibility_poset,
     divisors,
+    is_A_set,
+    is_chain,
+    is_vee_tree_set,
+    is_wedge_tree_set,
+    join,
     join_closure,
+    meet,
     meet_closure,
     unitary_divisors,
 )
@@ -292,6 +300,39 @@ def rescan_closure(s, op):
         if len(grown) == len(members):
             return tuple(members), tuple(members.index(m) for m in s.members)
         members = sorted(grown)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` gives: its value, or the type and text of the
+    missing-bound error it raises."""
+    try:
+        return call(*args)
+    except (NoMeetError, NoJoinError) as exc:
+        return type(exc), str(exc)
+
+
+def scan_is_closed(s, op):
+    """Reference closedness: ``op``, ``meet`` or ``join``, of each member
+    pair in listing order, with no closure read; the first bound outside
+    the set answers False, and a pair without one before it raises."""
+    keep, ms = s.member_mask(), s.members
+    return all(keep >> op(s.parent, x, y) & 1
+               for a, x in enumerate(ms) for y in ms[a + 1:])
+
+
+def scan_structure_flags(s):
+    """Reference ``structure_flags``: closedness by the pair scan first, in
+    its key order, each probe on a fresh copy of ``s`` that keeps nothing;
+    ``None`` where a probe meets a pair without its bound."""
+    probes = (("meet_closed", lambda t: scan_is_closed(t, meet)),
+              ("join_closed", lambda t: scan_is_closed(t, join)),
+              ("chain", is_chain), ("wedge_tree_set", is_wedge_tree_set),
+              ("vee_tree_set", is_vee_tree_set), ("a_set", is_A_set))
+    flags = {}
+    for name, probe in probes:
+        value = outcome(probe, Subset(s.parent, s.members))
+        flags[name] = None if isinstance(value, tuple) else value
+    return flags
 
 
 def fixpoint_integer_closure(values, op):

@@ -127,6 +127,9 @@ def test_check_pd_assembles_its_matrix_once(monkeypatch):
     ("build", ["join_matrix"]),
     ("classify", []),
     ("closure", []),
+    # C3.6 decides it, and the join closure adds 3 members to 3, so the
+    # complementary-minor det is refused and the det reads the matrix.
+    ("check-pd", ["join_matrix"]),
 ])
 def test_family_matrix_is_built_only_when_read(monkeypatch, command, assembled):
     calls = count_assembly(monkeypatch)
@@ -135,6 +138,62 @@ def test_family_matrix_is_built_only_when_read(monkeypatch, command, assembled):
     ))
     assert code == 0
     assert calls == assembled
+
+
+@pytest.mark.parametrize("set_text, family, alpha, method, assembled", [
+    # Closed sets: the sign test decides and det is the product of the masses.
+    ("1,2,3,6", "power-gcd", "1", "T3.1", []),
+    ("1,2,3,6", "reciprocal-power-lcm", "1", "T3.2", []),
+    # C3.4 over the closure {2, 6, 10, 963761198400}, det through the
+    # complementary minor on the one member it adds.
+    ("963761198400,6,10", "power-gcd", "1", "C3.4", []),
+    # C3.4, but the closure adds 4 members to 3: the minor gate refuses.
+    ("6,10,15", "power-gcd", "1", "C3.4", ["meet_matrix"]),
+    # A nonpositive mass leaves the exact oracle, and a float one.
+    ("2,3", "power-gcd", "-1", "oracle", ["meet_matrix"]),
+    ("6,10,15", "power-gcd", "1.5", "oracle", ["meet_matrix"]),
+])
+def test_check_pd_assembles_its_matrix_only_where_it_reads_it(
+        monkeypatch, set_text, family, alpha, method, assembled):
+    # The rules on the closure never read the matrix, nor does a det that
+    # the masses give; the oracle and the direct det read one, built once.
+    calls = count_assembly(monkeypatch)
+    code, text = run(RunConfig(command="check-pd", set_text=set_text,
+                               family=family, alpha=alpha))
+    assert code == 0
+    assert json.loads(text)["method"] == method
+    assert calls == assembled
+
+
+def test_the_direct_exact_det_is_refused_past_its_work_budget():
+    # C3.4 decides check-pd on 2000 seeded divisors of 963761198400, and the
+    # closure adds more members than the set has, so the det is the direct
+    # one: a 2000 x 2000 Fraction elimination that ran for over 5 minutes.
+    # Its work estimate, n^3 times the bits of the largest entry, is refused.
+    big = random.Random(0).sample(numtheory.divisors(963761198400), 2000)
+    code, text = run(RunConfig(command="check-pd", set_text=",".join(map(str, big)),
+                               family="power-gcd"))
+    assert code == 2
+    assert json.loads(text)["error"] == {"type": "DeskScaleError", "message": (
+        "the direct exact det of a 2000 x 2000 matrix with entries of up to 39 "
+        "bits is estimated at 312000000000 work units (n^3 x bits), over the "
+        "budget of 400000000")}
+
+
+def test_the_direct_det_budget_admits_its_estimate(monkeypatch):
+    # 4, 6, 9 under reciprocal-power-lcm take the direct det of a 3 x 3
+    # matrix whose largest entry, 1/36, has 1 + 6 bits: 27 * 7 = 189 units.
+    config = RunConfig(command="check-pd", set_text="4,6,9",
+                       family="reciprocal-power-lcm")
+    monkeypatch.setattr(matrices, "DIRECT_DET_WORK", 189)
+    code, text = run(config)
+    assert code == 0 and json.loads(text)["det"] == "25/7776"
+    monkeypatch.setattr(matrices, "DIRECT_DET_WORK", 188)
+    code, text = run(config)
+    assert code == 2
+    assert json.loads(text)["error"]["message"] == (
+        "the direct exact det of a 3 x 3 matrix with entries of up to 7 bits is "
+        "estimated at 189 work units (n^3 x bits), over the budget of 188")
 
 
 def test_check_pd_builds_each_closure_once(monkeypatch):

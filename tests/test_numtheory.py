@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -10,6 +11,9 @@ from functools import partial
 import pytest
 
 from meetjoin import (
+    is_join_closed,
+    is_meet_closed,
+    structure_flags,
     DeskScaleError,
     DuplicateError,
     MatrixModel,
@@ -41,7 +45,8 @@ from meetjoin import (
 )
 from meetjoin.cli import parse_poset_file
 from meetjoin import mobius, numtheory, poset
-from support import fixpoint_integer_closure, scan_gcud
+from support import (fixpoint_integer_closure, outcome, scan_gcud, scan_is_closed,
+                     scan_structure_flags)
 from meetjoin.numtheory import DEFAULT_CAP, FACTOR_CAP
 from meetjoin.poset import Subset, _restore_poset
 
@@ -658,3 +663,45 @@ def test_unmarked_posets_close_through_the_kernel(monkeypatch):
     with pytest.raises(NoJoinError, match="^2 and 3 have no common upper bound$"):
         join_closure(lattice.subset_of([2, 3]))
     assert calls == 2
+
+
+def _closedness_outcomes(t, seen):
+    """Check both closedness probes and the flags of ``t`` against the pair
+    scan, fresh and with the closure kept; note each side and answer."""
+    p = t.parent
+    for kind, op, probe in (("meet", meet, is_meet_closed),
+                            ("join", join, is_join_closed)):
+        want = outcome(scan_is_closed, t, op)
+        assert outcome(probe, Subset(p, t.members)) == want
+        kept = Subset(p, t.members)
+        outcome(poset._closure, kept, kind)  # keeps the closure, or its failure
+        assert outcome(probe, kept) == want
+        side = "bounded" if p._bounded == kind else "other"
+        seen.add((side, want if isinstance(want, bool) else None))
+    flags = structure_flags(Subset(p, t.members))
+    assert list(flags.items()) == list(scan_structure_flags(t).items())
+
+
+def test_closedness_on_canonical_universes_equals_the_pair_scan():
+    # On the side bounded by construction closedness is read off the
+    # closure, which the masks give, and elsewhere off a kept closure or by
+    # the row scan.  Each answer, or error, equals that of one bound per
+    # member pair, on both sides of all three canonical universes and their
+    # duals, for random sets and their closures; so do the flags.
+    rng = random.Random(3205)
+    seen = set()
+    for top in (60, 3000, 720720, 963761198400):
+        for build in (divisor_down_set, unitary_divisor_down_set, lcm_up_set):
+            for _ in range(3):
+                pool = divisors(top) if rng.random() < 0.5 else range(1, min(top, 3000))
+                gens = rng.sample(pool, min(len(pool), rng.randint(1, 6)))
+                universe = build(gens).poset
+                sides = (universe, universe.dual())
+                for p, size in itertools.product(sides, (1, 2, 5, 20)):
+                    s = Subset(p, tuple(sorted(rng.sample(range(p.n), min(size, p.n)))))
+                    closures = [outcome(poset._closure, s, k) for k in ("meet", "join")]
+                    for t in [s] + [Subset(p, c.subset.members) for c in closures
+                                    if isinstance(c, poset.ClosureResult)]:
+                        _closedness_outcomes(t, seen)
+    assert seen == {("bounded", True), ("bounded", False),
+                    ("other", True), ("other", False), ("other", None)}

@@ -57,10 +57,13 @@ from support import (
     random_relation_poset,
     random_subset,
     random_tree_poset,
+    outcome,
     rescan_closure,
     scan_bounded_pairs_comparable,
     scan_cover_edges,
     scan_covers_at_most_one,
+    scan_is_closed,
+    scan_structure_flags,
     spine_meet_tree,
 )
 
@@ -639,22 +642,87 @@ def test_pair_meets_follow_the_listing():
     # the first pair has no meet.  Dually for joins, with 1 above 2 and 3.
     p = build_poset(4, [(1, 2), (1, 3)])
     two, three, four = (p.index_of(lb) for lb in (2, 3, 4))
-    pairs = poset_module._pair_meets(p, (two, three, four), meet)
-    assert next(pairs) == p.index_of(1)
+    assert poset_module._bound_row(p, two, (three,), "meet") == [p.index_of(1)]
     with pytest.raises(NoMeetError, match="^2 and 4 have no common lower bound$"):
-        next(pairs)
+        poset_module._bound_row(p, two, (three, four), "meet")
     assert is_meet_closed(Subset(p, (two, three, four))) is False
     with pytest.raises(NoMeetError, match="^4 and 2 have no common lower bound$"):
         is_meet_closed(Subset(p, (four, two, three)))
     q = build_poset(4, [(2, 1), (3, 1)])
     two, three, four = (q.index_of(lb) for lb in (2, 3, 4))
-    pairs = poset_module._pair_meets(q, (two, three, four), join)
-    assert next(pairs) == q.index_of(1)
+    assert poset_module._bound_row(q, two, (three,), "join") == [q.index_of(1)]
     with pytest.raises(NoJoinError, match="^2 and 4 have no common upper bound$"):
-        next(pairs)
+        poset_module._bound_row(q, two, (three, four), "join")
     assert is_join_closed(Subset(q, (two, three, four))) is False
     with pytest.raises(NoJoinError, match="^4 and 2 have no common upper bound$"):
         is_join_closed(Subset(q, (four, two, three)))
+
+
+def test_bound_rows_equal_the_pair_bounds():
+    # A row of pair bounds takes one AND per pair and calls meet (join) only
+    # at the first pair that fails its check.  Row and error, type and text,
+    # are those of one meet (join) call per pair, also on the side bounded
+    # by construction, where the check is skipped.  With the members as
+    # ``inside``, a bound outside them before that pair answers first.
+    from meetjoin.numtheory import divisor_down_set
+    rng = random.Random(3203)
+    raised = bounded = 0
+    for k in range(400):
+        if k % 4 == 0:
+            p = divisor_down_set(rng.sample(range(1, 400), rng.randint(1, 4))).poset
+        elif k % 4 == 1:
+            p = random_relation_poset(rng, rng.randint(2, 14))
+        else:
+            p = random_poset(rng)
+        if rng.random() < 0.5:
+            p = p.dual()
+        ms = random_linear_extension(rng, random_subset(rng, p)).members
+        inside = set(ms)
+        for kind, op in (("meet", meet), ("join", join)):
+            bounded += p._bounded == kind
+            for a, x in enumerate(ms):
+                others, want, error = ms[a + 1:], [], None
+                for y in others:
+                    got = outcome(op, p, x, y)
+                    if isinstance(got, tuple):
+                        error = got
+                        break
+                    want.append(got)
+                row = poset_module._bound_row
+                assert outcome(row, p, x, others, kind) == (error or want)
+                scanned = outcome(row, p, x, others, kind, inside)
+                if error is None or not inside.issuperset(want):
+                    assert scanned == want
+                else:
+                    assert scanned == error
+                raised += error is not None
+    assert raised > 100 and bounded > 50
+
+
+def test_closedness_and_flags_equal_the_pair_scan_where_bounds_lack():
+    # Closedness reads a kept closure where one exists and scans the pair
+    # bounds row by row elsewhere; structure_flags runs it after the tree
+    # probes, which keep the closures.  Each answer, or error, equals that of
+    # one bound per member pair, and the flags keep their key order.
+    rng = random.Random(3204)
+    seen = set()
+    for k in range(300):
+        if k % 2:
+            p = random_relation_poset(rng, rng.randint(2, 14))
+        else:
+            p = random_poset(rng)
+        s = random_linear_extension(rng, random_subset(rng, p))
+        for kind, op, probe in (("meet", meet, is_meet_closed),
+                                ("join", join, is_join_closed)):
+            want = outcome(scan_is_closed, s, op)
+            assert outcome(probe, Subset(p, s.members)) == want
+            kept = Subset(p, s.members)
+            outcome(_closure, kept, kind)  # keeps the closure, or its failure
+            assert outcome(probe, kept) == want
+            seen.add(want if isinstance(want, bool) else None)
+        flags = structure_flags(Subset(p, s.members))
+        assert list(flags.items()) == list(scan_structure_flags(s).items())
+    assert seen == {True, False, None}
 
 
 def test_subsets_of_tree_orders_are_tree_sets():

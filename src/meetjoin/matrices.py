@@ -9,7 +9,8 @@ the relevant meets or joins, with the mass vectors on the diagonal, read
 off the down masks for meets and the up masks for joins; on closed sets the
 determinant collapses to the product of the masses.  On any other set,
 ``_closure_det`` reads it off the masses over the closure and the
-complementary minor of the closure's inverse, where that is cheaper than
+complementary minor of the closure's inverse, whose rows are scaled to
+integers apart and eliminated fraction-free, where that is cheaper than
 ``det_general``; ``leading_minors`` and ``_float_pivots`` eliminate
 everything else.
 """
@@ -212,19 +213,20 @@ def det_closed(s: Subset, f: PosetFunction, kind: str = "meet") -> Fraction:
     return _closure_det(_closure(s, kind), _masses(s, f, kind).values)
 
 
-# What a Fraction update of the sparse elimination in ``_closure_det`` costs,
-# in Python-int updates of the one-triangle Bareiss run of ``leading_minors``,
+# What an int update of the sparse elimination in ``_closure_det`` costs, in
+# Python-int updates of the one-triangle Bareiss run of ``leading_minors``,
 # which makes n^3/6 of them on an n x n matrix.  The route runs only where
-# its updates at this cost stay within n^3/6.  Measured on exact check-pd
-# (Python 3.11.7, 2-core Xeon), one update of each took 10 to 12 times as
-# long as one of Bareiss; the margin above that pays for the Moebius rows,
-# the assembly and the symbolic pass.  On the eight 80-integer gcd-exact
-# bench sets n^3/6 is 36 to 82 times the updates, and the route takes
-# 0.012-0.025 s against 0.037-0.082 s direct; on 200 integers below 3000,
-# 102 times, 0.27 s against 2.2 s.  On 120 of the divisors of 720720 at
-# alpha 1 it is 9.1 times (power-gcd), where the elimination alone took
-# 0.18 s against 0.155 s direct, and 5.9 (reciprocal-power-lcm), 0.29 s
-# against 0.37 s: both are refused.
+# its updates at this cost stay within n^3/6.  Measured in process (Python
+# 3.11.7, 2-core Xeon, best of 3-5), one update took 3.8 to 5.8 times as long
+# as one of Bareiss on the eight 80-integer gcd-exact bench sets and 2.9 times
+# on 200 integers below 3000; with the Moebius rows, the assembly and the
+# symbolic pass, the route took 4.9 to 8.5 and 3.7 times.  There n^3/6 is 36
+# to 82 times the updates, and the route takes 4-9 ms against 37-60 ms
+# direct, and 102 times, 0.088 s against 2.4 s.
+# On 120 of the divisors of 720720 at alpha 1, an update took 2.0 times one of
+# Bareiss under power-gcd and 0.9 under reciprocal-power-lcm (the route: 2.9
+# and 1.0), where n^3/6 is 9.1 and 5.9 times the updates, and the route took
+# 0.054 s against 0.17 s and 0.067 s against 0.39 s: both are refused.
 MINOR_UPDATE_COST = 16
 
 # Work units of the direct exact det that check-pd reads where no route gives
@@ -268,62 +270,77 @@ def _closure_det(c: ClosureResult, masses) -> Fraction | None:
     diag(1 / masses) E^-1``, so ``M_ab = sum_k mu(t_a, k) mu(t_b, k) /
     mass_k`` over the Moebius function ``mu`` of ``D`` (Bourque and Ligh;
     Haukkanen).  A closed set has ``T`` empty, and its det is the product.
+    The det is kept as one int numerator and one int denominator, the
+    masses' products first, and divided once, at the end.
 
     Positive masses make ``D_f``, and so ``M``, positive definite, so
     every pivot of ``M`` is positive; one that is not raises
     :class:`CharacterizationMismatch`.  ``M`` is sparse, about a tenth
-    nonzero at n=200, and it is eliminated in the order of
-    :func:`_min_degree`.  That is a second exact elimination kernel beside
-    :func:`leading_minors`, kept private to this route: dense
-    ``leading_minors`` on the same ``M`` took 0.238 s over the eight
-    gcd-exact bench sets, against 0.112 s sparse.  The route is refused
-    when ``|T| >= n`` or when the updates the order counts, weighed by
-    ``MINOR_UPDATE_COST``, exceed the n^3/6 of a direct elimination; the
-    first refusal comes before the product of the masses, which on the
-    8191 masses of the lcm closure of the first 13 primes took 0.7 s.
+    nonzero at n=200; its rows are scaled to integers apart
+    (:func:`_inverse_block`) and eliminated over Python ints in the order
+    of :func:`_min_degree` (:func:`_sparse_pivots`).  That is a second
+    exact elimination kernel beside :func:`leading_minors`, kept private
+    to this route: dense ``leading_minors`` on the same ``M`` took 0.24 s
+    over the eight gcd-exact bench sets, against 0.036 s sparse.  The
+    route is refused when ``|T| >= n`` or when the updates the order
+    counts, weighed by ``MINOR_UPDATE_COST``, exceed the n^3/6 of a direct
+    elimination; the first refusal comes before the product of the
+    masses, which on the 8191 masses of the lcm closure of the first 13
+    primes takes 0.24 s.
     """
     n = len(c.embed)
     inside = set(c.embed)
     outside = [k for k in range(len(c.subset)) if k not in inside]
     if len(outside) >= n:
         return None
-    det = math.prod(masses, start=Fraction(1))
-    if not outside:
-        return det
-    rows = _inverse_block(c.subset, outside, masses, c.kind)
-    order, updates = _min_degree(rows)
-    if 6 * MINOR_UPDATE_COST * updates > n ** 3:
-        return None
-    for pivot in _sparse_pivots(rows, order):
-        det *= pivot
-    return det
+    top = math.prod(m.numerator for m in masses)
+    bottom = math.prod(m.denominator for m in masses)
+    if outside:
+        rows, scales = _inverse_block(c.subset, outside, masses, c.kind)
+        order, updates = _min_degree(rows)
+        if 6 * MINOR_UPDATE_COST * updates > n ** 3:
+            return None
+        for num, den in _sparse_pivots(rows, scales, order):
+            top *= num
+            bottom *= den
+    return Fraction(top, bottom)
 
 
-def _inverse_block(d: Subset, outside, masses, kind: str) -> list[dict]:
+def _inverse_block(d: Subset, outside, masses, kind: str):
     """``(D_f)^-1`` on the rows and columns ``outside`` of ``d``'s listing,
-    as one dict per row of its nonzero entries, both triangles sharing
-    each entry: ``sum_k mu(t_a, k) mu(t_b, k) / mass_k``."""
+    ``M_ab = sum_k mu(t_a, k) mu(t_b, k) / mass_k``, as int rows and their
+    scales.  Row ``a`` is cleared of denominators by ``L_a``, the lcm of the
+    numerators of the masses where ``mu(t_a, .)`` is nonzero: ``u_ab =
+    sum_k mu(t_a, k) mu(t_b, k) den_k (L_a // num_k)``, an int as each
+    ``num_k`` there divides ``L_a``.  It is then divided by its content
+    ``g``, so ``M_ab = (g / L_a) u_ab``.  Returns one dict per row of its
+    nonzero ``u_ab``, and per row its scale ``g / L_a`` as a pair of
+    positive ints in lowest terms."""
     p = d.parent
     keep = d.member_mask()
     weight = dict(zip(d.members, masses))
+    mobius = [_mobius_row(p, keep, d.members[t], kind) for t in outside]
     terms: dict[int, list[tuple[int, int]]] = {}
-    for a, t in enumerate(outside):
-        for k, v in _mobius_row(p, keep, d.members[t], kind).items():
+    for a, row in enumerate(mobius):
+        for k, v in row.items():
             terms.setdefault(k, []).append((a, v))
+    lcms = [math.lcm(*(weight[k].numerator for k in row)) for row in mobius]
     rows: list[dict] = [{} for _ in outside]
     for k, col in terms.items():
-        w = 1 / weight[k]
-        for i, (a, u) in enumerate(col):
+        w = weight[k]
+        num, den = w.numerator, w.denominator
+        for a, u in col:
+            c = u * den * (lcms[a] // num)
             row = rows[a]
-            for b, v in col[i:]:
-                row[b] = row.get(b, 0) + w * (u * v)
-    for a, row in enumerate(rows):
-        for b, value in list(row.items()):
-            if not value:
-                del row[b]
-            elif b != a:
-                rows[b][a] = value
-    return rows
+            for b, v in col:
+                row[b] = row.get(b, 0) + c * v
+    scales = []
+    for a, (row, lcm) in enumerate(zip(rows, lcms)):
+        g = math.gcd(*row.values()) or 1
+        rows[a] = {b: v // g for b, v in row.items() if v}
+        h = math.gcd(g, lcm)
+        scales.append((g // h, lcm // h))
+    return rows, scales
 
 
 def _min_degree(rows) -> tuple[list[int], int]:
@@ -348,27 +365,57 @@ def _min_degree(rows) -> tuple[list[int], int]:
     return order, updates
 
 
-def _sparse_pivots(rows, order):
-    """Yield the pivots of symmetric elimination on ``rows`` in ``order``,
-    updating each entry on and above the diagonal of the pivot's block
-    once; each must be positive, else :class:`CharacterizationMismatch`."""
+def _sparse_pivots(rows, scales, order):
+    """Yield the pivots of symmetric elimination, in ``order``, on the
+    matrix whose row ``a`` is ``scales[a]`` times the int row ``rows[a]``,
+    each as a pair of ints: numerator, positive denominator.  Each must be
+    positive, else :class:`CharacterizationMismatch`.
+
+    As in :func:`leading_minors`, each row keeps only its columns that come
+    no earlier in ``order``, and a step updates only those: one update per
+    entry on and above the diagonal of the pivot's block, the count of
+    :func:`_min_degree`.  With ``s`` the scales, ``M_a - (M_ap / M_pp)
+    M_p = s_a (u_a - (x / y) u_p)`` for ``x / y = s_p u_pa / (s_a u_pp)``
+    in lowest terms, so the row ``a`` below pivot ``p`` takes ``u_a <- y
+    u_a - x u_p`` and is then divided by its content ``g``, and its scale
+    takes ``* g / y``.  Every scale stays positive, so the sign of each
+    pivot ``s_p u_pp`` is the sign of its int numerator.  ``rows`` and
+    ``scales`` are used up."""
+    gcd = math.gcd
+    place = {p: i for i, p in enumerate(order)}
+    for a, row in enumerate(rows):
+        rows[a] = {b: v for b, v in row.items() if place[b] >= place[a]}
     for p in order:
         row = rows[p]
+        num, den = scales[p]
         pivot = row.pop(p, 0)
-        if not pivot > 0:
+        top = num * pivot
+        if top <= 0:
             raise CharacterizationMismatch(
-                f"a pivot of the complementary minor is {pivot}: positive "
-                "masses make it positive definite"
+                f"a pivot of the complementary minor is {Fraction(top, den)}: "
+                "positive masses make it positive definite"
             )
-        yield pivot
-        others = list(row.items())
-        for b, _ in others:
-            del rows[b][p]
-        for i, (a, u) in enumerate(others):
-            ratio = u / pivot
+        yield top, den
+        others = sorted(row.items(), key=lambda e: place[e[0]])
+        below = den * pivot
+        for i, (a, lead) in enumerate(others):
             target = rows[a]
+            num_a, den_a = scales[a]
+            x, y = num * den_a * lead, num_a * below
+            h = gcd(x, y)
+            x, y = x // h, y // h
+            if y != 1:
+                target = {b: y * v for b, v in target.items()}
             for b, v in others[i:]:
-                target[b] = rows[b][a] = target.get(b, 0) - ratio * v
+                target[b] = target.get(b, 0) - x * v
+            g = gcd(*target.values())
+            if g > 1:
+                target = {b: v // g for b, v in target.items()}
+                num_a *= g
+            rows[a] = target
+            den_a *= y
+            h = gcd(num_a, den_a)
+            scales[a] = num_a // h, den_a // h
 
 
 def leading_minors(m: SymMatrix, swap: bool = False):

@@ -16,7 +16,7 @@ The corpus:
   ``build`` of them once more with ``--format csv``;
 - float ``check-pd`` on ``random.Random(0).sample(range(1, 3000), n)``
   with power-gcd at alpha 1.5, for n = 200 and 300, and exact ``check-pd``
-  on the n = 200 set at alpha 1;
+  on the n = 200, 300 and 500 sets at alpha 1;
 - ``check-pd`` where C3.4/C3.6 decides over a closure that adds members,
   and the det comes from the complementary minor or, where its gate
   refuses, from a direct elimination: :data:`DIVISOR_SAMPLES` of the
@@ -51,6 +51,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 7)
 TARGET_SIZES = (200, 300)
+# Exact check-pd: C3.4 decides, det through the complementary minor.
+EXACT_SIZES = (200, 300, 500)
 PRIMES = "2,3,5,7,11,13,17,19,23,29,31,37,41"
 # (name, sample size, family): seed-0 samples of the divisors of 720720.
 # The 200 under reciprocal-power-lcm take the complementary minor on the
@@ -120,10 +122,11 @@ def _corpus(RunConfig):
         yield f"target/float-check-pd-{n}", RunConfig(
             command="check-pd", set_text=",".join(map(str, members)),
             family="power-gcd", alpha="1.5")
-    members = random.Random(0).sample(range(1, 3000), TARGET_SIZES[0])
-    yield f"target/exact-check-pd-{TARGET_SIZES[0]}", RunConfig(
-        command="check-pd", set_text=",".join(map(str, members)),
-        family="power-gcd")
+    for n in EXACT_SIZES:
+        members = random.Random(0).sample(range(1, 3000), n)
+        yield f"target/exact-check-pd-{n}", RunConfig(
+            command="check-pd", set_text=",".join(map(str, members)),
+            family="power-gcd")
     divisors = [d for d in range(1, 720721) if 720720 % d == 0]
     for name, size, family in DIVISOR_SAMPLES:
         members = sorted(random.Random(0).sample(divisors, size))

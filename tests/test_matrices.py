@@ -42,6 +42,7 @@ from meetjoin import (
 )
 from meetjoin.matrices import (MINOR_UPDATE_COST, _closure_det, _float_pivots,
                                _inverse_block, _min_degree, leading_minors)
+from meetjoin.mobius import _mobius_row
 from meetjoin.poset import _closure
 from support import (
     brute_join,
@@ -736,7 +737,7 @@ def test_the_gate_refuses_on_its_work_estimate(monkeypatch):
     outside = [k for k in range(len(c.subset)) if k not in inside]
     assert report.method == "C3.4" and len(outside) < n
     _, updates = _min_degree(
-        _inverse_block(c.subset, outside, report.certificate["masses"], c.kind))
+        _inverse_block(c.subset, outside, report.certificate["masses"], c.kind)[0])
     assert 6 * MINOR_UPDATE_COST * updates > n ** 3
 
 
@@ -778,3 +779,92 @@ def test_a_nonpositive_pivot_of_the_complementary_minor_is_refused():
         routed, refused = done.stdout.splitlines()
         assert routed == "routed True"
         assert refused.startswith("a pivot of the complementary minor is -")
+
+
+@pytest.mark.parametrize("family, alpha, pool", [
+    ("power-gcd", 2, range(1, 3000)),
+    ("power-gcd", 3, range(1, 3000)),
+    ("reciprocal-power-lcm", 1, divisors(5040)),
+    ("reciprocal-power-lcm", 2, divisors(5040)),
+    ("gcud-power", 1, range(1, 3000)),
+])
+def test_the_int_minor_route_is_the_exact_det_on_named_families(family, alpha, pool):
+    # On 40 seeded members: masses of more bits than at alpha 1 (power-gcd
+    # at alpha 2 and 3), not integers (reciprocal-power-lcm, whose join
+    # closure of 40 of the 60 divisors of 5040 stays small enough to
+    # route), and over the unitary order (gcud-power).  Each routed det
+    # equals Bareiss on the matrix.
+    for seed in range(3):
+        model = build_named_matrix(family, random.Random(seed).sample(pool, 40),
+                                   alpha=alpha)
+        report = classify_and_test(model.subset, model.function, model.kind)
+        c = _closure(model.subset, model.kind)
+        assert report.method in ("C3.4", "C3.6") and len(c.subset) > len(c.embed)
+        masses = report.certificate["masses"]
+        det = _closure_det(c, masses)
+        assert det is not None, "the route was refused"
+        assert det == det_general(model.matrix)
+        if family == "reciprocal-power-lcm":
+            assert any(v.denominator > 1 for v in masses)
+
+
+@pytest.mark.parametrize("family, pool", [
+    ("power-gcd", range(1, 3000)), ("reciprocal-power-lcm", divisors(5040))])
+def test_inverse_block_rows_are_ints_under_their_scales(family, pool):
+    # Each row is ints, and its scale, a pair of positive ints in lowest
+    # terms, times the row gives the Fractions sum_k mu(t_a, k) mu(t_b, k) /
+    # mass_k, the same in both triangles.
+    model = build_named_matrix(family, random.Random(4).sample(pool, 40))
+    report = classify_and_test(model.subset, model.function, model.kind)
+    c = _closure(model.subset, model.kind)
+    d, masses = c.subset, report.certificate["masses"]
+    inside = set(c.embed)
+    outside = [k for k in range(len(d)) if k not in inside]
+    rows, scales = _inverse_block(d, outside, masses, c.kind)
+    weight = dict(zip(d.members, masses))
+    mu = [_mobius_row(d.parent, d.member_mask(), d.members[t], c.kind) for t in outside]
+    for a, (row, (num, den)) in enumerate(zip(rows, scales)):
+        assert {type(v) for v in row.values()} == {int}
+        assert type(num) is type(den) is int and num > 0 and den > 0
+        assert math.gcd(num, den) == 1 and math.gcd(*row.values()) == 1
+        for b in range(len(outside)):
+            exact = sum((mu[a][k] * mu[b].get(k, 0) / weight[k] for k in mu[a]),
+                        Fraction(0))
+            assert Fraction(num * row.get(b, 0), den) == exact
+            assert (b in row) == (exact != 0)
+
+
+def test_the_nonpositive_pivot_text_is_the_exact_pivot():
+    # All masses -1, and one mass negated and divided by 3, whose first
+    # nonpositive pivot comes later and is not an integer.  The texts are
+    # those of the Fraction elimination this route had before, under plain
+    # python and python -O alike.
+    script = textwrap.dedent("""
+        import random
+        from fractions import Fraction
+        from meetjoin import CharacterizationMismatch, build_named_matrix, psi
+        from meetjoin.matrices import _closure_det
+        from meetjoin.poset import _closure
+        members = random.Random(0).sample(range(1, 3000), 80)
+        model = build_named_matrix("power-gcd", members)
+        c = _closure(model.subset, model.kind)
+        masses = list(psi(c.subset, model.function).values)
+        masses[7] = -masses[7] / 3
+        for case in ([Fraction(-1)] * len(c.subset), masses):
+            try:
+                _closure_det(c, case)
+            except CharacterizationMismatch as exc:
+                print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(meetjoin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", script],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "a pivot of the complementary minor is -3: positive masses make "
+            "it positive definite",
+            "a pivot of the complementary minor is -786773/3157508: positive "
+            "masses make it positive definite",
+        ]
